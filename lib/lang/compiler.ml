@@ -10,7 +10,9 @@
    - default-parameter supply: [qs:queue()] becomes
      [qs:queue("<this queue>")] so the plan no longer depends on implicit
      rule context;
-   - constant folding of literal boolean/arithmetic subexpressions.
+   - constant folding of literal boolean/arithmetic subexpressions;
+   - descendant-step fusion: a predicate-free [a//t] becomes
+     [a/descendant::t].
 
    Plan passes, per target:
 
@@ -126,6 +128,21 @@ let fold_constants expr =
       | Ast.Call ("fn:not", [ Ast.Literal (Value.Boolean b) ])
       | Ast.Call ("not", [ Ast.Literal (Value.Boolean b) ]) ->
         Ast.Literal (Value.Boolean (not b))
+      | e -> e)
+    expr
+
+(* [a//t] parses as [a/descendant-or-self::node()/child::t], which
+   evaluates to every node of the subtree and then every node's children.
+   Without predicates on the child step it selects exactly
+   [a/descendant::t]; a predicate there counts positions among one
+   parent's children, so such a step is left alone. *)
+let fuse_descendant_steps expr =
+  Ast.map_expr
+    (function
+      | Ast.Path
+          ( Ast.Path (a, Ast.Axis_step (Ast.Descendant_or_self, Ast.Node_kind_test, [])),
+            Ast.Axis_step (Ast.Child, test, []) ) ->
+        Ast.Path (a, Ast.Axis_step (Ast.Descendant, test, []))
       | e -> e)
     expr
 
@@ -353,6 +370,7 @@ let compile_rule ~properties ~on_slicing ~target (r : Qdl.rule_def) =
   let body = if on_slicing then body else supply_queue_default target body in
   let body = if on_slicing then body else inline_fixed_properties properties target body in
   let body = fold_constants body in
+  let body = fuse_descendant_steps body in
   {
     cr_name = r.Qdl.rname;
     cr_error_queue = r.Qdl.rule_error_queue;

@@ -106,3 +106,8 @@ val conflict_to_string : conflict -> string
 val factor_conditions : Demaq_xquery.Ast.expr list -> Demaq_xquery.Ast.expr
 (** Merge rule bodies, evaluating structurally identical top-level
     conditions once. Exposed for tests. *)
+
+val fuse_descendant_steps : Demaq_xquery.Ast.expr -> Demaq_xquery.Ast.expr
+(** The per-rule rewrite of a predicate-free [a/descendant-or-self::node()/child::t]
+    into [a/descendant::t]; both select the same sequence. Exposed for
+    tests. *)

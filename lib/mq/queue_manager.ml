@@ -336,34 +336,34 @@ let gc_collect t =
 
 let gc t = List.length (gc_collect t)
 
-(* Incremental GC: examine at most [budget] messages per call, resuming
-   at a wrapping rid cursor. The enumeration itself is a cheap fold over
-   live rids; the budget bounds the expensive part — decoding each
-   candidate and checking its slice memberships for currency — so a
-   maintenance tick costs O(budget), not O(store). A short window (fewer
-   than [budget] rids past the cursor) ends the sweep and wraps the
-   cursor to 0, so every message is revisited on the next pass. *)
+(* Incremental GC: examine at most [budget] live messages per call,
+   walking the rid range from a cursor. The budget bounds both the walk and
+   the expensive part — decoding each candidate and checking its slice
+   memberships for currency — so a maintenance tick costs O(budget) (plus
+   the tombstones and dropped rids it steps over), not O(store). A short
+   window (the walk reached the end of the range) ends the sweep and wraps
+   the cursor to the lowest rid still present, never to 0: compaction
+   drops long runs of low rids, and rescanning them on every wrap would
+   cost O(rids ever allocated). *)
 let gc_step t ~budget =
   if budget <= 0 then []
   else begin
-    let past_cursor =
-      List.filter
-        (fun (sm : Store.message) -> sm.Store.rid >= t.gc_cursor)
-        (Store.all_messages t.store)
+    let limit = Store.next_rid t.store in
+    let rec walk acc n rid =
+      if n = budget then (acc, rid)
+      else if rid >= limit then (acc, Store.low_rid t.store)
+      else
+        match Store.get t.store rid with
+        | Some sm -> walk (sm :: acc) (n + 1) (rid + 1)
+        | None -> walk acc n (rid + 1)
     in
-    let rec take n = function
-      | x :: rest when n > 0 -> x :: take (n - 1) rest
-      | _ -> []
-    in
-    let window = take budget past_cursor in
-    if List.length window < budget then t.gc_cursor <- 0
-    else (
-      match List.rev window with
-      | last :: _ -> t.gc_cursor <- last.Store.rid + 1
-      | [] -> ());
+    let window, cursor = walk [] 0 (max t.gc_cursor (Store.low_rid t.store)) in
+    t.gc_cursor <- cursor;
     delete_batch t
-      (List.filter (deletable t) (List.map (of_store_cached t) window))
+      (List.filter (deletable t) (List.rev_map (of_store_cached t) window))
   end
+
+let gc_cursor t = t.gc_cursor
 
 let rebuild_indexes t =
   Hashtbl.iter (fun _ idx -> Btree.clear idx) t.indexes;

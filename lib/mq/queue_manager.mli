@@ -121,6 +121,10 @@ val gc_step : t -> budget:int -> int list
     O(budget) deletability checks instead of O(store); repeated calls
     eventually revisit every message. Returns the collected rids. *)
 
+val gc_cursor : t -> int
+(** The rid where the next {!gc_step} window starts. After a wrap it is
+    {!Store.low_rid}: rids dropped by compaction are never walked again. *)
+
 val rebuild_indexes : t -> unit
 (** Rebuild all slice indexes from the store (after recovery: index data is
     derived, §4.1). Called automatically by {!create}. *)

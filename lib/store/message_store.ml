@@ -45,6 +45,9 @@ type t = {
   slice_lifetimes : (string * string, int) Hashtbl.t;
   lock_mgr : Lock_manager.t;
   mutable next_rid : int;
+  mutable low_rid : int;
+      (* no rid below it is in [messages]: lowered by inserts, raised past
+         the dropped rids when tombstones are dropped *)
   mutable next_txn : int;
   mutable checkpoints : int;
   mutable last_logged_txn : int;  (* highest txn with a WAL commit record *)
@@ -98,6 +101,7 @@ let queue_vec t queue =
 
 let apply_insert t ~rid ~queue ~stored ~extra ~enqueued_at =
   let m = { rid; queue; stored; extra; enqueued_at; processed = false; deleted = false } in
+  if rid < t.low_rid || Hashtbl.length t.messages = 0 then t.low_rid <- rid;
   Hashtbl.replace t.messages rid m;
   Vec.push (queue_vec t queue) rid;
   if rid >= t.next_rid then t.next_rid <- rid + 1;
@@ -274,6 +278,7 @@ let open_store config =
       slice_lifetimes = Hashtbl.create 64;
       lock_mgr = Lock_manager.create ();
       next_rid = 1;
+      low_rid = 1;
       next_txn = 1;
       checkpoints = 0;
       last_logged_txn = 0;
@@ -459,6 +464,9 @@ let fold_queue t queue f acc =
 
 let queue_length t queue = fold_queue t queue (fun n _ -> n + 1) 0
 
+let low_rid t = t.low_rid
+let next_rid t = t.next_rid
+
 let all_messages t =
   let live =
     Hashtbl.fold (fun _ m acc -> if m.deleted then acc else m :: acc) t.messages []
@@ -473,21 +481,29 @@ let unprocessed t =
 
 (* ---- maintenance ---- *)
 
+(* One pass over the table and one filter per affected queue vector, so a
+   compaction costs O(store), not O(tombstones x queue length). *)
 let drop_tombstones t =
-  let doomed =
-    Hashtbl.fold (fun rid m acc -> if m.deleted then rid :: acc else acc) t.messages []
-  in
-  List.iter
-    (fun rid ->
-      match Hashtbl.find_opt t.messages rid with
-      | None -> ()
-      | Some m ->
+  let doomed = Hashtbl.create 64 in
+  Hashtbl.iter (fun rid m -> if m.deleted then Hashtbl.replace doomed rid m) t.messages;
+  if Hashtbl.length doomed > 0 then begin
+    let queues = Hashtbl.create 8 in
+    Hashtbl.iter
+      (fun rid m ->
         (match m.stored, t.heap with
          | Spilled (hrid, _), Some heap -> Heap_file.free heap hrid
          | _ -> ());
         Hashtbl.remove t.messages rid;
-        Vec.filter_in_place (fun r -> r <> rid) (queue_vec t m.queue))
-    doomed
+        Hashtbl.replace queues m.queue ())
+      doomed;
+    Hashtbl.iter
+      (fun queue () ->
+        Vec.filter_in_place (fun r -> not (Hashtbl.mem doomed r)) (queue_vec t queue))
+      queues;
+    while t.low_rid < t.next_rid && not (Hashtbl.mem t.messages t.low_rid) do
+      t.low_rid <- t.low_rid + 1
+    done
+  end
 
 let checkpoint t =
   (match t.config.dir with

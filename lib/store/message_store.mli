@@ -130,6 +130,17 @@ val queue_rids : t -> string -> int list
 val queue_length : t -> string -> int
 val fold_queue : t -> string -> ('a -> message -> 'a) -> 'a -> 'a
 val all_messages : t -> message list
+(** Every live message, sorted by rid: a fold and sort of the whole
+    table. *)
+
+val low_rid : t -> int
+(** No message (live or tombstoned) has a rid below this. It is the lowest
+    rid present after any tombstone drop, so a scan of the rid range
+    from [low_rid] up to [next_rid] skips what compaction has dropped. *)
+
+val next_rid : t -> int
+(** One past the highest rid ever allocated. *)
+
 val slice_lifetime : t -> slicing:string -> key:string -> int
 (** Current lifetime counter of the slice; 0 if never reset. *)
 

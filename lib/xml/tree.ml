@@ -104,10 +104,16 @@ let child_trees n =
   | Ftree (Element e) -> e.children
   | Ftree (Text _ | Comment _ | Pi _) | Fattribute _ -> []
 
-let children n =
-  List.mapi
-    (fun i t -> { ndoc = n.ndoc; rpath = Child i :: n.rpath; nfocus = Ftree t })
-    (child_trees n)
+let children_where p n =
+  let rec go i = function
+    | [] -> []
+    | t :: rest when p t ->
+      { ndoc = n.ndoc; rpath = Child i :: n.rpath; nfocus = Ftree t } :: go (i + 1) rest
+    | _ :: rest -> go (i + 1) rest
+  in
+  go 0 (child_trees n)
+
+let children n = children_where (fun _ -> true) n
 
 let attributes n =
   match n.nfocus with
@@ -144,8 +150,29 @@ let parent n =
     let nfocus = resolve_path n.ndoc up in
     Some { ndoc = n.ndoc; rpath = up; nfocus }
 
-let rec descendants n =
-  List.concat_map (fun c -> c :: descendants c) (children n)
+(* One pre-order walk over the subtree. A node record is built only for a
+   tree satisfying [p]; an element's rpath is consed only when it is
+   needed, for its own record or to descend into its children. *)
+let descendants_where p n =
+  let doc = n.ndoc in
+  let rec walk acc rpath i = function
+    | [] -> acc
+    | t :: rest ->
+      let acc =
+        match t with
+        | Element { children = []; _ } | Text _ | Comment _ | Pi _ ->
+          if p t then { ndoc = doc; rpath = Child i :: rpath; nfocus = Ftree t } :: acc
+          else acc
+        | Element e ->
+          let rp = Child i :: rpath in
+          let acc = if p t then { ndoc = doc; rpath = rp; nfocus = Ftree t } :: acc else acc in
+          walk acc rp 0 e.children
+      in
+      walk acc rpath (i + 1) rest
+  in
+  List.rev (walk [] n.rpath 0 (child_trees n))
+
+let descendants n = descendants_where (fun _ -> true) n
 
 let descendant_or_self n = n :: descendants n
 
@@ -165,24 +192,36 @@ let string_value n =
 let is_element n = match n.nfocus with Ftree (Element _) -> true | _ -> false
 let is_text n = match n.nfocus with Ftree (Text _) -> true | _ -> false
 
-let step_rank = function Attr i -> (0, i) | Child i -> (1, i)
+let step_compare x y =
+  match x, y with
+  | Attr i, Attr j | Child i, Child j -> Int.compare i j
+  | Attr _, Child _ -> -1
+  | Child _, Attr _ -> 1
 
+(* Document order without reversing the paths: cut the deeper rpath to the
+   other's depth, walk both leaf-first and keep the step difference closest
+   to the root. Equal cut paths mean one node is the other's ancestor (or
+   itself), and the shallower one comes first. Siblings share their parent's
+   rpath physically, so the walk usually stops at the first common tail. *)
 let doc_order a b =
-  let c = compare a.ndoc.id b.ndoc.id in
+  let c = Int.compare a.ndoc.id b.ndoc.id in
   if c <> 0 then c
   else
-    (* Compare forward paths lexicographically; a prefix (ancestor) sorts
-       first, and attributes sort before children of the same element. *)
-    let rec cmp xs ys =
-      match xs, ys with
-      | [], [] -> 0
-      | [], _ -> -1
-      | _, [] -> 1
-      | x :: xs', y :: ys' ->
-        let c = compare (step_rank x) (step_rank y) in
-        if c <> 0 then c else cmp xs' ys'
+    let la = List.length a.rpath and lb = List.length b.rpath in
+    let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
+    let rec cmp diff xs ys =
+      if xs == ys then diff
+      else
+        match xs, ys with
+        | x :: xs', y :: ys' ->
+          let c = step_compare x y in
+          cmp (if c <> 0 then c else diff) xs' ys'
+        | _ -> diff
     in
-    cmp (List.rev a.rpath) (List.rev b.rpath)
+    let xs = if la > lb then drop (la - lb) a.rpath else a.rpath in
+    let ys = if lb > la then drop (lb - la) b.rpath else b.rpath in
+    let diff = cmp 0 xs ys in
+    if diff <> 0 then diff else Int.compare la lb
 
 let same_node a b = doc_order a b = 0
 

@@ -75,11 +75,19 @@ val children : node -> node list
 (** Child nodes (elements, text, comments, PIs), in document order.
     Attribute nodes are not children; see {!attributes}. *)
 
+val children_where : (tree -> bool) -> node -> node list
+(** [children n] restricted to the child trees satisfying the predicate;
+    node records are built only for those. *)
+
 val attributes : node -> node list
 val parent : node -> node option
 val descendants : node -> node list
 (** Descendants in document order, not including the node itself. Attribute
     nodes are never returned by the descendant axis. *)
+
+val descendants_where : (tree -> bool) -> node -> node list
+(** [descendants n] restricted to the trees satisfying the predicate, in
+    one linear walk that builds node records only for those. *)
 
 val descendant_or_self : node -> node list
 

@@ -88,26 +88,45 @@ let tree_of_node n =
   | Some t -> t
   | None -> Tree.Text (Tree.string_value n)
 
-let axis_nodes axis n =
-  match axis with
-  | Child -> Tree.children n
-  | Descendant -> Tree.descendants n
-  | Descendant_or_self -> Tree.descendant_or_self n
-  | Self -> [ n ]
-  | Parent -> (match Tree.parent n with Some p -> [ p ] | None -> [])
-  | Attribute -> Tree.attributes n
+(* A node test decided on a child's or descendant's tree, before any node
+   record is built for it. *)
+let test_tree test (t : Tree.tree) =
+  match test, t with
+  | Node_kind_test, _
+  | Wildcard, Tree.Element _
+  | Text_test, Tree.Text _
+  | Comment_test, Tree.Comment _ ->
+    true
+  | Name_test local, Tree.Element e -> String.equal (Name.local e.Tree.name) local
+  | (Wildcard | Name_test _ | Text_test | Comment_test), _ -> false
 
 let test_node test n =
-  match test with
-  | Node_kind_test -> true
-  | Wildcard -> Tree.is_element n || (match Tree.focus n with Tree.Fattribute _ -> true | _ -> false)
-  | Text_test -> Tree.is_text n
-  | Comment_test -> (match Tree.focus n with Tree.Ftree (Tree.Comment _) -> true | _ -> false)
-  | Name_test local -> (
-    match Tree.focus n, Tree.node_name n with
-    | (Tree.Ftree (Tree.Element _) | Tree.Fattribute _), Some name ->
-      String.equal (Name.local name) local
-    | _ -> false)
+  match Tree.focus n, test with
+  | Tree.Ftree t, _ -> test_tree test t
+  | Tree.Fattribute _, (Node_kind_test | Wildcard) -> true
+  | Tree.Fattribute a, Name_test local -> String.equal (Name.local a.Tree.attr_name) local
+  | Tree.Fdocument, Node_kind_test -> true
+  | (Tree.Fattribute _ | Tree.Fdocument), _ -> false
+
+(* The nodes an axis step selects from [n] before its predicates, in
+   document order. *)
+let step_nodes axis test n =
+  match axis with
+  | Child -> Tree.children_where (test_tree test) n
+  | Descendant -> Tree.descendants_where (test_tree test) n
+  | Descendant_or_self ->
+    let below = Tree.descendants_where (test_tree test) n in
+    if test_node test n then n :: below else below
+  | Self -> if test_node test n then [ n ] else []
+  | Parent -> (
+    match Tree.parent n with Some p when test_node test p -> [ p ] | _ -> [])
+  | Attribute -> List.filter (test_node test) (Tree.attributes n)
+
+(* A forward step from a single node yields distinct nodes in document
+   order, so its [Path] needs no sort. *)
+let forward_step = function
+  | Axis_step ((Child | Descendant | Descendant_or_self | Self | Attribute), _, _) -> true
+  | _ -> false
 
 let rec eval env expr : Value.t =
   match expr with
@@ -119,20 +138,21 @@ let rec eval env expr : Value.t =
     let n = context_node env in
     [ Node (Tree.root_node (Tree.node_document n)) ]
   | Sequence es -> List.concat_map (eval env) es
-  | Path (a, b) ->
-    let base = eval env a in
-    let size = List.length base in
-    let results =
-      List.concat
-        (List.mapi
-           (fun i item -> eval (with_item env item (i + 1) size) b)
-           base)
-    in
-    if all_nodes results then doc_order_dedup results else results
+  | Path (a, b) -> (
+    match eval env a with
+    | [ (Node _ as item) ] when forward_step b -> eval (with_item env item 1 1) b
+    | base ->
+      let size = List.length base in
+      let results =
+        List.concat
+          (List.mapi
+             (fun i item -> eval (with_item env item (i + 1) size) b)
+             base)
+      in
+      doc_order_dedup results)
   | Axis_step (axis, test, preds) ->
     let n = context_node env in
-    let candidates = List.filter (test_node test) (axis_nodes axis n) in
-    apply_predicates env preds (List.map (fun n -> Node n) candidates)
+    apply_predicates env preds (List.map (fun n -> Node n) (step_nodes axis test n))
   | Filter (e, preds) -> apply_predicates env preds (eval env e)
   | Call (name, args) -> Functions.call env name (List.map (eval env) args)
   | If (c, t, e) -> if ebv (eval env c) then eval env t else eval env e

@@ -179,8 +179,14 @@ let arith op l r =
 
 let all_nodes v = List.for_all (function Node _ -> true | Atom _ -> false) v
 
+(* Strictly increasing in document order: sorted and free of duplicates. *)
+let rec in_doc_order = function
+  | Node a :: (Node b :: _ as rest) -> Tree.doc_order a b < 0 && in_doc_order rest
+  | [ Node _ ] | [] -> true
+  | Atom _ :: _ | Node _ :: Atom _ :: _ -> false
+
 let doc_order_dedup v =
-  if not (all_nodes v) then v
+  if in_doc_order v || not (all_nodes v) then v
   else
     let nodes =
       List.filter_map (function Node n -> Some n | Atom _ -> None) v

@@ -9,6 +9,8 @@ module Gate = Demaq.Engine.Gate
 module Store = Demaq.Store.Message_store
 module Wal = Demaq.Store.Wal
 module S = Demaq.Server
+module Qm = Demaq.Mq.Queue_manager
+module Defs = Demaq.Mq.Defs
 
 let check = Alcotest.check
 let bool_ = Alcotest.bool
@@ -267,6 +269,83 @@ let test_maintain_flushes_idle_stragglers () =
   check bool_ "gate reopened" true (S.admission srv ~queue:"in" = Gate.Admit);
   Store.close store
 
+(* A queue manager whose store has compacted away a long run of low rids
+   below [live] newer messages, every other one of which is processed. *)
+let compacted_qm ~dropped ~live =
+  let st = Store.open_store Store.default_config in
+  let qm = Qm.create st in
+  Qm.add_queue qm (Defs.queue "q");
+  let enqueue n =
+    List.init n (fun i ->
+        let txn = Store.begin_txn st in
+        match
+          Qm.enqueue qm txn ~queue:"q"
+            ~payload:(Demaq.xml (Printf.sprintf "<m n='%d'/>" i)) ()
+        with
+        | Ok m -> Store.commit txn; m
+        | Error e -> Alcotest.failf "enqueue: %s" (Qm.error_to_string e))
+  in
+  let process ms =
+    let txn = Store.begin_txn st in
+    List.iter (Qm.mark_processed qm txn) ms;
+    Store.commit txn
+  in
+  let low = enqueue dropped in
+  let fresh = enqueue live in
+  process low;
+  check int_ "low range collected" dropped (Qm.gc qm);
+  ignore (Store.compact st);
+  process (List.filteri (fun i _ -> i mod 2 = 0) fresh);
+  (qm, st, fresh)
+
+let test_gc_step_after_compaction () =
+  (* the incremental GC over a store whose low rids compaction dropped:
+     ticks, across their wraps, collect exactly what the full GC does, and
+     every sweep starts at the lowest rid still present *)
+  let dropped = 500 and live = 40 and budget = 7 in
+  let reference, _, ref_fresh = compacted_qm ~dropped ~live in
+  let qm, st, fresh = compacted_qm ~dropped ~live in
+  let low = (List.hd fresh).Demaq.Message.rid in
+  check bool_ "the dropped range lies below" true (low > dropped);
+  check int_ "low_rid is the lowest present rid" low (Store.low_rid st);
+  (* [dense]: no tombstones yet, so a window spans exactly [budget] rids *)
+  let sweep ~dense =
+    let collected = ref [] and ticks = ref 0 in
+    while
+      incr ticks;
+      let rids = Qm.gc_step qm ~budget in
+      check bool_ "tick within budget" true (List.length rids <= budget);
+      collected := !collected @ rids;
+      if dense && !ticks = 1 then
+        check int_ "first window starts at the lowest rid" (low + budget)
+          (Qm.gc_cursor qm);
+      Qm.gc_cursor qm <> low && !ticks < 100
+    do
+      ()
+    done;
+    (!collected, !ticks)
+  in
+  let got, ticks = sweep ~dense:true in
+  check (Alcotest.list int_) "first sweep = full GC" (Qm.gc_collect reference) got;
+  check int_ "one window per budget of live messages" ((live / budget) + 1) ticks;
+  check int_ "wrapped to the lowest present rid" low (Qm.gc_cursor qm);
+  (* process the rest: the next sweep starts at the wrap point again *)
+  let finish qm fresh =
+    let txn = Store.begin_txn (Qm.store qm) in
+    List.iter
+      (fun (m : Demaq.Message.t) ->
+        match Qm.get qm m.Demaq.Message.rid with
+        | Some m -> Qm.mark_processed qm txn m
+        | None -> ())
+      fresh;
+    Store.commit txn
+  in
+  finish reference ref_fresh;
+  finish qm fresh;
+  let got, _ = sweep ~dense:false in
+  check (Alcotest.list int_) "second sweep = full GC" (Qm.gc_collect reference) got;
+  check int_ "store empty" 0 (List.length (Store.all_messages st))
+
 (* ---- rid high-water mark across compaction + restart ---- *)
 
 let test_rid_hwm_survives_compaction () =
@@ -339,6 +418,8 @@ let suite =
     ("gate retry-after cap", `Quick, test_gate_retry_after_cap);
     ("incremental gc: budget respected, total exact", `Quick,
      test_gc_step_budget_and_total);
+    ("incremental gc after compaction wraps to the lowest rid", `Quick,
+     test_gc_step_after_compaction);
     ("maintenance without knobs is a no-op", `Quick,
      test_gc_step_zero_budget_is_noop);
     ("maintenance flushes idle stragglers", `Quick,

@@ -6,6 +6,7 @@ let () =
       ("value", Test_value.suite);
       ("xquery", Test_xquery.suite);
       ("xquery-ext", Test_xquery_ext.suite);
+      ("fusion", Test_fusion.suite);
       ("store", Test_store.suite);
       ("btree", Test_btree.suite);
       ("heap-file", Test_heap_file.suite);
