@@ -244,9 +244,9 @@ let create ~cfg ~qm ~st ~net ~compiled ~clk () =
     flows = Flow.create ();
     flow_seq =
       1
-      + List.fold_left
+      + Store.fold_messages st
           (fun acc (sm : Store.message) -> max acc sm.Store.rid)
-          0 (Store.all_messages st);
+          0;
     pending_ns = Hashtbl.create 256;
     wait_hists = Hashtbl.create 8;
     fault = None;

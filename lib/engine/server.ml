@@ -285,8 +285,9 @@ let maintain ?(gc_budget = 0) ?(max_wal_bytes = 0) t =
      an idle node. The maintenance cadence is the idle-time bound on
      commit-to-disk latency. A direct barrier, not {!Executor.harden}:
      the tail exists under any [Sync_batch] policy (group commit or
-     not), and an idle flush must not feed the controller's barrier-p99
-     window a trivially fast sample. *)
+     not) and under [Sync_never] (written, not fsynced), and an idle
+     flush must not feed the controller's barrier-p99 window a
+     trivially fast sample. *)
   if Store.unsynced_bytes t.ctx.Executor.st > 0 then
     ignore (Store.barrier t.ctx.Executor.st);
   let collected =
@@ -611,7 +612,6 @@ let deploy ?(config = default_config) ?time_source ?store:st ?network:net
   if config.flow_tracing then
     Executor.locked ctx (fun () ->
         Store.all_messages st
-        |> List.sort (fun (a : Store.message) b -> compare a.Store.rid b.Store.rid)
         |> List.iter (fun (sm : Store.message) ->
                let _, _, prov = Message.decode_extra sm.Store.extra in
                if prov.Message.p_flow <> "" then

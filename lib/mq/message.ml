@@ -62,9 +62,7 @@ let put_atomic buf (a : Value.atomic) =
     Codec.put_string buf s
 
 let get_atomic r =
-  let tag = r.Codec.src.[r.Codec.pos] in
-  r.Codec.pos <- r.Codec.pos + 1;
-  match tag with
+  match Codec.get_char r with
   | 'b' -> Value.Boolean (Codec.get_bool r)
   | 'i' -> Value.Integer (Codec.get_int r)
   | 'd' -> Value.Decimal (float_of_string (Codec.get_string r))

@@ -467,11 +467,11 @@ let queue_length t queue = fold_queue t queue (fun n _ -> n + 1) 0
 let low_rid t = t.low_rid
 let next_rid t = t.next_rid
 
+let fold_messages t f init =
+  Hashtbl.fold (fun _ m acc -> if m.deleted then acc else f acc m) t.messages init
+
 let all_messages t =
-  let live =
-    Hashtbl.fold (fun _ m acc -> if m.deleted then acc else m :: acc) t.messages []
-  in
-  List.sort (fun a b -> compare a.rid b.rid) live
+  List.sort (fun a b -> compare a.rid b.rid) (fold_messages t (fun acc m -> m :: acc) [])
 
 let slice_lifetime t ~slicing ~key =
   Option.value ~default:0 (Hashtbl.find_opt t.slice_lifetimes (slicing, key))

@@ -98,8 +98,9 @@ val abort : txn -> unit
 val barrier : t -> bool
 (** One fsync covering every commit since the last barrier. Returns [true]
     iff a sync was actually performed (mode is [Sync_batch] and commits
-    were pending). No-op under [Sync_always] (each commit already synced)
-    and [Sync_never] (durability opted out). *)
+    were pending). No-op under [Sync_always] (each commit already synced).
+    Under [Sync_never] (durability opted out) it writes the pending tail
+    to the file without an fsync and returns [false]. *)
 
 val durable_upto : t -> int
 (** The highest transaction id known hardened on disk: every transaction
@@ -108,7 +109,7 @@ val durable_upto : t -> int
 
 val unsynced_commits : t -> int
 (** Commit records appended but not yet covered by a barrier — the
-    exposure of the current batch. Always 0 outside [Sync_batch]. *)
+    exposure of the current batch. Always 0 under [Sync_always]. *)
 
 val unsynced_bytes : t -> int
 (** WAL bytes appended but not yet covered by a barrier. An honest crash
@@ -129,6 +130,10 @@ val queue_rids : t -> string -> int list
 
 val queue_length : t -> string -> int
 val fold_queue : t -> string -> ('a -> message -> 'a) -> 'a -> 'a
+val fold_messages : t -> ('a -> message -> 'a) -> 'a -> 'a
+(** Folds over every live message in no particular order, without the
+    sort {!all_messages} pays. *)
+
 val all_messages : t -> message list
 (** Every live message, sorted by rid: a fold and sort of the whole
     table. *)

@@ -82,12 +82,6 @@ let encode_op buf op =
     Codec.put_int buf rid;
     Codec.put_string buf image
 
-let read_tag r =
-  if Codec.at_end r then raise (Codec.Decode_error "missing tag");
-  let tag = r.Codec.src.[r.Codec.pos] in
-  r.Codec.pos <- r.Codec.pos + 1;
-  tag
-
 (* Queue names recur in every [Insert] record; interning them makes a
    large-log replay share one string per distinct queue instead of
    allocating a copy per message. *)
@@ -101,7 +95,7 @@ let intern_queue s =
     s
 
 let decode_op r =
-  match read_tag r with
+  match Codec.get_char r with
   | 'I' ->
     let rid = Codec.get_int r in
     let queue = intern_queue (Codec.get_string r) in
@@ -129,9 +123,8 @@ let encode_record_into buf rec_ =
     Codec.put_list buf encode_op ops
   | Checkpoint -> Buffer.add_char buf 'K'
 
-let decode_record body =
-  let r = Codec.reader body in
-  match read_tag r with
+let decode_record r =
+  match Codec.get_char r with
   | 'C' ->
     let txn = Codec.get_int r in
     let ops = Codec.get_list r decode_op in
@@ -191,14 +184,24 @@ let do_fsync t =
    whole batch of transactions — Gray's group commit. Because barriers are
    serialized with appends under [mu], one worker's barrier hardens every
    commit any worker appended before it: the fsync is amortized
-   fleet-wide, not per-domain. *)
+   fleet-wide, not per-domain. [Sync_never] groups its writes the same
+   way and only skips the fsync: the barrier hands the pending tail to
+   the OS in one write, so a process crash loses at most what a
+   [Sync_batch] crash loses, and nothing becomes durable. *)
 let barrier_unlocked t =
-  match t.sync with
-  | Sync_batch _ when t.pending_records > 0 ->
-    do_fsync t;
-    t.group_syncs <- t.group_syncs + 1;
-    true
-  | _ -> false
+  if t.pending_records = 0 then false
+  else
+    match t.sync with
+    | Sync_batch _ ->
+      do_fsync t;
+      t.group_syncs <- t.group_syncs + 1;
+      true
+    | Sync_never ->
+      flush t.oc;
+      t.pending_records <- 0;
+      t.pending_bytes <- 0;
+      false
+    | Sync_always -> false
 
 let barrier t = Mutex.protect t.mu (fun () -> barrier_unlocked t)
 
@@ -216,14 +219,15 @@ let append t rec_ =
   t.records <- t.records + 1;
   match t.sync with
   | Sync_always -> do_fsync t
-  | Sync_never -> flush t.oc
-  | Sync_batch { max_records; max_bytes } ->
+  | (Sync_never | Sync_batch _) as sync -> (
     t.pending_records <- t.pending_records + 1;
     t.pending_bytes <- t.pending_bytes + total;
-    if
-      (max_records > 0 && t.pending_records >= max_records)
-      || (max_bytes > 0 && t.pending_bytes >= max_bytes)
-    then ignore (barrier_unlocked t)
+    match sync with
+    | Sync_batch { max_records; max_bytes }
+      when (max_records > 0 && t.pending_records >= max_records)
+           || (max_bytes > 0 && t.pending_bytes >= max_bytes) ->
+      ignore (barrier_unlocked t)
+    | _ -> ())
 
 let bytes_written t = t.bytes
 let records_written t = t.records
@@ -260,25 +264,24 @@ let replay path f =
     let size = in_channel_length ic in
     let contents = really_input_string ic size in
     close_in ic;
-    let r = Codec.reader contents in
-    let ok = ref true in
+    (* each record is checksummed and decoded in place; the reader is
+       bounded to the record, so a CRC-valid but malformed body fails to
+       decode instead of reading into the next record *)
     let valid = ref 0 in
-    while !ok && not (Codec.at_end r) do
+    let ok = ref true in
+    while !ok && !valid + 16 <= size do
+      let start = !valid + 16 in
+      let len = Int64.to_int (String.get_int64_le contents !valid) in
+      let crc = Int64.to_int (String.get_int64_le contents (!valid + 8)) in
       match
-        let len = Codec.get_int r in
-        let crc = Codec.get_int r in
-        if len < 0 || r.Codec.pos + len > String.length contents then None
-        else begin
-          let body = String.sub contents r.Codec.pos len in
-          r.Codec.pos <- r.Codec.pos + len;
-          if Crc32.string body <> crc then None else Some (decode_record body)
-        end
+        if len < 0 || len > size - start || Crc32.sub contents start len <> crc
+        then None
+        else Some (decode_record (Codec.reader ~pos:start ~len contents))
       with
       | Some rec_ ->
         f rec_;
-        valid := r.Codec.pos
-      | None -> ok := false
-      | exception _ -> ok := false
+        valid := start + len
+      | None | (exception _) -> ok := false
     done;
     !valid
   end

@@ -34,7 +34,12 @@ type record = Commit of { txn : int; ops : op list } | Checkpoint
 
 type sync_mode =
   | Sync_always  (** fsync per appended record (commit durability) *)
-  | Sync_never  (** leave flushing to the OS page cache *)
+  | Sync_never
+      (** group commit without the fsync: records collect in the channel
+          buffer and each {!barrier} writes them out in one go, leaving
+          persistence to the OS page cache. A process crash loses the
+          tail appended since the last barrier, as under [Sync_batch];
+          nothing is ever known durable. *)
   | Sync_batch of { max_records : int; max_bytes : int }
       (** group commit: records append immediately but the fsync is
           deferred to the next {!barrier} (or to an automatic one when
@@ -54,12 +59,13 @@ val barrier : t -> bool
 (** One fsync covering every record appended since the last one. Returns
     [true] iff a sync was actually performed — i.e. the mode is
     [Sync_batch] and records were pending. [Sync_always] needs no
-    barrier; under [Sync_never] the caller opted out of durability and
-    the barrier stays a no-op. *)
+    barrier. Under [Sync_never] the caller opted out of durability: the
+    barrier writes the pending records to the file without an fsync and
+    returns [false]. Either way, after a barrier every appended record is
+    in the file, visible to {!replay}. *)
 
 val close : t -> unit
-(** Closes the log; in [Sync_batch] mode an orderly close performs a
-    final barrier first. *)
+(** Closes the log after a final barrier. *)
 
 val reset : t -> unit
 (** Truncate after a checkpoint: the snapshot now covers everything. *)
@@ -82,11 +88,11 @@ val group_syncs_performed : t -> int
 (** Barriers that actually synced (each covered a whole batch). *)
 
 val pending_records : t -> int
-(** Records appended since the last fsync — the exposure of the current
-    batch. Always 0 outside [Sync_batch]. *)
+(** Records appended since the last barrier — the exposure of the current
+    batch. Always 0 under [Sync_always]. *)
 
 val pending_bytes : t -> int
-(** Bytes appended since the last fsync. A crash can lose at most this
+(** Bytes appended since the last barrier. A crash can lose at most this
     much of the tail; fault injection uses it to bound a simulated tear to
     data a real crash could actually have lost. *)
 

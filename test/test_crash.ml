@@ -566,6 +566,58 @@ let test_torn_compaction_keeps_state () =
       Store.close st2)
     [ Store.Before_rename; Store.After_rename ]
 
+(* ---- when commit records reach the file ---- *)
+
+let records_on_disk dir =
+  let n = ref 0 in
+  ignore (Wal.replay (Filename.concat dir "wal.log") (fun _ -> incr n));
+  !n
+
+let test_wal_write_points () =
+  (* Under both group-commit modes a commit record reaches the file at a
+     barrier, not at commit: a reader of the file (a crash) sees nothing
+     appended after the last barrier, and everything once the next
+     barrier — explicit, or the idle straggler flush of [maintain] — has
+     run. Only [Sync_batch] advances the durability watermark. *)
+  List.iter
+    (fun (name, sync, durable) ->
+      let dir = fresh_dir ("write-points-" ^ name) in
+      let st = Store.open_store (Store.durable_config ~sync dir) in
+      let commit rid =
+        let txn = Store.begin_txn st in
+        ignore
+          (Store.insert txn ~queue:"in" ~payload:(Printf.sprintf "<ping>%d</ping>" rid)
+             ~extra:(Message.encode_extra ~props:[] ~memberships:[] ())
+             ~enqueued_at:rid ~durable:true);
+        Store.commit txn
+      in
+      commit 1;
+      commit 2;
+      check int_ (name ^ ": nothing before the first barrier") 0 (records_on_disk dir);
+      check int_ (name ^ ": watermark before the barrier") 0 (Store.durable_upto st);
+      ignore (Store.barrier st);
+      check int_ (name ^ ": barrier writes every commit") 2 (records_on_disk dir);
+      let upto = Store.durable_upto st in
+      check bool_ (name ^ ": watermark after the barrier") durable (upto > 0);
+      commit 3;
+      check int_ (name ^ ": tail after the barrier unseen") 2 (records_on_disk dir);
+      check int_ (name ^ ": pending tail") 1 (Store.unsynced_commits st);
+      let srv = S.deploy ~store:st ping_pong in
+      ignore (inject_ok srv "in" "<ping>4</ping>");
+      let seen = records_on_disk dir in
+      let pending = Store.unsynced_commits st in
+      check bool_ (name ^ ": idle node holds a tail") true (pending >= 2);
+      ignore (S.maintain srv);
+      check int_ (name ^ ": maintain writes the idle tail") (seen + pending)
+        (records_on_disk dir);
+      check int_ (name ^ ": nothing pending after maintain") 0 (Store.unsynced_commits st);
+      if not durable then check int_ (name ^ ": watermark stays put") 0 (Store.durable_upto st);
+      Store.close st)
+    [
+      ("never", Wal.Sync_never, false);
+      ("batch", Wal.Sync_batch { max_records = 1000; max_bytes = 0 }, true);
+    ]
+
 let suite =
   [
     ("eval fault aborts cleanly", `Quick, test_eval_fault_aborts);
@@ -592,4 +644,6 @@ let suite =
     ("gc purges per-rid caches", `Quick, test_gc_purges_caches);
     ("torn compaction keeps hardened state", `Quick,
      test_torn_compaction_keeps_state);
+    ("group commit: records reach the file at barriers", `Quick,
+     test_wal_write_points);
   ]

@@ -616,3 +616,156 @@ let spill_suite =
   ]
 
 let suite = suite @ spill_suite
+
+(* ---- CRC and codec against their reference definitions ---- *)
+
+(* The bytewise CRC the slicing-by-8 loop replaced: the reference every
+   offset and tail length is checked against. *)
+let reference_crc ?(init = 0xFFFFFFFF) s =
+  let t =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref init in
+  String.iter (fun ch -> c := t.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+  !c lxor 0xFFFFFFFF
+
+let gen_bytes = QCheck.Gen.(string_size ~gen:char (int_range 0 72))
+
+let prop_crc_sub_matches_reference =
+  QCheck.Test.make ~name:"crc32 sub matches bytewise reference" ~count:60
+    (QCheck.make ~print:String.escaped gen_bytes)
+    (fun s ->
+      let n = String.length s in
+      let ok = ref true in
+      for off = 0 to n do
+        for len = 0 to min 64 (n - off) do
+          if Crc32.sub s off len <> reference_crc (String.sub s off len) then ok := false
+        done
+      done;
+      !ok && Crc32.string s = reference_crc s)
+
+let prop_crc_init_chaining =
+  QCheck.Test.make ~name:"crc32 init chaining matches reference" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (s, k, init) -> Printf.sprintf "%S %d %x" s k init)
+        Gen.(triple gen_bytes (int_range 0 72) (int_range 0 0xFFFFFFFF)))
+    (fun (s, k, init) ->
+      let n = String.length s in
+      let k = min k n in
+      let a = String.sub s 0 k and b = String.sub s k (n - k) in
+      Crc32.sub ~init s 0 n = reference_crc ~init s
+      && Crc32.string ~init:(Crc32.string a lxor 0xFFFFFFFF) b = Crc32.string s
+      && Crc32.sub ~init:(reference_crc a lxor 0xFFFFFFFF) s k (n - k) = reference_crc s)
+
+let test_crc32_sub_check_value () =
+  check int_ "check value in place" 0xCBF43926 (Crc32.sub "ab123456789cd" 2 9);
+  check int_ "empty range" (Crc32.string "") (Crc32.sub "abc" 3 0);
+  match Crc32.sub "abc" 2 2 with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
+
+(* [put_int] must write the bytes the Int64 path wrote, or logs and
+   snapshots from before it stopped allocating would not replay. *)
+let int64_bytes i =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int i);
+  Bytes.to_string b
+
+let put_int_bytes i =
+  let buf = Buffer.create 8 in
+  Codec.put_int buf i;
+  Buffer.contents buf
+
+let test_put_int_edges () =
+  List.iter
+    (fun i ->
+      check string_ (string_of_int i) (int64_bytes i) (put_int_bytes i);
+      check int_ "reads back" i (Codec.get_int (Codec.reader (put_int_bytes i))))
+    [ min_int; max_int; -1; 0; 1; 255; 256; -256; 1 lsl 55; -(1 lsl 55) ]
+
+let prop_put_int_layout =
+  QCheck.Test.make ~name:"put_int bytes = set_int64_le" ~count:1000 QCheck.int (fun i ->
+      put_int_bytes i = int64_bytes i)
+
+let test_codec_bounded_reader () =
+  let buf = Buffer.create 32 in
+  Codec.put_int buf 7;
+  Codec.put_string buf "abcdef";
+  let s = "xx" ^ Buffer.contents buf in
+  let r = Codec.reader ~pos:2 ~len:8 s in
+  check int_ "int within bound" 7 (Codec.get_int r);
+  check bool_ "at end of the window" true (Codec.at_end r);
+  let r = Codec.reader ~pos:2 ~len:(8 + 8 + 3) s in
+  ignore (Codec.get_int r);
+  match Codec.get_string r with
+  | _ -> Alcotest.fail "string read past the window"
+  | exception Codec.Decode_error _ -> ()
+
+(* A record whose CRC is valid but whose body claims a string longer than
+   the body itself: decoding must fail at the record's end and stop the
+   replay there, not borrow bytes of the record behind it. The claimed
+   length covers the rest of the body plus the whole next record exactly,
+   so a reader bounded only by the file would decode it "successfully". *)
+let frame body =
+  let b = Buffer.create (16 + String.length body) in
+  Codec.put_int b (String.length body);
+  Codec.put_int b (Crc32.string body);
+  Buffer.add_string b body;
+  Buffer.contents b
+
+let commit_body txn ops =
+  let dir = fresh_dir () in
+  let path = Filename.concat dir "wal.log" in
+  let wal = Wal.open_log ~sync:Wal.Sync_never path in
+  Wal.append wal (Wal.Commit { txn; ops });
+  Wal.close wal;
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  String.sub s 16 (String.length s - 16)
+
+let test_replay_bounded_to_record () =
+  let good = frame (commit_body 1 [ Wal.Mark_processed { rid = 1 } ]) in
+  let next = frame (commit_body 3 [ Wal.Mark_processed { rid = 3 } ]) in
+  let lying =
+    let b = Buffer.create 64 in
+    Buffer.add_char b 'C';
+    Codec.put_int b 2;
+    Codec.put_int b 1;
+    Buffer.add_char b 'D';
+    Codec.put_int b 2;
+    (* image length: the 4 bytes below plus all of [next] *)
+    Codec.put_int b (4 + String.length next);
+    Buffer.add_string b "abcd";
+    frame (Buffer.contents b)
+  in
+  let dir = fresh_dir () in
+  let path = Filename.concat dir "wal.log" in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (good ^ lying ^ next));
+  let txns = ref [] in
+  let valid =
+    Wal.replay path (function
+      | Wal.Commit { txn; _ } -> txns := txn :: !txns
+      | Wal.Checkpoint -> ())
+  in
+  check bool_ "only the record before the malformed one" true (!txns = [ 1 ]);
+  check int_ "intact prefix ends before it" (String.length good) valid
+
+let codec_suite =
+  [
+    ("crc32 sub: check value and range", `Quick, test_crc32_sub_check_value);
+    QCheck_alcotest.to_alcotest prop_crc_sub_matches_reference;
+    QCheck_alcotest.to_alcotest prop_crc_init_chaining;
+    ("codec put_int edge values", `Quick, test_put_int_edges);
+    QCheck_alcotest.to_alcotest prop_put_int_layout;
+    ("codec reader bounded to its window", `Quick, test_codec_bounded_reader);
+    ("wal replay: malformed body stops at its record", `Quick,
+     test_replay_bounded_to_record);
+  ]
+
+let suite = suite @ codec_suite
