@@ -59,16 +59,13 @@ let json_meta () =
     \    \"date\": \"%s\",\n\
     \    \"ocaml\": \"%s\",\n\
     \    \"cores\": %d,\n\
-    \    \"config\": {\"workers\": %d, \"batch_size\": %d, \"group_commit\": %b, \"lock_granularity\": \"%s\"}\n\
+    \    \"config\": {\"workers\": %d, \"batch_size\": %d, \"group_commit\": %b}\n\
     \  }"
     (command_output "git rev-parse --short HEAD")
     (iso_date ()) Sys.ocaml_version
     (Domain.recommended_domain_count ())
     S.default_config.S.workers S.default_config.S.batch_size
     S.default_config.S.group_commit
-    (match S.default_config.S.lock_granularity with
-     | `Queue -> "queue"
-     | `Slice -> "slice")
 
 let write_json file =
   let oc = open_out file in
@@ -185,58 +182,6 @@ let b1 () =
       ignore (Qm.slice_messages qm ~use_index:true ~slicing:"byOrder" ~key:"k7" ()));
   register_bechamel "B1/slice-scan-lookup" (fun () ->
       ignore (Qm.slice_messages qm ~use_index:false ~slicing:"byOrder" ~key:"k7" ()))
-
-(* ------------------------------------------------------------------ *)
-(* B2: merged per-queue plans vs per-rule evaluation (§4.4.1)          *)
-(* ------------------------------------------------------------------ *)
-
-(* [rules] rules spread over 4 distinct conditions: a realistic rule set
-   where several reactions share a trigger condition. The merged plan
-   factors each shared condition into a single evaluation (§3.3/§4.4.1);
-   per-rule evaluation re-tests it for every rule. *)
-let b2_program rules =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    "create queue in kind basic mode persistent\ncreate queue out kind basic mode persistent\n";
-  for i = 1 to rules do
-    Buffer.add_string buf
-      (Printf.sprintf
-         "create rule r%d for in if (//order[seq mod %d = 0][customer != 'nobody']) then do enqueue <hit n=\"%d\"/> into out\n"
-         i ((i mod 4) + 1) i)
-  done;
-  Buffer.contents buf
-
-let b2_run ~rules ~messages ~merged =
-  let cfg = { S.default_config with S.merged_plans = merged } in
-  let srv = S.deploy ~config:cfg (b2_program rules) in
-  for i = 1 to messages do
-    ignore (S.inject srv ~queue:"in" (Demaq.xml (order_payload "k" i)))
-  done;
-  secs (fun () -> ignore (S.run srv))
-
-let b2 () =
-  headline "B2 rule_merging"
-    "one merged execution plan per queue vs independent per-rule evaluation";
-  table_header
-    [ ("rules", 6); ("messages", 9); ("per-rule msg/s", 15); ("merged msg/s", 13);
-      ("speedup", 8) ];
-  List.iter
-    (fun rules ->
-      let messages = scale 400 in
-      let t_per_rule = b2_run ~rules ~messages ~merged:false in
-      let t_merged = b2_run ~rules ~messages ~merged:true in
-      row
-        [
-          cell 6 "%d" rules; cell 9 "%d" messages;
-          cell 15 "%.0f" (float messages /. t_per_rule);
-          cell 13 "%.0f" (float messages /. t_merged);
-          cell 8 "%.2fx" (t_per_rule /. t_merged);
-        ])
-    [ 2; 8; 32 ];
-  register_bechamel "B2/per-rule-16rules-20msgs" (fun () ->
-      ignore (b2_run ~rules:16 ~messages:20 ~merged:false));
-  register_bechamel "B2/merged-16rules-20msgs" (fun () ->
-      ignore (b2_run ~rules:16 ~messages:20 ~merged:true))
 
 (* ------------------------------------------------------------------ *)
 (* B3: slice-granularity vs queue-granularity locking (§4.3)           *)
@@ -548,16 +493,21 @@ let b7 () =
 (* (§2.2 / §4.4.1 fixed-property inlining)                             *)
 (* ------------------------------------------------------------------ *)
 
-let b8_program = {|
+(* The same property declared [fixed] is inlined by the compiler (its
+   value expression re-evaluated at every access); declared free it is
+   computed once at enqueue, stored, and looked up. *)
+let b8_program ~inline =
+  Printf.sprintf {|
   create queue in kind basic mode persistent
   create queue out kind basic mode persistent
-  create property oid as xs:string fixed queue in value //deep//orderID
+  create property oid as xs:string %squeue in value //deep//orderID
   create rule classify for in
     if (qs:property("oid") and
         qs:property("oid") != "none" and
         string-length(qs:property("oid")) > 2) then
       do enqueue <routed>{qs:property("oid")}</routed> into out
 |}
+    (if inline then "fixed " else "")
 
 let b8_payload depth i =
   let rec nest d inner = if d = 0 then inner else "<deep>" ^ nest (d - 1) inner ^ "</deep>" in
@@ -565,9 +515,8 @@ let b8_payload depth i =
     (nest depth (Printf.sprintf "<orderID>ord-%d</orderID>" i))
     (String.make 200 'z')
 
-let b8_run ~messages ~depth ~optimize =
-  let cfg = { S.default_config with S.optimize } in
-  let srv = S.deploy ~config:cfg b8_program in
+let b8_run ~messages ~depth ~inline =
+  let srv = S.deploy (b8_program ~inline) in
   for i = 1 to messages do
     ignore (S.inject srv ~queue:"in" (Demaq.xml (b8_payload depth i)))
   done;
@@ -582,8 +531,8 @@ let b8 () =
   List.iter
     (fun depth ->
       let messages = scale 300 in
-      let t_lookup = b8_run ~messages ~depth ~optimize:false in
-      let t_inline = b8_run ~messages ~depth ~optimize:true in
+      let t_lookup = b8_run ~messages ~depth ~inline:false in
+      let t_inline = b8_run ~messages ~depth ~inline:true in
       row
         [
           cell 9 "%d" messages; cell 8 "%d" depth;
@@ -593,9 +542,9 @@ let b8 () =
         ])
     [ 1; 8; 24 ];
   register_bechamel "B8/stored-property-lookup" (fun () ->
-      ignore (b8_run ~messages:30 ~depth:8 ~optimize:false));
+      ignore (b8_run ~messages:30 ~depth:8 ~inline:false));
   register_bechamel "B8/inlined-property-recompute" (fun () ->
-      ignore (b8_run ~messages:30 ~depth:8 ~optimize:true))
+      ignore (b8_run ~messages:30 ~depth:8 ~inline:true))
 
 (* ------------------------------------------------------------------ *)
 (* B9: end-to-end procurement throughput (§1/§4 viability)             *)
@@ -1285,9 +1234,9 @@ module Dispatch = Demaq.Engine.Dispatch
 (* Part 1: the guarded plan vs per-rule interpretation. [rules] rules
    share two guards and one common count-sum subexpression; the compiled
    plan evaluates each guard and the hoisted sum once per message, while
-   per-rule interpretation re-evaluates them for every rule. Unlike B2
-   (which measures the legacy factored merge on condition-only sharing),
-   this measures the full pipeline: guard sharing + CSE hoisting. *)
+   the reference plan (per-rule interpretation) re-evaluates them for
+   every rule. This measures the full pipeline: guard sharing + CSE
+   hoisting. *)
 let b16_program rules =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
@@ -1302,7 +1251,9 @@ let b16_program rules =
   Buffer.contents buf
 
 let b16_run ~rules ~messages ~merged =
-  let cfg = { S.default_config with S.merged_plans = merged; S.workers = 1 } in
+  let cfg =
+    { S.default_config with S.reference_plans = not merged; S.workers = 1 }
+  in
   let srv = S.deploy ~config:cfg (b16_program rules) in
   for i = 1 to messages do
     ignore (S.inject srv ~queue:"in" (Demaq.xml (order_payload "k" i)))
@@ -1556,8 +1507,8 @@ let a3 () =
       Store.close st)
 
 (* A4: condition pre-filtering (XML filtering, §4.4.1). A brokering rule
-   set where each rule triggers on one message type: without the filter
-   every message evaluates every rule. *)
+   set where each rule triggers on one message type: under the reference
+   plan, which never pre-filters, every message evaluates every rule. *)
 let a4_program rules =
   "create queue in kind basic mode persistent\ncreate queue out kind basic mode persistent\n"
   ^ String.concat "\n"
@@ -1567,7 +1518,7 @@ let a4_program rules =
              i i i))
 
 let a4_run ~rules ~messages ~use_prefilter =
-  let cfg = { S.default_config with S.use_prefilter } in
+  let cfg = { S.default_config with S.reference_plans = not use_prefilter } in
   let srv = S.deploy ~config:cfg (a4_program rules) in
   for i = 1 to messages do
     ignore
@@ -1984,7 +1935,7 @@ let run_bechamel () =
 (* ------------------------------------------------------------------ *)
 
 let all_benches =
-  [ ("B1", b1); ("B2", b2); ("B3", b3); ("B4", b4); ("B5", b5); ("B6", b6);
+  [ ("B1", b1); ("B3", b3); ("B4", b4); ("B5", b5); ("B6", b6);
     ("B7", b7); ("B8", b8); ("B9", b9); ("B10", b10); ("B11", b11);
     ("B12", b12); ("B13", b13); ("B15", b15); ("B16", b16); ("B17", b17);
     ("B18", b18);

@@ -8,7 +8,7 @@
    order must survive parallel execution.
 
    Each scheduled message carries its conflict resources (queue name plus
-   slice memberships, computed by the executor from [lock_granularity]).
+   slice memberships, computed by the executor).
    [next] pops the scheduler heap; an entry whose resources are all free
    starts running and claims them, an entry blocked on an in-flight
    resource is parked on that resource. Completion releases the resources

@@ -2,8 +2,8 @@
 
     Sits between the priority scheduler (§4.4.2) and the worker pool:
     hands out ready messages such that two messages with overlapping
-    conflict resources (queue name, slice memberships — per
-    [lock_granularity]) never run concurrently, while preserving
+    conflict resources (queue name, slice memberships) never run
+    concurrently, while preserving
     per-queue arrival order and queue priority. Entries blocked on an
     in-flight resource are parked and re-enter the heap with their
     original sequence number when the resource frees.

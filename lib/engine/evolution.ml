@@ -65,6 +65,7 @@ let evolve (ctx : Executor.t) src =
                 | Qdl.Create_rule _ | Qdl.Drop_rule _ -> ())
               additions;
             ctx.Executor.compiled <-
-              Compiler.compile ~optimize:ctx.Executor.cfg.Executor.optimize combined;
+              Compiler.compile ~reference:ctx.Executor.cfg.Executor.reference_plans
+                combined;
             Ok ())
     end

@@ -30,7 +30,6 @@
 
 module Tree = Demaq_xml.Tree
 module Value = Demaq_xquery.Value
-module Ast = Demaq_xquery.Ast
 module Eval = Demaq_xquery.Eval
 module Context = Demaq_xquery.Context
 module Update = Demaq_xquery.Update
@@ -53,14 +52,13 @@ let log = Logs.Src.create "demaq.executor" ~doc:"Demaq executor"
 module Log = (val Logs.src_log log : Logs.LOG)
 
 type config = {
-  merged_plans : bool;
+  reference_plans : bool;
+      (* compile the per-rule reference plan shape; read at deploy and
+         evolution only, never while executing *)
   footprint_dispatch : bool;
       (* partition dispatch on the compiled rules' static conflict
          footprints instead of whole queues: same-queue messages whose
          admitted rules touch disjoint resources run concurrently *)
-  use_slice_index : bool;
-  lock_granularity : [ `Queue | `Slice ];
-  use_prefilter : bool;
   trace_capacity : int;
   flow_tracing : bool;
       (* mint/propagate/persist the causal provenance triple (flow id,
@@ -68,7 +66,6 @@ type config = {
          reproduces the pre-flow extra blobs byte for byte *)
   gc_every : int;
   system_error_queue : string option;
-  optimize : bool;
   node_name : string;
   transmit_retries : int;
   retry_backoff : int;
@@ -464,8 +461,7 @@ let host_for t (m : Message.t) ~slice_ctx : Context.host =
           locked t (fun () ->
               List.map
                 (fun msg -> Value.Node (message_node_unlocked t msg))
-                (Qm.slice_messages t.qm ~use_index:t.cfg.use_slice_index
-                   ~slicing ~key ())));
+                (Qm.slice_messages t.qm ~slicing ~key ())));
     h_slicekey =
       (fun () ->
         match slice_ctx with
@@ -516,14 +512,12 @@ let footprint_resources t (m : Message.t) =
    | None -> ()
    | Some plan -> (
      let names =
-       if not t.cfg.use_prefilter then None
-       else
-         match Hashtbl.find_opt t.name_cache m.Message.rid with
-         | Some names -> Some names
-         | None ->
-           if Message.body_forced m then
-             Some (Prefilter.element_names (Message.body m))
-           else Prefilter.payload_names (Message.raw m)
+       match Hashtbl.find_opt t.name_cache m.Message.rid with
+       | Some names -> Some names
+       | None ->
+         if Message.body_forced m then
+           Some (Prefilter.element_names (Message.body m))
+         else Prefilter.payload_names (Message.raw m)
      in
      match names with
      | None -> add_conflict plan.Compiler.conflict_union
@@ -544,11 +538,11 @@ let footprint_resources t (m : Message.t) =
 
 (* The conflict resources the dispatcher partitions on. Default: always
    the queue (per-queue arrival order must survive parallelism), plus the
-   slice memberships under slice-granularity locking — exactly the
-   resources the lock manager would serialize on (§4.3). The per-queue
-   resource string is the one the compiler interned on the plan, so
-   dispatch never rebuilds it per message. Under [footprint_dispatch] the
-   partition narrows to the admitted rules' static footprints. *)
+   slice memberships — exactly the resources the lock manager serializes
+   on under slice-granularity locking (§4.3). The per-queue resource
+   string is the one the compiler interned on the plan, so dispatch never
+   rebuilds it per message. Under [footprint_dispatch] the partition
+   narrows to the admitted rules' static footprints. *)
 let resources_for t (m : Message.t) =
   if t.cfg.footprint_dispatch then footprint_resources t m
   else
@@ -557,14 +551,11 @@ let resources_for t (m : Message.t) =
       | Some plan -> plan.Compiler.queue_resource
       | None -> "q:" ^ m.Message.queue
     in
-    match t.cfg.lock_granularity with
-    | `Queue -> [ queue_res ]
-    | `Slice ->
-      queue_res
-      :: List.map
-           (fun (mem : Message.membership) ->
-             Printf.sprintf "s:%s/%s" mem.Message.m_slicing mem.Message.m_key)
-           m.Message.memberships
+    queue_res
+    :: List.map
+         (fun (mem : Message.membership) ->
+           Printf.sprintf "s:%s/%s" mem.Message.m_slicing mem.Message.m_key)
+         m.Message.memberships
 
 let schedule_message t (m : Message.t) =
   (* queue-wait attribution starts at schedule time; only paid for when
@@ -756,14 +747,6 @@ let admission_stats t =
 
 (* ---- rule execution (§3.1) ---- *)
 
-type eval_unit = {
-  eu_rule : string;
-  eu_error_queue : string option;
-  eu_slice_ctx : (string * string) option;
-  eu_body : Ast.expr;
-  eu_requirements : string list;
-}
-
 (* Update attribution: which rule produced a pending update (blame for
    §3.6 error routing) and under which slice context it ran (resolves
    [do reset] with no explicit slicing). *)
@@ -782,49 +765,6 @@ type plan_work = {
   pw_slice_ctx : (string * string) option;
   pw_admit : bool array;
 }
-
-(* What [prepare] hands to [evaluate]: per-rule interpretation (the
-   reference semantics) or the compiler's guarded plans ([merged_plans],
-   the default). *)
-type work = Units of eval_unit list | Planned of plan_work list
-
-let units_for t (m : Message.t) =
-  let queue_units =
-    match Compiler.plan_for t.compiled m.Message.queue with
-    | None -> []
-    | Some plan ->
-      List.map
-        (fun (r : Compiler.compiled_rule) ->
-          { eu_rule = r.cr_name;
-            eu_error_queue = r.cr_error_queue;
-            eu_slice_ctx = None;
-            eu_body = r.cr_body;
-            eu_requirements = r.cr_requirements })
-        plan.Compiler.rules
-  in
-  let slice_units =
-    List.concat_map
-      (fun (mem : Message.membership) ->
-        if not (Qm.membership_current t.qm m mem) then []
-        else
-          match Compiler.plan_for t.compiled mem.Message.m_slicing with
-          | None -> []
-          | Some plan ->
-            let ctx = Some (mem.Message.m_slicing, mem.Message.m_key) in
-            List.map
-              (fun (r : Compiler.compiled_rule) ->
-                { eu_rule = r.cr_name;
-                  eu_error_queue = r.cr_error_queue;
-                  eu_slice_ctx = ctx;
-                  eu_body = r.cr_body;
-                  (* slice rules react to slice membership, not only to
-                     the triggering message's own content: conditions
-                     usually inspect qs:slice(), so no prefiltering *)
-                  eu_requirements = [] })
-              plan.Compiler.rules)
-      m.Message.memberships
-  in
-  queue_units @ slice_units
 
 let plan_works_for t (m : Message.t) =
   let work_of plan ctx =
@@ -853,24 +793,16 @@ let plan_works_for t (m : Message.t) =
   in
   queue_work @ slice_works
 
-let work_for t (m : Message.t) =
-  if t.cfg.merged_plans then Planned (plan_works_for t m)
-  else Units (units_for t m)
-
 let acquire_locks t txn (m : Message.t) =
   let locks = Store.locks t.st in
   let txn_id = Store.txn_id txn in
-  let resources =
-    match t.cfg.lock_granularity with
-    | `Queue -> [ Lock.Queue_lock m.Message.queue ]
-    | `Slice ->
-      Lock.Message_lock m.Message.rid
-      :: List.map
-           (fun (mem : Message.membership) ->
-             Lock.Slice_lock (mem.Message.m_slicing, mem.Message.m_key))
-           m.Message.memberships
-  in
-  List.iter (fun r -> ignore (Lock.acquire locks ~txn:txn_id r Lock.Exclusive)) resources
+  List.iter
+    (fun r -> ignore (Lock.acquire locks ~txn:txn_id r Lock.Exclusive))
+    (Lock.Message_lock m.Message.rid
+    :: List.map
+         (fun (mem : Message.membership) ->
+           Lock.Slice_lock (mem.Message.m_slicing, mem.Message.m_key))
+         m.Message.memberships)
 
 let apply_updates t txn blamed (m : Message.t) tagged =
   List.iter
@@ -993,20 +925,17 @@ let prepare t ~acts ~now rid =
       Metrics.observe (wait_hist_for t m.Message.queue) wait_ns;
     let txn = Store.begin_txn t.st in
     acquire_locks t txn m;
-    let work = work_for t m in
+    let pws = plan_works_for t m in
     let needs_names =
-      match work with
-      | Units units -> List.exists (fun eu -> eu.eu_requirements <> []) units
-      | Planned pws ->
-        List.exists
-          (fun pw ->
-            List.exists
-              (fun (g : Plan_ir.guarded) -> g.Plan_ir.g_requirements <> [])
-              pw.pw_plan.Plan_ir.p_guarded)
-          pws
+      List.exists
+        (fun pw ->
+          List.exists
+            (fun (g : Plan_ir.guarded) -> g.Plan_ir.g_requirements <> [])
+            pw.pw_plan.Plan_ir.p_guarded)
+        pws
     in
     let message_names =
-      if t.cfg.use_prefilter && needs_names then
+      if needs_names then
         Some
           (match Hashtbl.find_opt t.name_cache m.Message.rid with
            | Some names -> names
@@ -1028,45 +957,24 @@ let prepare t ~acts ~now rid =
       if Trace.enabled t.spans then
         acts := { Trace.a_rule = rule; a_updates = 0; a_skipped = true } :: !acts
     in
-    let work =
-      match message_names with
-      | None -> work
-      | Some names -> (
-        match work with
-        | Units units ->
-          Units
-            (List.filter
-               (fun eu ->
-                 if Prefilter.may_match ~requirements:eu.eu_requirements ~names
-                 then true
-                 else begin
-                   skip eu.eu_rule;
-                   false
-                 end)
-               units)
-        | Planned pws ->
-          List.iter
-            (fun pw ->
-              List.iteri
-                (fun i (g : Plan_ir.guarded) ->
-                  if
-                    not
-                      (Prefilter.may_match
-                         ~requirements:g.Plan_ir.g_requirements ~names)
-                  then begin
-                    pw.pw_admit.(i) <- false;
-                    skip g.Plan_ir.g_name
-                  end)
-                pw.pw_plan.Plan_ir.p_guarded)
-            pws;
-          Planned pws)
-    in
-    let live =
-      match work with
-      | Units units -> units <> []
-      | Planned pws ->
-        List.exists (fun pw -> Array.exists Fun.id pw.pw_admit) pws
-    in
+    Option.iter
+      (fun names ->
+        List.iter
+          (fun pw ->
+            List.iteri
+              (fun i (g : Plan_ir.guarded) ->
+                if
+                  not
+                    (Prefilter.may_match ~requirements:g.Plan_ir.g_requirements
+                       ~names)
+                then begin
+                  pw.pw_admit.(i) <- false;
+                  skip g.Plan_ir.g_name
+                end)
+              pw.pw_plan.Plan_ir.p_guarded)
+          pws)
+      message_names;
+    let live = List.exists (fun pw -> Array.exists Fun.id pw.pw_admit) pws in
     let decode_ns =
       if not live then begin
         if not (Message.body_forced m) then Metrics.incr t.met.m_admission_scans;
@@ -1078,16 +986,16 @@ let prepare t ~acts ~now rid =
         now () - d0
       end
     in
-    Some (m, txn, work, decode_ns, wait_ns)
+    Some (m, txn, pws, decode_ns, wait_ns)
 
-(* Phase 1: evaluate all pertinent rules against the same snapshot,
+(* Phase 1: evaluate all pertinent plans against the same snapshot,
    accumulating the pending update list. Runs WITHOUT [state_mu]; the
    host callbacks lock on demand, which is what lets several workers
-   evaluate CPU-heavy rules concurrently. Both paths report failures
-   inline at the failing rule's turn, so a later rule that reads the
-   error queue observes the routed error exactly as it would under
-   per-rule interpretation. *)
-let evaluate t txn blamed ~acts (m : Message.t) work =
+   evaluate CPU-heavy rules concurrently. Failures are routed inline at
+   the failing rule's turn, so a later rule that reads the error queue
+   observes the routed error exactly as it would under per-rule
+   interpretation. *)
+let evaluate t txn blamed ~acts (m : Message.t) pws =
   let fail rule rule_error_queue description =
     locked t (fun () ->
         raise_error t txn ~kind:Errors.Evaluation_error ~description ~rule
@@ -1095,82 +1003,47 @@ let evaluate t txn blamed ~acts (m : Message.t) work =
           ?provenance:(error_prov t ~rule m)
           ~source_queue:m.Message.queue ~initial_message:(Message.body m) ())
   in
-  match work with
-  | Units units ->
-    List.concat_map
-      (fun eu ->
-        Metrics.incr t.met.m_rule_evaluations;
-        blamed := Some (eu.eu_rule, eu.eu_error_queue);
-        Option.iter Fault.before_eval t.fault;
-        let host = host_for t m ~slice_ctx:eu.eu_slice_ctx in
+  List.concat_map
+    (fun pw ->
+      if not (Array.exists Fun.id pw.pw_admit) then []
+      else begin
+        let host = host_for t m ~slice_ctx:pw.pw_slice_ctx in
         let env = Context.make ~host () in
         let env =
           { env with Context.item = Some (Value.Node (message_node t m)) }
         in
-        match Eval.eval_with_updates env eu.eu_body with
-        | _, updates ->
-          if Trace.enabled t.spans then
-            acts :=
-              {
-                Trace.a_rule = eu.eu_rule;
-                a_updates = List.length updates;
-                a_skipped = false;
-              }
-              :: !acts;
-          List.map
-            (fun u ->
-              ( { at_rule = eu.eu_rule;
-                  at_error_queue = eu.eu_error_queue;
-                  at_slice_ctx = eu.eu_slice_ctx },
-                u ))
-            updates
-        | exception Context.Eval_error description ->
-          fail eu.eu_rule eu.eu_error_queue description;
-          [])
-      units
-  | Planned pws ->
-    List.concat_map
-      (fun pw ->
-        if not (Array.exists Fun.id pw.pw_admit) then []
-        else begin
-          let host = host_for t m ~slice_ctx:pw.pw_slice_ctx in
-          let env = Context.make ~host () in
-          let env =
-            { env with Context.item = Some (Value.Node (message_node t m)) }
-          in
-          let tagged = ref [] in
-          Plan_ir.eval
-            ~admitted:(fun i _ -> pw.pw_admit.(i))
-            ~before:(fun (g : Plan_ir.guarded) ->
-              Metrics.incr t.met.m_rule_evaluations;
-              blamed := Some (g.Plan_ir.g_name, g.Plan_ir.g_error_queue);
-              Option.iter Fault.before_eval t.fault)
-            ~emit:(fun (g : Plan_ir.guarded) outcome ->
-              match outcome with
-              | Plan_ir.Updates updates ->
-                if Trace.enabled t.spans then
-                  acts :=
-                    {
-                      Trace.a_rule = g.Plan_ir.g_name;
-                      a_updates = List.length updates;
-                      a_skipped = false;
-                    }
-                    :: !acts;
-                let at =
+        let tagged = ref [] in
+        Plan_ir.eval
+          ~admitted:(fun i _ -> pw.pw_admit.(i))
+          ~before:(fun (g : Plan_ir.guarded) ->
+            Metrics.incr t.met.m_rule_evaluations;
+            blamed := Some (g.Plan_ir.g_name, g.Plan_ir.g_error_queue);
+            Option.iter Fault.before_eval t.fault)
+          ~emit:(fun (g : Plan_ir.guarded) outcome ->
+            match outcome with
+            | Plan_ir.Updates updates ->
+              if Trace.enabled t.spans then
+                acts :=
                   {
-                    at_rule = g.Plan_ir.g_name;
-                    at_error_queue = g.Plan_ir.g_error_queue;
-                    at_slice_ctx = pw.pw_slice_ctx;
+                    Trace.a_rule = g.Plan_ir.g_name;
+                    a_updates = List.length updates;
+                    a_skipped = false;
                   }
-                in
-                tagged :=
-                  List.fold_left (fun acc u -> (at, u) :: acc) !tagged updates
-              | Plan_ir.Failed description ->
-                fail g.Plan_ir.g_name g.Plan_ir.g_error_queue description)
-            env pw.pw_plan;
-          List.rev !tagged
-        end)
-      pws
+                  :: !acts;
+              let at =
+                {
+                  at_rule = g.Plan_ir.g_name;
+                  at_error_queue = g.Plan_ir.g_error_queue;
+                  at_slice_ctx = pw.pw_slice_ctx;
+                }
+              in
+              tagged := List.fold_left (fun acc u -> (at, u) :: acc) !tagged updates
+            | Plan_ir.Failed description ->
+              fail g.Plan_ir.g_name g.Plan_ir.g_error_queue description)
+          env pw.pw_plan;
+        List.rev !tagged
+      end)
+    pws
 
 let process t rid =
   let tracing = Trace.enabled t.spans in
@@ -1185,7 +1058,7 @@ let process t rid =
   let acts = ref [] in
   match prepare t ~acts ~now rid with
   | None -> false
-  | Some (m, txn, work, decode_ns, wait_ns) ->
+  | Some (m, txn, pws, decode_ns, wait_ns) ->
     let t_locked = now () in
     let blamed = ref None in
     let t_evaled = ref t_locked in
@@ -1194,7 +1067,7 @@ let process t rid =
     let actions = ref 0 in
     let outcome = ref Trace.Committed in
     (match
-       let tagged = evaluate t txn blamed ~acts m work in
+       let tagged = evaluate t txn blamed ~acts m pws in
        t_evaled := now ();
        actions := List.length tagged;
        (* Phase 2, under [state_mu] again: execute the pending actions and

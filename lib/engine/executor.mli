@@ -22,7 +22,6 @@
 
 module Tree = Demaq_xml.Tree
 module Value = Demaq_xquery.Value
-module Ast = Demaq_xquery.Ast
 module Context = Demaq_xquery.Context
 module Store = Demaq_store.Message_store
 module Qm = Demaq_mq.Queue_manager
@@ -36,18 +35,16 @@ module Trace = Demaq_obs.Trace
 module Flow = Demaq_obs.Flow
 
 type config = {
-  merged_plans : bool;
-      (** evaluate the compiler's guarded plans (the default) instead of
-          interpreting rules one at a time; observationally equivalent,
-          including §3.6 error attribution *)
+  reference_plans : bool;
+      (** compile the per-rule reference plan shape
+          ([Compiler.compile ~reference:true]); read only when a program
+          is compiled (deploy, evolution) — the executor itself always
+          runs whatever plan it was given *)
   footprint_dispatch : bool;
       (** partition dispatch on the compiled rules' static conflict
           footprints instead of whole queues: same-queue messages whose
           admitted rules touch disjoint resources run concurrently, at
           the cost of per-queue arrival order between them *)
-  use_slice_index : bool;
-  lock_granularity : [ `Queue | `Slice ];
-  use_prefilter : bool;
   trace_capacity : int;
   flow_tracing : bool;
       (** mint, propagate and durably persist the causal provenance
@@ -56,7 +53,6 @@ type config = {
           identical to pre-flow builds *)
   gc_every : int;
   system_error_queue : string option;
-  optimize : bool;
   node_name : string;
   transmit_retries : int;
   retry_backoff : int;
@@ -178,7 +174,7 @@ val queue_priority : t -> string -> int
 
 val resources_for : t -> Message.t -> string list
 (** The conflict resources the dispatcher partitions on: queue plus
-    slices per [lock_granularity], or — under [footprint_dispatch] — the
+    slice memberships, or — under [footprint_dispatch] — the
     admitted rules' static conflict footprints from the compiled plan
     (membership slice resources always included; ⊤ expands to every
     declared queue). *)

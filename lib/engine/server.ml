@@ -30,16 +30,12 @@ let log = Logs.Src.create "demaq.server" ~doc:"Demaq server"
 module Log = (val Logs.src_log log : Logs.LOG)
 
 type config = Executor.config = {
-  merged_plans : bool;
+  reference_plans : bool;
   footprint_dispatch : bool;
-  use_slice_index : bool;
-  lock_granularity : [ `Queue | `Slice ];
-  use_prefilter : bool;
   trace_capacity : int;
   flow_tracing : bool;
   gc_every : int;
   system_error_queue : string option;
-  optimize : bool;
   node_name : string;
   transmit_retries : int;
   retry_backoff : int;
@@ -62,21 +58,16 @@ let default_workers =
 
 let default_config =
   {
-    (* the compiled guarded plans are the default execution path; per-rule
-       interpretation remains as the reference semantics (benchmark B16
-       measures the gap) *)
-    merged_plans = true;
+    (* the optimized guarded plan; the reference shape is the per-rule
+       baseline (benchmark B16 measures the gap) *)
+    reference_plans = false;
     footprint_dispatch = false;
-    use_slice_index = true;
-    lock_granularity = `Slice;
-    use_prefilter = true;
     trace_capacity = 0;
     (* provenance is three small extra-blob fields per message and one
        bounded-store insert; B17 holds the cascade overhead under 5% *)
     flow_tracing = true;
     gc_every = 0;
     system_error_queue = None;
-    optimize = true;
     node_name = "demaq-node";
     transmit_retries = 3;
     retry_backoff = 1;
@@ -546,7 +537,7 @@ let deploy ?(config = default_config) ?time_source ?store:st ?network:net
   List.iter (Qm.add_property qm) (Qdl.properties program);
   List.iter (Qm.add_slicing qm) (Qdl.slicings program);
   Qm.rebuild_indexes qm;
-  let compiled = Compiler.compile ~optimize:config.optimize program in
+  let compiled = Compiler.compile ~reference:config.reference_plans program in
   let net = match net with Some n -> n | None -> Network.create () in
   let ctx = Executor.create ~cfg:config ~qm ~st ~net ~compiled ~clk () in
   Store.instrument st ctx.Executor.reg;

@@ -1,38 +1,31 @@
 (** The Demaq server: deploys a program (QDL declarations + QML rules) and
     executes the §3.1 model: each unprocessed message is processed exactly
-    once, in scheduler order; processing evaluates all rules that pertain
-    to the message's queue (and the slices that contain it), collects the
-    pending update list, and applies it — all in a single transaction
-    against the message store. *)
+    once, in scheduler order; processing evaluates the compiled plan of
+    the message's queue (and of the slices that contain it) — every
+    pertinent rule, in declaration order — collects the pending update
+    list, and applies it, all in a single transaction against the message
+    store. *)
 
 module Tree := Demaq_xml.Tree
 module Value := Demaq_xquery.Value
 module Store := Demaq_store.Message_store
 
 type config = Executor.config = {
-  merged_plans : bool;
-      (** evaluate the rule compiler's guarded plan per queue — merged
-          bodies with per-rule guards, hoisted common subexpressions,
-          shared guard evaluations (§4.4.1; benchmark B16). The default:
-          observationally equivalent to per-rule interpretation, including
-          precise rule-level error attribution (§3.6). [false] interprets
-          rules one at a time (the reference semantics). *)
+  reference_plans : bool;
+      (** compile each queue's rules into the reference plan shape
+          instead of the optimized guarded plan (§4.4.1): one unguarded
+          entry per rule, nothing pruned, hoisted or shared, no condition
+          pre-filtering — per-rule interpretation in declaration order.
+          Off by default; the baseline of benchmarks B16 and A4 and the
+          oracle the plan tests compare against. Either way the executor
+          runs the one compiled plan; only {!deploy} and {!evolve} read
+          this. *)
   footprint_dispatch : bool;
       (** partition dispatch on the compiled rules' static conflict
           footprints instead of whole queues: same-queue messages whose
           admitted rules touch disjoint resources run concurrently. Trades
           per-queue arrival order between disjoint messages for dispatch
           width; off by default. *)
-  use_slice_index : bool;
-      (** serve [qs:slice()] from the materialized B-tree index rather than
-          scanning the underlying queues (§4.3; benchmark B1) *)
-  lock_granularity : [ `Queue | `Slice ];
-      (** lock whole queues or individual slices per transaction (§4.3;
-          benchmark B3) *)
-  use_prefilter : bool;
-      (** skip evaluating rules whose condition requires element names the
-          triggering message does not contain (XML filtering, §4.4.1;
-          benchmark A4) *)
   trace_capacity : int;
       (** keep the last N rule activations for inspection (§2.3.3 names
           "tracing system behavior" as a retention concern); 0 disables *)
@@ -50,7 +43,6 @@ type config = Executor.config = {
           message processing", §2.3.3) *)
   system_error_queue : string option;
       (** last-resort error queue (§3.6 "system level") *)
-  optimize : bool;  (** enable the rule compiler's rewrites *)
   node_name : string;  (** this node's transport address *)
   transmit_retries : int;
       (** retries (beyond the first attempt) granted to a failed reliable
@@ -76,7 +68,7 @@ type config = Executor.config = {
           default) runs inline on the calling thread and is deterministic:
           observable behaviour matches the single-threaded engine. More
           workers process conflict-free messages (different queues, or
-          different slices per [lock_granularity]) concurrently; per-queue
+          different slices) concurrently; per-queue
           arrival order and exactly-once externalization are preserved.
           Defaults to [$DEMAQ_WORKERS] when set. *)
   metrics : bool;

@@ -35,9 +35,11 @@
       conflict-resource strings and cached on the plan so the executor
       never recomputes them per dispatch.
 
-   The legacy single-sequence [merged] expression (benchmark B2) is still
-   built; the engine's execution artifact is the guarded
-   {!Demaq_xquery.Plan.t}. *)
+   The guarded {!Demaq_xquery.Plan.t} is the executor's only execution
+   artifact. [compile ~reference:true] skips passes 1-4 and lowers each
+   rewritten rule to one unguarded, unfiltered plan entry: plain per-rule
+   interpretation in declaration order, the oracle the plan passes and
+   the condition pre-filter are measured and tested against. *)
 
 module Ast = Demaq_xquery.Ast
 module Value = Demaq_xquery.Value
@@ -49,7 +51,6 @@ type compiled_rule = {
   cr_name : string;
   cr_error_queue : string option;
   cr_body : Ast.expr;  (* rewritten *)
-  cr_original : Ast.expr;
   cr_requirements : string list;
       (* element names the triggering message must contain for the rule to
          possibly fire (condition pre-filtering, §4.4.1); empty = always
@@ -78,7 +79,6 @@ type plan = {
   on_slicing : bool;
   rules : compiled_rule list;  (* surviving rules, declaration order *)
   pruned : (string * string) list;  (* statically dead: name, reason *)
-  merged : Ast.expr;  (* all rule bodies as one sequence *)
   exec : Plan_ir.t;  (* the guarded execution plan *)
   footprints : footprint list;  (* aligned with [exec.p_guarded] *)
   conflicts : (string list * conflict) array;
@@ -181,42 +181,6 @@ let supply_queue_default queue expr =
         Ast.Call (f, [ Ast.Literal (Value.String queue) ])
       | e -> e)
     expr
-
-(* Group [if (c) then a_i else b_i] bodies by structurally equal condition,
-   preserving the first-occurrence order of conditions and the relative
-   order of the actions under each. Rules are independent ECA reactions,
-   so reordering whole rule bodies is sound; the pending-update order
-   within one rule is preserved. *)
-let factor_conditions bodies =
-  let groups : (Ast.expr option * Ast.expr list ref) list ref = ref [] in
-  let condition_of = function
-    | Ast.If (c, _, _) -> Some c
-    | _ -> None
-  in
-  List.iter
-    (fun body ->
-      let cond = condition_of body in
-      match List.find_opt (fun (c, _) -> c = cond && c <> None) !groups with
-      | Some (_, bucket) -> bucket := body :: !bucket
-      | None -> groups := !groups @ [ (cond, ref [ body ]) ])
-    bodies;
-  let merged_group (cond, bucket) =
-    match cond, List.rev !bucket with
-    | Some c, (_ :: _ :: _ as members) ->
-      (* several rules share the condition: evaluate it once *)
-      let thens = List.map (function Ast.If (_, t, _) -> t | e -> e) members in
-      let elses =
-        List.filter_map
-          (function Ast.If (_, _, Ast.Empty_seq) -> None | Ast.If (_, _, e) -> Some e | _ -> None)
-          members
-      in
-      let else_branch =
-        match elses with [] -> Ast.Empty_seq | es -> Ast.Sequence es
-      in
-      [ Ast.If (c, Ast.Sequence thens, else_branch) ]
-    | _, members -> members
-  in
-  Ast.Sequence (List.concat_map merged_group !groups)
 
 (* ---- expression classification for hoisting and guard sharing ---- *)
 
@@ -375,7 +339,6 @@ let compile_rule ~properties ~on_slicing ~target (r : Qdl.rule_def) =
     cr_name = r.Qdl.rname;
     cr_error_queue = r.Qdl.rule_error_queue;
     cr_body = body;
-    cr_original = r.Qdl.body;
     cr_requirements = Prefilter.rule_requirements body;
   }
 
@@ -547,7 +510,7 @@ let binding_indices bindings exprs =
   done;
   !out
 
-(* Passes 1-5 for one target's surviving rules. *)
+(* Passes 2-4 for one target's surviving rules. *)
 let build_exec ~on_slicing rules =
   (* pass 2: guard splitting (opaque when the guard itself updates) *)
   let decomposed =
@@ -603,6 +566,31 @@ let build_exec ~on_slicing rules =
   in
   { Plan_ir.p_bindings = bindings; p_guarded = guarded; p_n_guards = !next_id }
 
+(* Pass 5 over the rules [exec] runs: footprints, the cached dispatch
+   template and its union. *)
+let with_exec plan rules exec =
+  let footprints = List.map (fun cr -> footprint_of cr.cr_body) rules in
+  let conflicts =
+    Array.of_list
+      (List.map2
+         (fun (g : Plan_ir.guarded) fp -> (g.Plan_ir.g_requirements, conflict_of fp))
+         exec.Plan_ir.p_guarded footprints)
+  in
+  {
+    plan with
+    rules;
+    exec;
+    footprints;
+    conflicts;
+    conflict_union = union_conflicts (Array.to_list (Array.map snd conflicts));
+  }
+
+(* The reference shape: per-rule interpretation, in declaration order. *)
+let reference_plan plan =
+  with_exec plan plan.rules
+    (Plan_ir.of_rules
+       (List.map (fun cr -> (cr.cr_name, cr.cr_error_queue, cr.cr_body)) plan.rules))
+
 let finish_plan ~queues target plan =
   (* pass 1: unsatisfiability pruning against the target queue's schema *)
   let vocabulary =
@@ -620,25 +608,7 @@ let finish_plan ~queues target plan =
         | Some reason -> Right (cr.cr_name, reason))
       plan.rules
   in
-  let exec = build_exec ~on_slicing:plan.on_slicing kept in
-  let footprints = List.map (fun cr -> footprint_of cr.cr_body) kept in
-  let conflicts =
-    Array.of_list
-      (List.map2
-         (fun (g : Plan_ir.guarded) fp -> (g.Plan_ir.g_requirements, conflict_of fp))
-         exec.Plan_ir.p_guarded footprints)
-  in
-  {
-    plan with
-    rules = kept;
-    pruned;
-    exec;
-    footprints;
-    conflicts;
-    conflict_union =
-      union_conflicts (Array.to_list (Array.map snd conflicts));
-    queue_resource = "q:" ^ target;
-  }
+  with_exec { plan with pruned } kept (build_exec ~on_slicing:plan.on_slicing kept)
 
 let empty_plan target on_slicing =
   {
@@ -646,7 +616,6 @@ let empty_plan target on_slicing =
     on_slicing;
     rules = [];
     pruned = [];
-    merged = Ast.Empty_seq;
     exec = Plan_ir.of_rules [];
     footprints = [];
     conflicts = [||];
@@ -654,7 +623,7 @@ let empty_plan target on_slicing =
     queue_resource = "q:" ^ target;
   }
 
-let compile ?(optimize = true) (program : Qdl.program) : t =
+let compile ?(reference = false) (program : Qdl.program) : t =
   let slicing_names = List.map (fun s -> s.Defs.sname) (Qdl.slicings program) in
   let properties = Qdl.properties program in
   let queues = Qdl.queues program in
@@ -663,17 +632,7 @@ let compile ?(optimize = true) (program : Qdl.program) : t =
     (fun (r : Qdl.rule_def) ->
       let target = r.Qdl.target in
       let on_slicing = List.mem target slicing_names in
-      let compiled =
-        if optimize then compile_rule ~properties ~on_slicing ~target r
-        else
-          {
-            cr_name = r.Qdl.rname;
-            cr_error_queue = r.Qdl.rule_error_queue;
-            cr_body = r.Qdl.body;
-            cr_original = r.Qdl.body;
-            cr_requirements = [];
-          }
-      in
+      let compiled = compile_rule ~properties ~on_slicing ~target r in
       let plan =
         match Hashtbl.find_opt plans target with
         | Some p -> { p with rules = p.rules @ [ compiled ] }
@@ -681,41 +640,9 @@ let compile ?(optimize = true) (program : Qdl.program) : t =
       in
       Hashtbl.replace plans target plan)
     (Qdl.rules program);
-  (* Plan passes per target. The merged expression factors identical
-     conditions: §3.3 makes every rule body a conditional expression
-     precisely "to facilitate the detection and optimization of conditions
-     by the rule compiler". *)
-  Hashtbl.iter
+  Hashtbl.filter_map_inplace
     (fun target plan ->
-      let plan = if optimize then finish_plan ~queues target plan else plan in
-      let plan =
-        if optimize then plan
-        else
-          (* keep rule bodies verbatim: a trivial guarded plan with
-             per-rule semantics and whole-body footprints *)
-          let exec =
-            Plan_ir.of_rules
-              (List.map
-                 (fun cr -> (cr.cr_name, cr.cr_error_queue, cr.cr_body, []))
-                 plan.rules)
-          in
-          let footprints = List.map (fun cr -> footprint_of cr.cr_body) plan.rules in
-          let conflicts =
-            Array.of_list
-              (List.map (fun fp -> ([], conflict_of fp)) footprints)
-          in
-          { plan with
-            exec;
-            footprints;
-            conflicts;
-            conflict_union =
-              union_conflicts (Array.to_list (Array.map snd conflicts)) }
-      in
-      let merged =
-        if optimize then factor_conditions (List.map (fun r -> r.cr_body) plan.rules)
-        else Ast.Sequence (List.map (fun r -> r.cr_body) plan.rules)
-      in
-      Hashtbl.replace plans target { plan with merged })
+      Some (if reference then reference_plan plan else finish_plan ~queues target plan))
     plans;
   {
     plans;

@@ -28,15 +28,14 @@
       (⊤ for dynamic queue names), lowered to dispatcher resource strings
       and cached on the plan as the dispatch template.
 
-    The legacy single-sequence [merged] expression (benchmark B2, with
-    shared-condition factoring) is still built; the engine executes the
-    guarded {!Demaq_xquery.Plan.t}. *)
+    The guarded {!Demaq_xquery.Plan.t} is the only thing the executor
+    evaluates; {!compile} with [~reference:true] builds the per-rule
+    reference shape of it. *)
 
 type compiled_rule = {
   cr_name : string;
   cr_error_queue : string option;  (** rule-level error queue (§3.6) *)
   cr_body : Demaq_xquery.Ast.expr;  (** rewritten *)
-  cr_original : Demaq_xquery.Ast.expr;  (** as written *)
   cr_requirements : string list;
       (** element names the triggering message must contain for the rule
           to possibly fire; empty = always evaluate *)
@@ -66,7 +65,6 @@ type plan = {
   rules : compiled_rule list;  (** surviving rules, declaration order *)
   pruned : (string * string) list;
       (** statically dead rules: (name, reason) *)
-  merged : Demaq_xquery.Ast.expr;  (** the legacy single merged plan *)
   exec : Demaq_xquery.Plan.t;  (** the guarded execution plan *)
   footprints : footprint list;  (** aligned with [exec]'s guarded rules *)
   conflicts : (string list * conflict) array;
@@ -78,10 +76,13 @@ type plan = {
 
 type t
 
-val compile : ?optimize:bool -> Qdl.program -> t
-(** [optimize:false] keeps rule bodies verbatim (benchmarks B2/B8): no
-    rewrites, no pruning, no hoisting; the guarded plan then has exactly
-    per-rule semantics. *)
+val compile : ?reference:bool -> Qdl.program -> t
+(** [reference:true] (default [false]) builds the reference plan shape:
+    each rule, after the per-rule rewrites, becomes one unguarded plan
+    entry with no pre-filter requirements — nothing pruned, split,
+    hoisted or shared, so every rule is evaluated in declaration order.
+    Footprints and conflicts are still computed per rule. It is the
+    baseline of benchmarks B16/A4 and the oracle of the plan tests. *)
 
 val plan_for : t -> string -> plan option
 val plans : t -> plan list
@@ -102,10 +103,6 @@ val explain : t -> string
 
 val footprint_to_string : footprint -> string
 val conflict_to_string : conflict -> string
-
-val factor_conditions : Demaq_xquery.Ast.expr list -> Demaq_xquery.Ast.expr
-(** Merge rule bodies, evaluating structurally identical top-level
-    conditions once. Exposed for tests. *)
 
 val fuse_descendant_steps : Demaq_xquery.Ast.expr -> Demaq_xquery.Ast.expr
 (** The per-rule rewrite of a predicate-free [a/descendant-or-self::node()/child::t]

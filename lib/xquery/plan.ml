@@ -60,7 +60,7 @@ let of_rules rules =
     p_bindings = [];
     p_guarded =
       List.mapi
-        (fun i (g_name, g_error_queue, body, g_requirements) ->
+        (fun i (g_name, g_error_queue, body) ->
           {
             g_name;
             g_error_queue;
@@ -70,22 +70,11 @@ let of_rules rules =
             g_else = Ast.Empty_seq;
             g_bindings = [];
             g_fallback = body;
-            g_requirements;
+            g_requirements = [];
           })
         rules;
     p_n_guards = List.length rules;
   }
-
-(* Lower the plan back to a single expression (explain output, tests):
-   the hoisted bindings become an [Ast.Bind] around the guarded bodies. *)
-let to_expr t =
-  let body_of g =
-    match g.g_guard with
-    | None -> g.g_then
-    | Some c -> Ast.If (c, g.g_then, g.g_else)
-  in
-  let body = Ast.Sequence (List.map body_of t.p_guarded) in
-  match t.p_bindings with [] -> body | binds -> Ast.Bind (binds, body)
 
 let eval ~admitted ~before ~emit env t =
   let binds = Array.of_list t.p_bindings in

@@ -1,6 +1,5 @@
 (** The guarded-plan IR: what the rule compiler lowers a target's rule
-    set into, and what the executor evaluates instead of interpreting
-    rules one at a time.
+    set into, and the only thing the executor evaluates.
 
     A plan fuses every rule of one queue or slicing while preserving each
     rule's guard, error queue and pre-filter requirements, so error
@@ -48,13 +47,10 @@ type outcome =
 val rules : t -> guarded list
 val bindings : t -> (string * Ast.expr) list
 
-val of_rules : (string * string option * Ast.expr * string list) list -> t
-(** Trivial plan from [(name, error_queue, body, requirements)] rules: no
-    hoisting, no guard splitting — per-rule semantics verbatim. *)
-
-val to_expr : t -> Ast.expr
-(** Lower the plan to a single expression ({!Ast.Bind} around the guarded
-    bodies); used by explain output and tests. *)
+val of_rules : (string * string option * Ast.expr) list -> t
+(** Trivial plan from [(name, error_queue, body)] rules: no hoisting, no
+    guard splitting, no pre-filter requirements — per-rule interpretation
+    verbatim (the compiler's reference shape). *)
 
 val eval :
   admitted:(int -> guarded -> bool) ->

@@ -477,8 +477,8 @@ let test_recovery_echo_timer () =
 (* ---- config toggles ---- *)
 
 let test_merged_plans_equivalent () =
-  let run merged =
-    let cfg = { S.default_config with S.merged_plans = merged } in
+  let run reference =
+    let cfg = { S.default_config with S.reference_plans = reference } in
     let srv =
       S.deploy ~config:cfg
         {|create queue a kind basic mode persistent
@@ -490,18 +490,7 @@ let test_merged_plans_equivalent () =
     ignore (S.run srv);
     bodies srv "b"
   in
-  check bool_ "merged = per-rule output" true (run true = run false)
-
-let test_scan_vs_index_equivalent () =
-  let run use_index =
-    let cfg = { S.default_config with S.use_slice_index = use_index } in
-    let srv = S.deploy ~config:cfg slicing_program in
-    ignore (inject_ok srv "q1" "<left><k>z</k></left>");
-    ignore (inject_ok srv "q2" "<right><k>z</k></right>");
-    ignore (S.run srv);
-    bodies srv "joined"
-  in
-  check bool_ "index = scan behaviour" true (run true = run false)
+  check bool_ "merged = per-rule output" true (run false = run true)
 
 let test_gc_every () =
   let cfg = { S.default_config with S.gc_every = 1 } in
@@ -565,7 +554,6 @@ let suite =
     ("recovery resumes processing", `Quick, test_recovery_resumes_processing);
     ("recovery re-registers echo timers", `Quick, test_recovery_echo_timer);
     ("merged plans equivalent", `Quick, test_merged_plans_equivalent);
-    ("index vs scan equivalent", `Quick, test_scan_vs_index_equivalent);
     ("automatic gc", `Quick, test_gc_every);
     ("deployment errors", `Quick, test_deployment_errors);
     ("plan explain", `Quick, test_explain_available);
@@ -639,8 +627,8 @@ let suite =
 
 let test_merged_plans_with_slicing_program () =
   (* the full slicing program behaves identically under merged plans *)
-  let run merged =
-    let cfg = { S.default_config with S.merged_plans = merged } in
+  let run reference =
+    let cfg = { S.default_config with S.reference_plans = reference } in
     let srv = S.deploy ~config:cfg slicing_program in
     ignore (inject_ok srv "q1" "<left><k>m</k></left>");
     ignore (inject_ok srv "q2" "<right><k>m</k></right>");
@@ -690,14 +678,6 @@ let test_evolution_preserves_timers () =
   check int_ "timer fired after evolution" 1 (List.length (bodies srv "alerts"));
   check int_ "new rule saw the timeout" 1 (List.length (bodies srv "audit"))
 
-let test_queue_lock_granularity_config () =
-  (* queue-level locking config executes correctly (bookkeeping path) *)
-  let cfg = { S.default_config with S.lock_granularity = `Queue } in
-  let srv = S.deploy ~config:cfg ping_pong in
-  ignore (inject_ok srv "in" "<ping>q</ping>");
-  ignore (S.run srv);
-  check bool_ "processed under queue locks" true (bodies srv "out" = [ "<pong>q</pong>" ])
-
 let test_pending_messages_counter () =
   let srv = S.deploy ping_pong in
   ignore (inject_ok srv "in" "<ping>1</ping>");
@@ -737,9 +717,8 @@ let suite =
   suite
   @ [
       ("merged plans with slicing program", `Quick, test_merged_plans_with_slicing_program);
-      ("error message schema (Fig. 10 shape)", `Quick, test_error_message_schema);
       ("evolution preserves timers", `Quick, test_evolution_preserves_timers);
-      ("queue lock granularity config", `Quick, test_queue_lock_granularity_config);
+      ("error message schema (Fig. 10 shape)", `Quick, test_error_message_schema);
       ("pending message counter", `Quick, test_pending_messages_counter);
       ("inherited properties through echo", `Quick, test_inherited_props_through_echo);
     ]

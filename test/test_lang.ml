@@ -295,8 +295,8 @@ let test_compiler_groups_rules () =
   in
   let pa = Option.get (Compiler.plan_for c "a") in
   check int_ "two rules on a" 2 (List.length pa.Compiler.rules);
-  check bool_ "merged is a sequence of both" true
-    (match pa.Compiler.merged with Ast.Sequence [ _; _ ] -> true | _ -> false);
+  check int_ "the plan guards both" 2
+    (List.length (Demaq.Xquery.Plan.rules pa.Compiler.exec));
   check bool_ "no plan for ghost" true (Compiler.plan_for c "ghost" = None)
 
 let test_compiler_queue_default () =
@@ -365,18 +365,6 @@ let test_compiler_constant_folding () =
   | Ast.Enqueue _ -> ()  (* the whole conditional folded away *)
   | other -> Alcotest.failf "expected folded body, got %s" (Pp.to_string other)
 
-let test_compiler_optimize_off () =
-  let c =
-    Compiler.compile ~optimize:false
-      (parse
-         {|create queue a kind basic mode persistent
-           create rule r for a if (1 + 1 = 2) then do enqueue <y/> into a|})
-  in
-  let plan = Option.get (Compiler.plan_for c "a") in
-  match (List.hd plan.Compiler.rules).Compiler.cr_body with
-  | Ast.If _ -> ()
-  | other -> Alcotest.failf "expected unoptimized body, got %s" (Pp.to_string other)
-
 let test_explain () =
   let c =
     compile
@@ -421,28 +409,5 @@ let suite =
       ("compiler inlines fixed properties", `Quick, test_compiler_inlines_fixed_property);
       ("compiler keeps free property calls", `Quick, test_compiler_no_inline_for_free_property);
       ("compiler folds constants", `Quick, test_compiler_constant_folding);
-      ("compiler optimize off", `Quick, test_compiler_optimize_off);
       ("explain output", `Quick, test_explain);
     ]
-
-let test_condition_factoring () =
-  let c =
-    compile
-      {|create queue a kind basic mode persistent
-        create queue b kind basic mode persistent
-        create rule r1 for a if (//x) then do enqueue <a1/> into b
-        create rule r2 for a if (//x) then do enqueue <a2/> into b else do enqueue <e2/> into b
-        create rule r3 for a if (//y) then do enqueue <a3/> into b|}
-  in
-  let plan = Option.get (Compiler.plan_for c "a") in
-  (* r1 and r2 share the condition //x: the merged plan evaluates it once *)
-  match plan.Compiler.merged with
-  | Ast.Sequence [ Ast.If (_, Ast.Sequence [ _; _ ], els); Ast.If (_, _, _) ] ->
-    (match els with
-     | Ast.Sequence [ _ ] -> ()
-     | Ast.Empty_seq -> Alcotest.fail "else branch of r2 lost"
-     | _ -> Alcotest.fail "unexpected else shape")
-  | other ->
-    Alcotest.failf "unexpected merged shape: %s" (Pp.to_string other)
-
-let suite = suite @ [ ("compiler factors shared conditions", `Quick, test_condition_factoring) ]

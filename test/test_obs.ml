@@ -290,9 +290,22 @@ let well_formed (sp : Trace.span) =
   && sp.Trace.sp_barrier_ns >= 0
   && List.for_all (fun a -> a.Trace.a_rule <> "") sp.Trace.sp_activations
 
+(* The span clock has microsecond resolution, and evaluating [//ping]
+   alone can finish inside one tick; the extra conjunct gives the traced
+   rule enough evaluation work to span many ticks, so a zero eval time
+   means the phase was not timed. *)
+let timed_obs_program = {|
+create queue in kind basic mode persistent
+create queue out kind basic mode persistent
+create queue errs kind basic mode persistent
+create rule pong for in errorqueue errs
+  if (//ping and count(1 to 20000) > 0)
+  then do enqueue <pong>{string(//ping)}</pong> into out
+|}
+
 let test_spans_recorded () =
   let config = { S.default_config with S.trace_capacity = 8; metrics = true } in
-  let srv = S.deploy ~config obs_program in
+  let srv = S.deploy ~config timed_obs_program in
   ignore (inject_ok srv "in" "<ping>x</ping>");
   ignore (S.run srv);
   let spans = S.spans srv in

@@ -4,6 +4,10 @@
 
 module Ast = Demaq.Xquery.Ast
 module Plan_ir = Demaq.Xquery.Plan
+module Eval = Demaq.Xquery.Eval
+module Context = Demaq.Xquery.Context
+module Value = Demaq.Xquery.Value
+module Update = Demaq.Xquery.Update
 module Qdl = Demaq.Lang.Qdl
 module Analysis = Demaq.Lang.Analysis
 module Compiler = Demaq.Lang.Compiler
@@ -167,10 +171,15 @@ let test_footprints () =
    Programs are drawn from pools of conditions and bodies chosen to
    exercise every compiler pass: shared guards, hoistable common
    subexpressions, pre-filterable requirements, guards and bodies that
-   raise at runtime (fallback re-evaluation, §3.6 attribution), else
-   branches and rule-level error queues. The same message sequence runs
-   through two engines differing only in [merged_plans]; every queue's
-   serialized contents and the error/evaluation counters must agree. *)
+   raise at runtime (fallback re-evaluation, §3.6 attribution), a guard
+   that reads engine state (an error routed by an earlier rule changes
+   it), else branches and rule-level error queues.
+
+   Two properties. The engine-level one runs the same message sequence
+   through two engines differing only in [reference_plans]; every queue's
+   serialized contents and the error/evaluation counters must agree. The
+   plan-level one compares [Plan_ir.eval] with a per-rule interpreter
+   that lives here, independent of the plan IR. *)
 
 let conditions =
   [|
@@ -181,6 +190,9 @@ let conditions =
     "//nope";
     "1 = 1";
     "1 idiv 0 = 1" (* guard raises: exercises memoized-failure fallback *);
+    {|count(qs:queue("errs")) mod 2 = 0|}
+    (* reads state that an earlier rule's routed error changes: must not
+       be shared *);
   |]
 
 let rule_then i body =
@@ -220,8 +232,8 @@ create queue errs kind basic mode persistent
     rules;
   Buffer.contents buf
 
-let observe ~merged program msgs =
-  let config = { S.default_config with S.merged_plans = merged; S.workers = 1 } in
+let observe ~reference program msgs =
+  let config = { S.default_config with S.reference_plans = reference; S.workers = 1 } in
   let srv = S.deploy ~config program in
   List.iter
     (fun p ->
@@ -234,8 +246,13 @@ let observe ~merged program msgs =
     List.map (fun m -> Demaq.xml_to_string (Message.body m)) (S.queue_contents srv q)
   in
   let st = S.stats srv in
+  (* the reference plan never pre-filters: every rule it evaluates is
+     either evaluated or skipped by the compiled plan *)
   ( List.map bodies [ "q"; "o1"; "o2"; "errs" ],
-    (st.S.processed, st.S.rule_evaluations, st.S.errors_raised, st.S.messages_created) )
+    ( st.S.processed,
+      st.S.rule_evaluations + st.S.prefilter_skips,
+      st.S.errors_raised,
+      st.S.messages_created ) )
 
 let gen_case =
   QCheck.Gen.(
@@ -253,10 +270,110 @@ let print_case (rules, msgs) =
 
 let prop_merged_equivalent =
   QCheck.Test.make ~name:"guarded plan == per-rule interpretation" ~count:40
+    ~long_factor:50
     (QCheck.make gen_case ~print:print_case)
     (fun (rules, msgs) ->
       let program = program_of rules in
-      observe ~merged:true program msgs = observe ~merged:false program msgs)
+      observe ~reference:false program msgs = observe ~reference:true program msgs)
+
+(* The per-rule interpreter: every rewritten rule body evaluated in
+   declaration order, each on its own. A stub host stands in for the
+   engine: the triggering message is the context document, and
+   [qs:queue("errs")] holds one node per error routed so far. As in the
+   executor, an error is routed at the failing rule's turn to the rule's
+   error queue (rules without one drop it), and updates stay pending. *)
+type event = string * (string list, string) result
+
+let stub_env payload =
+  let doc = Eval.doc_node_of_tree (Demaq.xml payload) in
+  let errs = ref [] in
+  let host =
+    {
+      Context.null_host with
+      Context.h_message = (fun () -> [ Value.Node doc ]);
+      h_queue = (fun q -> if q = Some "errs" then !errs else []);
+      h_property = (fun _ -> []);
+    }
+  in
+  let route error_queue =
+    if error_queue = Some "errs" then
+      errs := !errs @ [ Value.Node (Eval.doc_node_of_tree (Demaq.xml "<error/>")) ]
+  in
+  ({ (Context.make ~host ()) with Context.item = Some (Value.Node doc) }, route)
+
+let render updates = List.map (Format.asprintf "%a" Update.pp) updates
+
+let per_rule_events (plan : Compiler.plan) payload : event list =
+  let env, route = stub_env payload in
+  let events = ref [] in
+  List.iter
+    (fun (cr : Compiler.compiled_rule) ->
+      let outcome =
+        match Eval.eval_with_updates env cr.Compiler.cr_body with
+        | _, updates -> Ok (render updates)
+        | exception Context.Eval_error d ->
+          route cr.Compiler.cr_error_queue;
+          Error d
+      in
+      events := (cr.Compiler.cr_name, outcome) :: !events)
+    plan.Compiler.rules;
+  List.rev !events
+
+let plan_events (plan : Compiler.plan) payload : event list =
+  let env, route = stub_env payload in
+  let events = ref [] in
+  Plan_ir.eval
+    ~admitted:(fun _ _ -> true)
+    ~before:ignore
+    ~emit:(fun g outcome ->
+      let outcome =
+        match outcome with
+        | Plan_ir.Updates updates -> Ok (render updates)
+        | Plan_ir.Failed d ->
+          route g.Plan_ir.g_error_queue;
+          Error d
+      in
+      events := (g.Plan_ir.g_name, outcome) :: !events)
+    env plan.Compiler.exec;
+  List.rev !events
+
+let plan_matches_oracle program msgs =
+  let plan = Option.get (Compiler.plan_for (compile program) "q") in
+  List.for_all
+    (fun p ->
+      let payload = payloads.(p mod Array.length payloads) in
+      plan_events plan payload = per_rule_events plan payload)
+    msgs
+
+let prop_plan_matches_interpreter =
+  QCheck.Test.make ~name:"Plan_ir.eval == per-rule interpreter" ~count:1000
+    ~long_factor:10
+    (QCheck.make gen_case ~print:print_case)
+    (fun (rules, msgs) -> plan_matches_oracle (program_of rules) msgs)
+
+(* Pinned: two rules share a state-reading guard with an error-raising
+   rule between them. Per-rule, the second guard sees the routed error
+   and does not fire; sharing the first evaluation would fire it. *)
+let shared_state_guard_program =
+  {|create queue q kind basic mode persistent
+create queue o1 kind basic mode persistent
+create queue o2 kind basic mode persistent
+create queue errs kind basic mode persistent
+create rule before for q if (count(qs:queue("errs")) mod 2 = 0) then do enqueue <before/> into o1
+create rule boom for q errorqueue errs if (//a) then do enqueue <x>{1 idiv 0}</x> into o2
+create rule after for q if (count(qs:queue("errs")) mod 2 = 0) then do enqueue <after/> into o1
+|}
+
+let test_state_reading_guard_not_shared () =
+  check bool_ "plan = per-rule interpreter" true
+    (plan_matches_oracle shared_state_guard_program [ 0 ]);
+  let queues, _ = observe ~reference:false shared_state_guard_program [ 0 ] in
+  check bool_ "only the first guard held" true
+    (List.nth queues 1 = [ "<before/>" ]);
+  check int_ "one routed error" 1 (List.length (List.nth queues 3));
+  check bool_ "engine: compiled = reference" true
+    (observe ~reference:false shared_state_guard_program [ 0 ]
+    = observe ~reference:true shared_state_guard_program [ 0 ])
 
 (* ---- footprint-driven dispatch: pinned end-to-end regression ---- *)
 
@@ -273,7 +390,6 @@ let run_fanout ~footprint ~workers =
       S.default_config with
       S.footprint_dispatch = footprint;
       S.workers = workers;
-      S.merged_plans = true;
     }
   in
   let srv = S.deploy ~config fanout_program in
@@ -308,5 +424,7 @@ let suite =
     ("analysis warns on dead rules", `Quick, test_analysis_warns_on_dead_rule);
     ("conflict footprints", `Quick, test_footprints);
     QCheck_alcotest.to_alcotest prop_merged_equivalent;
+    QCheck_alcotest.to_alcotest prop_plan_matches_interpreter;
+    ("state-reading guards are not shared", `Quick, test_state_reading_guard_not_shared);
     ("footprint dispatch end to end", `Quick, test_footprint_dispatch_end_to_end);
   ]

@@ -76,8 +76,9 @@ let broker_program =
              "create rule r%d for in if (//type%d) then do enqueue <hit n=\"%d\"/> into out"
              i i i))
 
+(* the reference plan shape carries no pre-filter requirements *)
 let run_broker ~use_prefilter =
-  let cfg = { S.default_config with S.use_prefilter } in
+  let cfg = { S.default_config with S.reference_plans = not use_prefilter } in
   let srv = S.deploy ~config:cfg broker_program in
   for i = 0 to 19 do
     ignore
