@@ -1618,110 +1618,6 @@ let a5 () =
       ignore (a5_run ~messages:20 ~payload_bytes:8000 ~spill:false))
 
 (* ------------------------------------------------------------------ *)
-(* B17: causal flow tracing overhead (PR 9) — every enqueue mints or   *)
-(* derives a provenance triple, appends it to the stored extra blob    *)
-(* (more WAL bytes) and feeds the bounded flow store; this bench holds *)
-(* that full path against the same engine with flow_tracing off.       *)
-(* Budget: <= 5%, like B13's timing path.                              *)
-(* ------------------------------------------------------------------ *)
-
-let b17_dir tag =
-  let dir = Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "demaq-bench-b17-%s-%d" tag (Unix.getpid ())) in
-  if Sys.file_exists dir then
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  dir
-
-(* B13's shipped configuration (batch 256, group commit, durable
-   Sync_batch store), with a one-hop cascade so the derived-provenance
-   path (inherit flow, parent rid, causing rule) runs once per input
-   message on top of the minting path. *)
-let b17_run ~messages ~flow_tracing =
-  let program = {|
-    create queue in kind basic mode persistent
-    create queue out kind basic mode persistent
-    create rule fwd for in if (//m) then do enqueue <ack/> into out
-  |} in
-  let tag = if flow_tracing then "on" else "off" in
-  let store =
-    Store.open_store
-      (Store.durable_config
-         ~sync:(Wal.Sync_batch { max_records = 256; max_bytes = 0 })
-         (b17_dir tag))
-  in
-  let cfg =
-    { S.default_config with
-      S.batch_size = 256; group_commit = true; flow_tracing }
-  in
-  let srv = S.deploy ~config:cfg ~store program in
-  for i = 1 to messages do
-    ignore (S.inject srv ~queue:"in" (Demaq.xml (Printf.sprintf "<m n='%d'/>" i)))
-  done;
-  Gc.full_major ();
-  let t = secs (fun () -> ignore (S.run srv)) in
-  Store.close store;
-  t
-
-let b17 () =
-  headline "B17 flow_overhead"
-    "causal flow tracing: provenance mint/derive/persist vs flow_tracing off";
-  table_header
-    [ ("mode", 10); ("messages", 9); ("msg/s", 10); ("overhead", 9) ];
-  let messages = scale 8000 in
-  (* B13's floor-of-interleaved-rounds estimator breaks down for a
-     few-percent effect on a 1-core shared box: the two modes' floors
-     come from different rounds, so an interference burst landing on
-     one mode's quietest round biases the difference by more than the
-     effect under measurement. The two modes of a round run
-     back-to-back (~0.1 s each), so a burst hits both: the per-round
-     on/off ratio is robust to drift, and the median of those paired
-     ratios is the overhead estimate. Floors still report msg/s. *)
-  let modes = [ false; true ] in
-  let n_modes = List.length modes in
-  let reps = if !quick then 1 else 21 in
-  let rounds =
-    List.init reps (fun r ->
-        let times = Array.make n_modes 0. in
-        List.iter
-          (fun i ->
-            times.(i) <- b17_run ~messages ~flow_tracing:(List.nth modes i))
-          (List.init n_modes (fun k -> (k + r) mod n_modes));
-        times)
-  in
-  let floor_of i =
-    let a = Array.of_list (List.map (fun r -> r.(i)) rounds) in
-    Array.sort compare a;
-    a.(min 1 (Array.length a - 1))
-  in
-  let median_ratio i =
-    let a = Array.of_list (List.map (fun r -> r.(i) /. r.(0)) rounds) in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let results =
-    List.mapi
-      (fun i flow_tracing ->
-        let name = if flow_tracing then "on" else "off" in
-        let t = floor_of i in
-        let overhead = (median_ratio i -. 1.) *. 100. in
-        row
-          [
-            cell 10 "%s" name; cell 9 "%d" messages;
-            cell 10 "%.0f" (float messages /. t);
-            cell 9 "%+.1f%%" overhead;
-          ];
-        Printf.sprintf
-          "{\"mode\": \"%s\", \"messages\": %d, \"msg_per_s\": %.0f, \"overhead_pct\": %.1f}"
-          name messages (float messages /. t) overhead)
-      modes
-  in
-  json_add
-    (Printf.sprintf "{\"bench\": \"B17\", \"results\": [%s]}"
-       (String.concat ", " results));
-  register_bechamel "B17/flow-on-20msgs" (fun () ->
-      ignore (b17_run ~messages:20 ~flow_tracing:true))
-
-(* ------------------------------------------------------------------ *)
 (* B18: adaptive runtime (PR 10) — the AIMD group-commit controller    *)
 (* discovering fsync-amortization headroom from a deliberately conser- *)
 (* vative start (batch target 1), against the same engine with the     *)
@@ -1937,8 +1833,7 @@ let run_bechamel () =
 let all_benches =
   [ ("B1", b1); ("B3", b3); ("B4", b4); ("B5", b5); ("B6", b6);
     ("B7", b7); ("B8", b8); ("B9", b9); ("B10", b10); ("B11", b11);
-    ("B12", b12); ("B13", b13); ("B15", b15); ("B16", b16); ("B17", b17);
-    ("B18", b18);
+    ("B12", b12); ("B13", b13); ("B15", b15); ("B16", b16); ("B18", b18);
     ("A1", a1); ("A2", a2); ("A3", a3); ("A4", a4); ("A5", a5) ]
 
 let () =

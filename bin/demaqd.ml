@@ -157,6 +157,40 @@ let explain_cmd file =
     print_string (Demaq.Lang.Compiler.explain (Demaq.Lang.Compiler.compile program));
     0
 
+(* ---- stdin injection (shared by run, trace and flow) ---- *)
+
+(* One message per stdin line until EOF: [<queue> <xml>], or a bare
+   document for [default_queue]. Unparsable and rejected lines are
+   reported on stderr and skipped. *)
+let inject_stdin srv default_queue =
+  let inject queue xml_text =
+    match Demaq.xml xml_text with
+    | exception Demaq.Xml.Parser.Parse_error { msg; _ } ->
+      Printf.eprintf "bad XML (%s): %s\n" msg xml_text
+    | payload -> (
+      match Demaq.inject srv ~queue payload with
+      | Ok _ -> ()
+      | Error e ->
+        Printf.eprintf "rejected: %s\n" (Demaq.Mq.Queue_manager.error_to_string e))
+  in
+  try
+    while true do
+      let line = String.trim (input_line stdin) in
+      if line <> "" then
+        if line.[0] = '<' then
+          match default_queue with
+          | Some q -> inject q line
+          | None ->
+            Printf.eprintf "no target queue: use '<queue> <xml>' lines or --queue\n"
+        else
+          match String.index_opt line ' ' with
+          | Some i ->
+            inject (String.sub line 0 i)
+              (String.trim (String.sub line i (String.length line - i)))
+          | None -> Printf.eprintf "cannot parse input line: %s\n" line
+    done
+  with End_of_file -> ()
+
 (* ---- run ---- *)
 
 let run_cmd file default_queue store_dir show_stats stats_json gc_at_end advance
@@ -245,34 +279,7 @@ let run_cmd file default_queue store_dir show_stats stats_json gc_at_end advance
         Printf.eprintf "ingress: http://127.0.0.1:%d/enqueue/<queue>\n%!"
           (Http.port server))
       ingress;
-    let inject queue xml_text =
-      match Demaq.xml xml_text with
-      | exception Demaq.Xml.Parser.Parse_error { msg; _ } ->
-        Printf.eprintf "bad XML (%s): %s\n" msg xml_text
-      | payload -> (
-        match Demaq.inject srv ~queue payload with
-        | Ok _ -> ()
-        | Error e ->
-          Printf.eprintf "rejected: %s\n" (Demaq.Mq.Queue_manager.error_to_string e))
-    in
-    (try
-       while true do
-         let line = String.trim (input_line stdin) in
-         if line <> "" then
-           if String.length line > 0 && line.[0] = '<' then
-             match default_queue with
-             | Some q -> inject q line
-             | None ->
-               Printf.eprintf
-                 "no target queue: use '<queue> <xml>' lines or --queue\n"
-           else
-             match String.index_opt line ' ' with
-             | Some i ->
-               inject (String.sub line 0 i)
-                 (String.trim (String.sub line i (String.length line - i)))
-             | None -> Printf.eprintf "cannot parse input line: %s\n" line
-       done
-     with End_of_file -> ());
+    inject_stdin srv default_queue;
     let processed = S.run srv in
     if advance > 0 then begin
       S.advance_time srv advance;
@@ -326,34 +333,7 @@ let trace_cmd file default_queue capacity advance filter_queue filter_rid
     Printf.eprintf "deployment failed:\n%s\n" msg;
     1
   | srv ->
-    let inject queue xml_text =
-      match Demaq.xml xml_text with
-      | exception Demaq.Xml.Parser.Parse_error { msg; _ } ->
-        Printf.eprintf "bad XML (%s): %s\n" msg xml_text
-      | payload -> (
-        match Demaq.inject srv ~queue payload with
-        | Ok _ -> ()
-        | Error e ->
-          Printf.eprintf "rejected: %s\n" (Demaq.Mq.Queue_manager.error_to_string e))
-    in
-    (try
-       while true do
-         let line = String.trim (input_line stdin) in
-         if line <> "" then
-           if line.[0] = '<' then
-             match default_queue with
-             | Some q -> inject q line
-             | None ->
-               Printf.eprintf
-                 "no target queue: use '<queue> <xml>' lines or --queue\n"
-           else
-             match String.index_opt line ' ' with
-             | Some i ->
-               inject (String.sub line 0 i)
-                 (String.trim (String.sub line i (String.length line - i)))
-             | None -> Printf.eprintf "cannot parse input line: %s\n" line
-       done
-     with End_of_file -> ());
+    inject_stdin srv default_queue;
     ignore (S.run srv);
     if advance > 0 then begin
       S.advance_time srv advance;
@@ -384,34 +364,7 @@ let flow_cmd file default_queue id store_dir advance log_level =
     Printf.eprintf "deployment failed:\n%s\n" msg;
     1
   | srv ->
-    let inject queue xml_text =
-      match Demaq.xml xml_text with
-      | exception Demaq.Xml.Parser.Parse_error { msg; _ } ->
-        Printf.eprintf "bad XML (%s): %s\n" msg xml_text
-      | payload -> (
-        match Demaq.inject srv ~queue payload with
-        | Ok _ -> ()
-        | Error e ->
-          Printf.eprintf "rejected: %s\n" (Demaq.Mq.Queue_manager.error_to_string e))
-    in
-    (try
-       while true do
-         let line = String.trim (input_line stdin) in
-         if line <> "" then
-           if line.[0] = '<' then
-             match default_queue with
-             | Some q -> inject q line
-             | None ->
-               Printf.eprintf
-                 "no target queue: use '<queue> <xml>' lines or --queue\n"
-           else
-             match String.index_opt line ' ' with
-             | Some i ->
-               inject (String.sub line 0 i)
-                 (String.trim (String.sub line i (String.length line - i)))
-             | None -> Printf.eprintf "cannot parse input line: %s\n" line
-       done
-     with End_of_file -> ());
+    inject_stdin srv default_queue;
     ignore (S.run srv);
     if advance > 0 then begin
       S.advance_time srv advance;
@@ -444,15 +397,14 @@ let flow_cmd file default_queue id store_dir advance log_level =
         | None ->
           Printf.eprintf "no flow recorded for rid %s\n" id;
           1
-        | Some fid ->
-          if S.flow_nodes srv fid = [] then begin
+        | Some fid -> (
+          match S.flow_nodes srv fid with
+          | [] ->
             Printf.eprintf "unknown flow %s\n" fid;
             1
-          end
-          else begin
-            print_string (S.flow_ascii srv fid);
-            0
-          end)
+          | nodes ->
+            print_string (Demaq.Obs.Flow.render_ascii fid nodes);
+            0))
     in
     Store.close store;
     rc
@@ -627,9 +579,17 @@ let repl_cmd file log_level =
 %s
 " msg)
         | "trace" ->
+          (* each retained span's rule activations, newest first *)
           List.iter
-            (fun e -> Format.printf "%a@." S.pp_trace_entry e)
-            (S.trace srv)
+            (fun (sp : Demaq.Obs.Trace.span) ->
+              List.iter
+                (fun (a : Demaq.Obs.Trace.activation) ->
+                  Printf.printf "t=%d %s(%s#%d) -> %s\n" sp.sp_tick a.a_rule
+                    sp.sp_queue sp.sp_rid
+                    (if a.a_skipped then "prefiltered"
+                     else Printf.sprintf "%d updates" a.a_updates))
+                (List.rev sp.sp_activations))
+            (S.spans srv)
         | "spans" ->
           if rest = "json" then print_string (S.spans_jsonl srv)
           else

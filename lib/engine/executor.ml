@@ -60,10 +60,6 @@ type config = {
          footprints instead of whole queues: same-queue messages whose
          admitted rules touch disjoint resources run concurrently *)
   trace_capacity : int;
-  flow_tracing : bool;
-      (* mint/propagate/persist the causal provenance triple (flow id,
-         parent rid, causing rule) and feed the bounded flow store; off
-         reproduces the pre-flow extra blobs byte for byte *)
   gc_every : int;
   system_error_queue : string option;
   node_name : string;
@@ -104,15 +100,6 @@ type metrics = {
   m_eval_seconds : Metrics.histogram;  (* unlocked snapshot evaluation *)
   m_apply_seconds : Metrics.histogram;  (* locked apply + commit *)
   m_barrier_seconds : Metrics.histogram;  (* group-commit barriers *)
-}
-
-type trace_entry = {
-  tr_tick : int;
-  tr_rule : string;
-  tr_trigger : int;  (* rid of the triggering message *)
-  tr_queue : string;
-  tr_updates : int;  (* pending updates the evaluation produced *)
-  tr_skipped : bool;  (* suppressed by the condition pre-filter *)
 }
 
 type t = {
@@ -324,32 +311,27 @@ let mint_flow t ~origin =
 (* Root provenance for a message entering from outside the cascade:
    adopt the caller-supplied flow id (X-Demaq-Flow) or mint one. *)
 let root_prov t ?flow ~origin () =
-  if not t.cfg.flow_tracing then Message.no_provenance
-  else
-    let f =
-      match flow with Some f when f <> "" -> f | _ -> mint_flow t ~origin
-    in
-    { Message.p_flow = f; p_parent = -1; p_cause = origin }
+  let f =
+    match flow with Some f when f <> "" -> f | _ -> mint_flow t ~origin
+  in
+  { Message.p_flow = f; p_parent = -1; p_cause = origin }
 
 (* Child provenance: inherit the causing message's flow, point the edge at
    it, blame [cause] (the rule, or an origin kind like "timer"/"error"). *)
-let derived_prov t ~cause (m : Message.t) =
-  if not t.cfg.flow_tracing then Message.no_provenance
-  else
-    {
-      Message.p_flow = m.Message.prov.Message.p_flow;
-      p_parent = m.Message.rid;
-      p_cause = cause;
-    }
+let derived_prov ~cause (m : Message.t) =
+  {
+    Message.p_flow = m.Message.prov.Message.p_flow;
+    p_parent = m.Message.rid;
+    p_cause = cause;
+  }
 
 (* §3.6: an error message is caused by the message whose processing
    failed; the edge keeps the failing rule's name when one is blamed. *)
-let error_prov t ?rule (m : Message.t) =
-  if not t.cfg.flow_tracing then None
-  else Some (derived_prov t ~cause:(Option.value ~default:"error" rule) m)
+let error_prov ?rule (m : Message.t) =
+  derived_prov ~cause:(Option.value ~default:"error" rule) m
 
 let note_flow t (m : Message.t) =
-  if t.cfg.flow_tracing && m.Message.prov.Message.p_flow <> "" then
+  if m.Message.prov.Message.p_flow <> "" then
     Flow.observe t.flows ~rid:m.Message.rid ~queue:m.Message.queue
       ~flow:m.Message.prov.Message.p_flow
       ~parent:m.Message.prov.Message.p_parent
@@ -566,39 +548,6 @@ let schedule_message t (m : Message.t) =
     ~priority:(queue_priority t m.Message.queue)
     ~resources:(resources_for t m) m.Message.rid
 
-(* ---- trace ----
-
-   The rule-activation view, flattened out of the lifecycle spans: every
-   span carries its per-rule activations (fired and pre-filtered), so the
-   historical [trace_entry] API survives as a projection. Newest first,
-   capped at [trace_capacity] entries like the ring it replaced. *)
-
-let trace t =
-  let entries =
-    List.concat_map
-      (fun (s : Trace.span) ->
-        (* activations are stored in evaluation order; newest-first means
-           reversing them within the span *)
-        List.rev_map
-          (fun (a : Trace.activation) ->
-            {
-              tr_tick = s.Trace.sp_tick;
-              tr_rule = a.Trace.a_rule;
-              tr_trigger = s.Trace.sp_rid;
-              tr_queue = s.Trace.sp_queue;
-              tr_updates = a.Trace.a_updates;
-              tr_skipped = a.Trace.a_skipped;
-            })
-          s.Trace.sp_activations)
-      (Trace.spans t.spans)
-  in
-  List.filteri (fun i _ -> i < t.cfg.trace_capacity) entries
-
-let pp_trace_entry fmt e =
-  Format.fprintf fmt "t=%d %s(%s#%d) -> %s" e.tr_tick e.tr_rule e.tr_queue
-    e.tr_trigger
-    (if e.tr_skipped then "prefiltered" else Printf.sprintf "%d updates" e.tr_updates)
-
 (* ---- error routing (§3.6); assumes [state_mu] held ---- *)
 
 let rec raise_error t txn ~kind ~description ?rule ?rule_error_queue
@@ -643,13 +592,11 @@ let rec raise_error t txn ~kind ~description ?rule ?rule_error_queue
 and enqueue_internal t txn ?rule ?rule_error_queue ?(trigger = None) ?provenance
     ~explicit ~queue ~payload ~origin_queue () =
   let provenance =
-    if not t.cfg.flow_tracing then Message.no_provenance
-    else
-      match provenance, trigger with
-      | Some p, _ -> p
-      | None, Some trig ->
-        derived_prov t ~cause:(Option.value ~default:"" rule) trig
-      | None, None -> Message.no_provenance
+    match provenance, trigger with
+    | Some p, _ -> p
+    | None, Some trig ->
+      derived_prov ~cause:(Option.value ~default:"" rule) trig
+    | None, None -> Message.no_provenance
   in
   match Qm.enqueue t.qm txn ?rule ?trigger ~provenance ~explicit ~queue ~payload () with
   | Ok m ->
@@ -667,9 +614,7 @@ and enqueue_internal t txn ?rule ?rule_error_queue ?(trigger = None) ?provenance
       | Qm.Schema_violation _ -> Errors.Schema_violation
       | Qm.Fixed_property_set _ | Qm.Property_error _ -> Errors.Property_error
     in
-    let provenance =
-      match trigger with Some trig -> error_prov t ?rule trig | None -> None
-    in
+    let provenance = Option.map (error_prov ?rule) trigger in
     raise_error t txn ~kind ~description:(Qm.error_to_string e) ?rule
       ?rule_error_queue ?provenance ~source_queue:origin_queue
       ~initial_message:payload ()
@@ -695,7 +640,7 @@ and register_echo_timer t txn ?rule (m : Message.t) =
       ~description:
         "echo queue messages need integer 'timeout' and string 'target' properties"
       ?rule
-      ?provenance:(error_prov t ?rule m)
+      ~provenance:(error_prov ?rule m)
       ~source_queue:m.Message.queue ~initial_message:(Message.body m) ()
 
 (* ---- message injection (external arrivals / gateway replies) ---- *)
@@ -834,7 +779,7 @@ let apply_updates t txn blamed (m : Message.t) tagged =
           raise_error t txn ~kind:Errors.Evaluation_error
             ~description:"do reset: no slice in scope and none specified"
             ~rule:at.at_rule ?rule_error_queue:at.at_error_queue
-            ?provenance:(error_prov t ~rule:at.at_rule m)
+            ~provenance:(error_prov ~rule:at.at_rule m)
             ~source_queue:m.Message.queue ~initial_message:(Message.body m) ()))
     tagged
 
@@ -1000,7 +945,7 @@ let evaluate t txn blamed ~acts (m : Message.t) pws =
     locked t (fun () ->
         raise_error t txn ~kind:Errors.Evaluation_error ~description ~rule
           ?rule_error_queue
-          ?provenance:(error_prov t ~rule m)
+          ~provenance:(error_prov ~rule m)
           ~source_queue:m.Message.queue ~initial_message:(Message.body m) ())
   in
   List.concat_map
@@ -1125,8 +1070,8 @@ let process t rid =
       Metrics.observe t.met.m_eval_seconds (!t_evaled - t_locked);
       Metrics.observe t.met.m_apply_seconds (!t_applied - !t_evaled)
     end;
-    if tracing then begin
-      let span =
+    if tracing then
+      Trace.record t.spans
         {
           Trace.sp_rid = m.Message.rid;
           sp_queue = m.Message.queue;
@@ -1146,11 +1091,7 @@ let process t rid =
           sp_actions = !actions;
           sp_batch = t.batch_target;
           sp_outcome = !outcome;
-        }
-      in
-      Trace.record t.spans span;
-      if t.cfg.flow_tracing then Flow.attach t.flows span
-    end;
+        };
     Metrics.incr t.met.m_processed;
     if
       t.cfg.gc_every > 0

@@ -46,11 +46,6 @@ type config = {
           admitted rules touch disjoint resources run concurrently, at
           the cost of per-queue arrival order between them *)
   trace_capacity : int;
-  flow_tracing : bool;
-      (** mint, propagate and durably persist the causal provenance
-          triple (flow id, parent rid, causing rule) on every message,
-          and feed the bounded flow store; off writes extra blobs
-          identical to pre-flow builds *)
   gc_every : int;
   system_error_queue : string option;
   node_name : string;
@@ -93,15 +88,6 @@ type metrics = {
   m_barrier_seconds : Metrics.histogram;
 }
 
-type trace_entry = {
-  tr_tick : int;
-  tr_rule : string;
-  tr_trigger : int;
-  tr_queue : string;
-  tr_updates : int;
-  tr_skipped : bool;
-}
-
 type t = {
   cfg : config;
   qm : Qm.t;
@@ -126,8 +112,8 @@ type t = {
   met : metrics;
   spans : Trace.t;
   flows : Flow.t;
-      (** bounded causal flow store; fed on enqueue ({!note_flow} via the
-          enqueue paths) and span completion when [flow_tracing] is on *)
+      (** bounded causal flow store of provenance edges, fed on enqueue
+          ({!note_flow} via the enqueue paths); spans stay in [spans] *)
   mutable flow_seq : int;
   pending_ns : (int, int) Hashtbl.t;
   wait_hists : (string, Metrics.histogram) Hashtbl.t;
@@ -183,12 +169,6 @@ val schedule_message : t -> Message.t -> unit
 (** Route through the [schedule] hook (the worker pool). Safe under the
     lock: the hook only takes the pool monitor. *)
 
-val trace : t -> trace_entry list
-(** The rule-activation view, projected out of the lifecycle span ring:
-    newest first, at most [trace_capacity] entries. *)
-
-val pp_trace_entry : Format.formatter -> trace_entry -> unit
-
 val raise_error :
   t ->
   Store.txn ->
@@ -230,15 +210,14 @@ val mint_flow : t -> origin:string -> string
 val root_prov :
   t -> ?flow:string -> origin:string -> unit -> Message.provenance
 (** Provenance for a cascade root: adopt [flow] (e.g. an [X-Demaq-Flow]
-    header value) or mint one. {!Message.no_provenance} when flow tracing
-    is off. Assumes the lock. *)
+    header value) or mint one. Assumes the lock. *)
 
-val derived_prov : t -> cause:string -> Message.t -> Message.provenance
+val derived_prov : cause:string -> Message.t -> Message.provenance
 (** Child edge: inherit the causing message's flow, blame [cause]. *)
 
-val error_prov : t -> ?rule:string -> Message.t -> Message.provenance option
+val error_prov : ?rule:string -> Message.t -> Message.provenance
 (** Edge for a §3.6 error message caused by a failure while processing
-    [m]; [None] when flow tracing is off. *)
+    [m]; blames [rule], or ["error"] when none is named. *)
 
 val note_flow : t -> Message.t -> unit
 (** Report a traced message's provenance edge to the flow store. Assumes

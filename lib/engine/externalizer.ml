@@ -112,7 +112,7 @@ let transmit (t : E.t) ?(attempt = 1) (m : Message.t) (qdef : Defs.queue_def) =
         E.in_txn t (fun txn ->
             E.raise_error t txn ~kind ~description ?rule:creating_rule
               ?rule_error_queue
-              ?provenance:(E.error_prov t ?rule:creating_rule m)
+              ~provenance:(E.error_prov ?rule:creating_rule m)
               ~source_queue:m.Message.queue
               ~initial_message:(Message.body m) ()))
   in
@@ -162,7 +162,7 @@ let transmit (t : E.t) ?(attempt = 1) (m : Message.t) (qdef : Defs.queue_def) =
              E.with_txn t (fun txn ->
                  E.raise_error t txn ~kind:Errors.Schema_violation
                    ~description:(Qm.error_to_string e)
-                   ?provenance:(E.error_prov t m) ~source_queue:incoming
+                   ~provenance:(E.error_prov m) ~source_queue:incoming
                    ~initial_message:reply ()))
          replies
      | None -> ())
@@ -236,7 +236,7 @@ let fire_echo (t : E.t) ~rid ~target =
     try
       E.with_txn t (fun txn ->
           E.enqueue_internal t txn ~trigger:(Some echo_msg)
-            ~provenance:(E.derived_prov t ~cause:"timer" echo_msg)
+            ~provenance:(E.derived_prov ~cause:"timer" echo_msg)
             ~explicit:[] ~queue:target
             ~payload:(Message.body echo_msg)
             ~origin_queue:echo_msg.Message.queue ();
@@ -250,7 +250,7 @@ let fire_echo (t : E.t) ~rid ~target =
          E.with_txn t (fun txn ->
              E.raise_error t txn ~kind:Errors.System_error
                ~description:(E.exn_description e)
-               ?provenance:(E.error_prov t echo_msg)
+               ~provenance:(E.error_prov echo_msg)
                ~source_queue:echo_msg.Message.queue
                ~initial_message:(Message.body echo_msg) ();
              Qm.mark_processed t.E.qm txn echo_msg)

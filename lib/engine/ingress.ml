@@ -113,10 +113,11 @@ let handle_flow srv id =
   match flow_id with
   | None -> Http.response ~status:404 (Printf.sprintf "unknown rid %s\n" id)
   | Some fid ->
-    let body = Server.flow_json srv fid in
-    if Server.flow_nodes srv fid = [] then
-      Http.response ~status:404 (Printf.sprintf "unknown flow %s\n" fid)
-    else Http.ok ~content_type:"application/json" body
+    match Server.flow_nodes srv fid with
+    | [] -> Http.response ~status:404 (Printf.sprintf "unknown flow %s\n" fid)
+    | nodes ->
+      Http.ok ~content_type:"application/json"
+        (Demaq_obs.Flow.render_json fid nodes)
 
 (* The admission gate as an [Http.start ?gate] hook: consulted after the
    request head is parsed but before the body is read or an XML tree

@@ -33,7 +33,6 @@ type config = Executor.config = {
   reference_plans : bool;
   footprint_dispatch : bool;
   trace_capacity : int;
-  flow_tracing : bool;
   gc_every : int;
   system_error_queue : string option;
   node_name : string;
@@ -63,9 +62,6 @@ let default_config =
     reference_plans = false;
     footprint_dispatch = false;
     trace_capacity = 0;
-    (* provenance is three small extra-blob fields per message and one
-       bounded-store insert; B17 holds the cascade overhead under 5% *)
-    flow_tracing = true;
     gc_every = 0;
     system_error_queue = None;
     node_name = "demaq-node";
@@ -79,15 +75,6 @@ let default_config =
        path free of clock reads *)
     metrics = false;
   }
-
-type trace_entry = Executor.trace_entry = {
-  tr_tick : int;
-  tr_rule : string;
-  tr_trigger : int;
-  tr_queue : string;
-  tr_updates : int;
-  tr_skipped : bool;
-}
 
 type stats = {
   processed : int;
@@ -146,8 +133,6 @@ let admission_stats t = Executor.admission_stats t.ctx
 let pump_gateways t = Externalizer.pump_gateways t.ctx
 let advance_time t ticks = Externalizer.advance_time t.ctx ticks
 let gc t = Executor.run_gc t.ctx
-let trace t = Executor.trace t.ctx
-let pp_trace_entry = Executor.pp_trace_entry
 let pending_messages t = Worker_pool.pending t.pool
 let queue_contents t name = Qm.queue_messages t.ctx.Executor.qm name
 let worker_stats t = Worker_pool.worker_stats t.pool
@@ -375,13 +360,17 @@ let flow_id_of_rid t rid =
           Some m.Message.prov.Message.p_flow
         | _ -> None)
 
-(* A flow's nodes, merged from three sources so trees render across
-   crash-restart: durable provenance (the store scan — survives
-   everything), the bounded flow store (adds messages the GC already
-   collected), and the span ring (timings for whatever it still holds). *)
+(* A flow's nodes, merged so trees render across crash-restart: durable
+   provenance (the store scan — survives everything) over the bounded
+   flow store's edges (adds messages the GC already collected), each
+   node joined with its span while the span ring still holds it. The
+   records are fresh: the flow store keeps no spans. *)
 let flow_nodes t flow_id =
   let ctx = t.ctx in
   let by_rid = Hashtbl.create 32 in
+  List.iter
+    (fun (n : Flow.node) -> Hashtbl.replace by_rid n.Flow.n_rid n)
+    (Flow.nodes ctx.Executor.flows flow_id);
   Executor.locked ctx (fun () ->
       List.iter
         (fun (sm : Store.message) ->
@@ -397,24 +386,20 @@ let flow_nodes t flow_id =
                 n_span = None;
               })
         (Store.all_messages ctx.Executor.st));
-  List.iter
-    (fun (n : Flow.node) ->
-      match Hashtbl.find_opt by_rid n.Flow.n_rid with
-      | Some stored -> stored.Flow.n_span <- n.Flow.n_span
-      | None -> Hashtbl.replace by_rid n.Flow.n_rid n)
-    (Flow.nodes ctx.Executor.flows flow_id);
+  let spans = Hashtbl.create 32 in
   List.iter
     (fun (sp : Obs_trace.span) ->
-      if sp.Obs_trace.sp_flow = flow_id then
-        match Hashtbl.find_opt by_rid sp.Obs_trace.sp_rid with
-        | Some n when n.Flow.n_span = None -> n.Flow.n_span <- Some sp
-        | _ -> ())
+      (* the ring is newest first: keep each rid's newest span *)
+      let rid = sp.Obs_trace.sp_rid in
+      if sp.Obs_trace.sp_flow = flow_id && not (Hashtbl.mem spans rid) then
+        Hashtbl.add spans rid sp)
     (Obs_trace.spans ctx.Executor.spans);
-  Hashtbl.fold (fun _ n acc -> n :: acc) by_rid []
+  Hashtbl.fold
+    (fun rid n acc -> { n with Flow.n_span = Hashtbl.find_opt spans rid } :: acc)
+    by_rid []
   |> List.sort (fun (a : Flow.node) b -> compare a.Flow.n_rid b.Flow.n_rid)
 
 let flow_ascii t flow_id = Flow.render_ascii flow_id (flow_nodes t flow_id)
-let flow_json t flow_id = Flow.render_json flow_id (flow_nodes t flow_id)
 
 let flows_json t =
   "["
@@ -600,14 +585,13 @@ let deploy ?(config = default_config) ?time_source ?store:st ?network:net
   (* Refill the flow store from durable provenance so /flows and the flow
      trees pick up where the crashed process left off (spans are gone —
      those hops render without timings — but the causal edges survive). *)
-  if config.flow_tracing then
-    Executor.locked ctx (fun () ->
-        Store.all_messages st
-        |> List.iter (fun (sm : Store.message) ->
-               let _, _, prov = Message.decode_extra sm.Store.extra in
-               if prov.Message.p_flow <> "" then
-                 Flow.observe ctx.Executor.flows ~rid:sm.Store.rid
-                   ~queue:sm.Store.queue ~flow:prov.Message.p_flow
-                   ~parent:prov.Message.p_parent ~cause:prov.Message.p_cause
-                   ~tick:sm.Store.enqueued_at));
+  Executor.locked ctx (fun () ->
+      Store.all_messages st
+      |> List.iter (fun (sm : Store.message) ->
+             let _, _, prov = Message.decode_extra sm.Store.extra in
+             if prov.Message.p_flow <> "" then
+               Flow.observe ctx.Executor.flows ~rid:sm.Store.rid
+                 ~queue:sm.Store.queue ~flow:prov.Message.p_flow
+                 ~parent:prov.Message.p_parent ~cause:prov.Message.p_cause
+                 ~tick:sm.Store.enqueued_at));
   t

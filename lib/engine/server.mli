@@ -27,16 +27,10 @@ type config = Executor.config = {
           per-queue arrival order between disjoint messages for dispatch
           width; off by default. *)
   trace_capacity : int;
-      (** keep the last N rule activations for inspection (§2.3.3 names
-          "tracing system behavior" as a retention concern); 0 disables *)
-  flow_tracing : bool;
-      (** causal flow tracing (on by default): every message carries a
-          provenance triple — flow id minted at its cascade's origin (or
-          adopted from an [X-Demaq-Flow] header), parent rid, causing
-          rule — persisted through the extra blob so flows survive
-          crash-restart, and assembled into cascade trees ({!flow_tree},
-          [/flows]). Off writes extra blobs identical to pre-flow
-          builds. *)
+      (** keep the lifecycle spans of the last N processed messages for
+          inspection ({!spans}; §2.3.3 names "tracing system behavior"
+          as a retention concern); 0 disables. The span ring is the only
+          place spans are kept, so this bounds span memory. *)
   gc_every : int;
       (** run the retention GC after every N processed messages;
           0 disables automatic GC ("physical cleanup is decoupled from
@@ -283,23 +277,6 @@ val cache_sizes : t -> (string * int) list
 (** Current entry counts of the per-rid caches ([node], [name], [sent],
     [outbox]); the retention GC must shrink these alongside the store. *)
 
-(** {1 Execution tracing} *)
-
-type trace_entry = Executor.trace_entry = {
-  tr_tick : int;  (** virtual-clock time of the activation *)
-  tr_rule : string;
-  tr_trigger : int;  (** rid of the triggering message *)
-  tr_queue : string;
-  tr_updates : int;  (** pending updates the evaluation produced *)
-  tr_skipped : bool;  (** suppressed by the condition pre-filter *)
-}
-
-val trace : t -> trace_entry list
-(** The most recent rule activations, newest first, bounded by
-    [trace_capacity]. A projection of {!spans}: every span's per-rule
-    activations, flattened. *)
-
-val pp_trace_entry : Format.formatter -> trace_entry -> unit
 val queue_contents : t -> string -> Demaq_mq.Message.t list
 
 (** {1 Observability}
@@ -322,7 +299,8 @@ val stats_json : t -> string
 
 val spans : ?queue:string -> ?rid:int -> t -> Demaq_obs.Trace.span list
 (** Retained lifecycle spans, newest first, optionally scoped to one
-    queue and/or one rid. *)
+    queue and/or one rid. Each span carries its message's rule
+    activations (fired and pre-filtered) in evaluation order. *)
 
 val spans_jsonl : ?queue:string -> ?rid:int -> t -> string
 (** Retained spans as JSONL, oldest first, with the same filters. *)
@@ -331,13 +309,15 @@ val pp_span : Format.formatter -> Demaq_obs.Trace.span -> unit
 
 (** {1 Causal flows}
 
-    With [config.flow_tracing] (the default) every message carries a
-    durable provenance triple; these assemble them into cascade trees.
-    Tree queries merge three sources — durable provenance from the store
-    scan (survives crash-restart), the bounded in-memory flow store
-    (covers messages the retention GC already collected), and the span
-    ring (per-hop wait/phase timings) — so a tree renders wherever any
-    evidence of the flow remains. *)
+    Every message carries a durable provenance triple — flow id minted
+    at its cascade's origin (or adopted from an [X-Demaq-Flow] header),
+    parent rid, causing rule — persisted through the extra blob; these
+    assemble them into cascade trees. Tree queries merge durable
+    provenance from the store scan (survives crash-restart) with the
+    bounded in-memory flow store's edges (covers messages the retention
+    GC already collected), and join each node with its span (per-hop
+    wait/phase timings) while the span ring still holds it — so a tree
+    renders wherever any evidence of the flow remains. *)
 
 val flow_store : t -> Demaq_obs.Flow.t
 
@@ -346,14 +326,14 @@ val flow_id_of_rid : t -> int -> string option
     durable provenance. *)
 
 val flow_nodes : t -> string -> Demaq_obs.Flow.node list
-(** All known nodes of a flow, rid order, spans attached where held. *)
+(** All known nodes of a flow, rid order, spans joined where the ring
+    still holds them; [[]] for an unknown flow. One store scan per call:
+    renderers ({!Demaq_obs.Flow.render_ascii}, [render_json]) take the
+    result. *)
 
 val flow_ascii : t -> string -> string
-(** ASCII cascade tree with per-hop outcome + wait/phase breakdown and
-    the critical path marked ([demaqd flow], minus the rid resolution). *)
-
-val flow_json : t -> string -> string
-(** The same tree as JSON (the [/flow/<id>] endpoint body). *)
+(** [Flow.render_ascii] over {!flow_nodes}: the cascade tree with per-hop
+    outcome + wait/phase breakdown and the critical path marked. *)
 
 val flows_json : t -> string
 (** JSON array of retained flow summaries (the [/flows] endpoint body),

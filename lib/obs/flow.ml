@@ -1,8 +1,9 @@
 (* Causal flow store: assembles the provenance edges the engine observes
-   (rid, queue, flow id, parent rid, causing rule) plus the spans the
-   executor records into per-flow cascade trees with critical-path
-   timing. The store is bounded on both axes — at most [max_flows] flows
-   are retained (FIFO eviction: a long-running node forgets the oldest
+   (rid, queue, flow id, parent rid, causing rule) into per-flow cascade
+   trees with critical-path timing. It keeps no spans: readers join each
+   node with its span while the bounded span ring still holds it. The
+   store is bounded on both axes — at most [max_flows] flows are
+   retained (FIFO eviction: a long-running node forgets the oldest
    cascades first) and at most [max_nodes] messages per flow (fanouts
    beyond the cap are counted, not stored) — so tracing every message
    cannot grow memory without bound. *)
@@ -13,7 +14,7 @@ type node = {
   n_flow : string;
   n_parent : int;  (* rid of the causing message; -1 = cascade root *)
   n_cause : string;  (* rule name, or origin kind for roots *)
-  mutable n_span : Trace.span option;  (* attached when the txn completes *)
+  n_span : Trace.span option;  (* joined from the span ring by readers *)
 }
 
 (* Nodes live in a plain list (newest first): flows are small (bounded
@@ -30,16 +31,14 @@ type flow = {
   mutable f_last_tick : int;
 }
 
-(* [observe] and [attach] run on the engine's hot path — per enqueue
-   and per completed transaction respectively — so neither may pay for
-   flow lookup, node search or eviction there: both only stage a record
-   in a fixed ring, and the staged records are folded into the indexed
+(* [observe] runs on the engine's hot path, per enqueue, so it may not
+   pay for flow lookup, node search or eviction there: it only stages the
+   edge in a fixed ring, and the staged edges are folded into the indexed
    structures when someone reads ([nodes], [summaries], ... — rare
    CLI/HTTP traffic). A burst longer than the ring between two reads
-   overwrites the oldest staged records; those cascades simply arrive
+   overwrites the oldest staged edges; those cascades simply arrive
    truncated in memory (the durable store still holds their
-   provenance). Ring order preserves the edge-before-span invariant:
-   a message is observed at enqueue, its span recorded at completion. *)
+   provenance). *)
 type edge = {
   e_rid : int;
   e_queue : string;
@@ -48,8 +47,6 @@ type edge = {
   e_cause : string;
   e_tick : int;
 }
-
-type staged = Nothing | Edge of edge | Span of Trace.span
 
 let log_capacity = 4096
 
@@ -61,10 +58,10 @@ type t = {
   by_rid : (int, node) Hashtbl.t;  (* reverse index: rid -> its node *)
   evict_q : string Queue.t;  (* flow ids, oldest first *)
   mutable evicted : int;  (* flows dropped by FIFO eviction *)
-  log : staged array;  (* staging ring, drained into the index on read *)
+  log : edge array;  (* staging ring, drained into the index on read *)
   mutable log_start : int;  (* oldest undrained record *)
   mutable log_len : int;  (* undrained records, <= log_capacity *)
-  mutable overwritten : int;  (* staged records lost to ring wrap *)
+  mutable overwritten : int;  (* staged edges lost to ring wrap *)
 }
 
 let create ?(max_flows = 256) ?(max_nodes_per_flow = 512) () =
@@ -76,16 +73,19 @@ let create ?(max_flows = 256) ?(max_nodes_per_flow = 512) () =
     by_rid = Hashtbl.create 256;
     evict_q = Queue.create ();
     evicted = 0;
-    log = Array.make log_capacity Nothing;
+    log =
+      Array.make log_capacity
+        { e_rid = 0; e_queue = ""; e_flow = ""; e_parent = -1; e_cause = "";
+          e_tick = 0 };
     log_start = 0;
     log_len = 0;
     overwritten = 0;
   }
 
-(* Stage one record in the ring (assumes [t.mu]). *)
-let stage_locked t r =
+(* Stage one edge in the ring (assumes [t.mu]). *)
+let stage_locked t e =
   let i = (t.log_start + t.log_len) mod log_capacity in
-  t.log.(i) <- r;
+  t.log.(i) <- e;
   if t.log_len = log_capacity then begin
     t.log_start <- (t.log_start + 1) mod log_capacity;
     t.overwritten <- t.overwritten + 1
@@ -107,16 +107,8 @@ let observe t ~rid ~queue ~flow ~parent ~cause ~tick =
   if flow <> "" then
     Mutex.protect t.mu @@ fun () ->
     stage_locked t
-      (Edge
-         { e_rid = rid; e_queue = queue; e_flow = flow; e_parent = parent;
-           e_cause = cause; e_tick = tick })
-
-(* Attach a completed span to its node. Staged like [observe]; spans for
-   evicted/over-cap/overwritten nodes are dropped silently at drain time
-   (the span ring still holds them for [spans_jsonl]). *)
-let attach t (span : Trace.span) =
-  if span.Trace.sp_flow <> "" then
-    Mutex.protect t.mu @@ fun () -> stage_locked t (Span span)
+      { e_rid = rid; e_queue = queue; e_flow = flow; e_parent = parent;
+        e_cause = cause; e_tick = tick }
 
 (* Fold one staged edge into the flow index (assumes [t.mu]). *)
 let index_edge_locked t (e : edge) =
@@ -161,21 +153,9 @@ let index_edge_locked t (e : edge) =
     end
   end
 
-let index_span_locked t (span : Trace.span) =
-  match Hashtbl.find_opt t.by_rid span.Trace.sp_rid with
-  | None -> ()  (* node evicted, over-cap, or its edge overwritten *)
-  | Some n ->
-    n.n_span <- Some span;
-    (match Hashtbl.find_opt t.flows n.n_flow with
-     | Some f -> f.f_last_tick <- max f.f_last_tick span.Trace.sp_tick
-     | None -> ())
-
 let drain_locked t =
   for k = 0 to t.log_len - 1 do
-    match t.log.((t.log_start + k) mod log_capacity) with
-    | Nothing -> ()
-    | Edge e -> index_edge_locked t e
-    | Span s -> index_span_locked t s
+    index_edge_locked t t.log.((t.log_start + k) mod log_capacity)
   done;
   t.log_start <- 0;
   t.log_len <- 0
@@ -214,7 +194,7 @@ type summary = {
   s_last_tick : int;
 }
 
-(* Newest activity first. *)
+(* Newest enqueue first. *)
 let summaries t =
   Mutex.protect t.mu @@ fun () ->
   drain_locked t;

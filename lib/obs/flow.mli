@@ -1,11 +1,11 @@
 (** Causal flow store: cascade trees with critical-path timing.
 
     The engine reports every traced message's provenance edge
-    ({!observe}) when it is enqueued and attaches the completed
-    {!Trace.span} ({!attach}) when its transaction finishes. The store
-    groups edges by flow id and is bounded on both axes: at most
-    [max_flows] flows (FIFO eviction) and [max_nodes_per_flow] messages
-    per flow (overflow is counted in {!dropped}, not stored).
+    ({!observe}) when it is enqueued. The store groups edges by flow id
+    and is bounded on both axes: at most [max_flows] flows (FIFO
+    eviction) and [max_nodes_per_flow] messages per flow (overflow is
+    counted in {!dropped}, not stored). It holds edges only: spans live
+    in the one bounded {!Trace} ring, and readers join them in.
 
     Tree assembly and rendering are pure over a plain {!node} list, so
     the engine can also rebuild trees from durable provenance (store
@@ -17,7 +17,9 @@ type node = {
   n_flow : string;
   n_parent : int;  (** rid of the causing message; [-1] = cascade root *)
   n_cause : string;  (** rule name, or origin kind for roots *)
-  mutable n_span : Trace.span option;
+  n_span : Trace.span option;
+      (** [None] in the nodes this store returns; readers fill it from
+          the span ring while the ring still holds the message's span *)
 }
 
 type t
@@ -43,12 +45,7 @@ val observe :
     the message store. *)
 
 val overwritten : t -> int
-(** Staged records lost to ring wrap before any reader drained them. *)
-
-val attach : t -> Trace.span -> unit
-(** Attach a completed span to its node (matched by rid). Staged in the
-    same ring as {!observe}; silently dropped if the node was evicted,
-    over-cap, or its staged edge overwritten before a reader drained. *)
+(** Staged edges lost to ring wrap before any reader drained them. *)
 
 val flow_of_rid : t -> int -> string option
 val nodes : t -> string -> node list
@@ -69,7 +66,8 @@ type summary = {
 }
 
 val summaries : t -> summary list
-(** All retained flows, most recent activity first. *)
+(** All retained flows, most recent first. [s_last_tick] is the latest
+    enqueue tick among the flow's observed edges. *)
 
 (** {1 Trees} *)
 

@@ -561,6 +561,14 @@ let suite =
 
 (* ---- execution tracing (§2.3.3 "tracing system behavior") ---- *)
 
+module Trace = Demaq.Obs.Trace
+
+(* Rule activations of the retained spans, paired with their span. *)
+let activations srv =
+  List.concat_map
+    (fun (sp : Trace.span) -> List.map (fun a -> (sp, a)) sp.Trace.sp_activations)
+    (S.spans srv)
+
 let test_trace_records_activations () =
   let cfg = { S.default_config with S.trace_capacity = 10 } in
   let srv =
@@ -572,14 +580,14 @@ let test_trace_records_activations () =
   in
   ignore (inject_ok srv "a" "<m/>");
   ignore (S.run srv);
-  let entries = S.trace srv in
+  let entries = activations srv in
   check bool_ "has entries" true (List.length entries >= 2);
-  let find rule = List.find (fun e -> e.S.tr_rule = rule) entries in
-  check int_ "hit produced one update" 1 (find "hit").S.tr_updates;
-  check int_ "miss produced none" 0 (find "miss").S.tr_updates;
-  check string_ "queue recorded" "a" (find "hit").S.tr_queue;
+  let find rule = List.find (fun (_, a) -> a.Trace.a_rule = rule) entries in
+  check int_ "hit produced one update" 1 (snd (find "hit")).Trace.a_updates;
+  check int_ "miss produced none" 0 (snd (find "miss")).Trace.a_updates;
+  check string_ "queue recorded" "a" (fst (find "hit")).Trace.sp_queue;
   (* pretty printer is total *)
-  List.iter (fun e -> ignore (Format.asprintf "%a" S.pp_trace_entry e)) entries
+  List.iter (fun sp -> ignore (Format.asprintf "%a" S.pp_span sp)) (S.spans srv)
 
 let test_trace_records_prefilter_skips () =
   let cfg = { S.default_config with S.trace_capacity = 10 } in
@@ -593,7 +601,9 @@ let test_trace_records_prefilter_skips () =
   ignore (inject_ok srv "a" "<m/>");
   ignore (S.run srv);
   check bool_ "skip traced" true
-    (List.exists (fun e -> e.S.tr_skipped && e.S.tr_rule = "needsOther") (S.trace srv))
+    (List.exists
+       (fun (_, a) -> a.Trace.a_skipped && a.Trace.a_rule = "needsOther")
+       (activations srv))
 
 let test_trace_bounded () =
   let cfg = { S.default_config with S.trace_capacity = 5 } in
@@ -606,13 +616,13 @@ let test_trace_bounded () =
     ignore (inject_ok srv "a" "<m/>")
   done;
   ignore (S.run srv);
-  check bool_ "bounded" true (List.length (S.trace srv) <= 5)
+  check bool_ "bounded" true (List.length (activations srv) <= 5)
 
 let test_trace_disabled_by_default () =
   let srv = S.deploy ping_pong in
   ignore (inject_ok srv "in" "<ping>x</ping>");
   ignore (S.run srv);
-  check int_ "no trace" 0 (List.length (S.trace srv))
+  check int_ "no trace" 0 (List.length (activations srv))
 
 let suite =
   suite

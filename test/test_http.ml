@@ -479,6 +479,37 @@ let test_loadgen_smoke () =
           check int_ "every accepted request processed" r.Loadgen.r_ok
             (List.length (S.queue_contents srv "acks"))))
 
+(* ---- flow endpoints: /flows and /flow/<rid|flow id> ---- *)
+
+let test_flow_endpoints () =
+  let srv = S.deploy ingress_program in
+  with_server (Ingress.handler srv) (fun server ->
+      let port = Http.port server in
+      let _, body =
+        Http.post ~port "/enqueue/orders" "<order><orderID>9</orderID></order>"
+      in
+      let rid = Scanf.sscanf body "<accepted rid=\"%d\"" Fun.id in
+      ignore (S.run srv);
+      let flow =
+        match S.flow_id_of_rid srv rid with
+        | Some f -> f
+        | None -> Alcotest.fail "no flow for the injected root"
+      in
+      let status, body = Http.get ~port "/flows" in
+      check int_ "flows 200" 200 (Http.status_code status);
+      check bool_ "root's flow listed" true
+        (contains body (Printf.sprintf "\"flow\":\"%s\"" flow));
+      let status, body = Http.get ~port (Printf.sprintf "/flow/%d" rid) in
+      check int_ "flow by rid 200" 200 (Http.status_code status);
+      check bool_ "tree holds the root" true
+        (contains body (Printf.sprintf "\"rid\":%d" rid));
+      let status, body = Http.get ~port "/flow/999999" in
+      check int_ "unknown rid 404" 404 (Http.status_code status);
+      check bool_ "unknown rid named" true (contains body "unknown rid");
+      let status, body = Http.get ~port "/flow/no-such-flow" in
+      check int_ "unknown flow 404" 404 (Http.status_code status);
+      check bool_ "unknown flow named" true (contains body "unknown flow"))
+
 let suite =
   [
     ("post roundtrip exact", `Quick, test_post_exact);
@@ -504,4 +535,5 @@ let suite =
     ("ingress gate end to end over durable store", `Quick,
      test_ingress_gate_end_to_end);
     ("loadgen smoke", `Slow, test_loadgen_smoke);
+    ("flow endpoints", `Quick, test_flow_endpoints);
   ]

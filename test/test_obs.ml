@@ -497,11 +497,23 @@ let test_flow_store_trees () =
   check int_ "overflow counted" 1 (Flow.dropped t "f1");
   check (Alcotest.option string_) "reverse index" (Some "f1")
     (Flow.flow_of_rid t 2);
-  (* spans attach by flow + rid; the slow branch wins the critical path *)
-  Flow.attach t (span_for ~wait:10 ~flow:"f1" ~rid:1 ~parent:(-1) ~cause:"ingress" ());
-  Flow.attach t (span_for ~wait:5 ~flow:"f1" ~rid:2 ~parent:1 ~cause:"a" ());
-  Flow.attach t (span_for ~wait:100 ~eval:50 ~flow:"f1" ~rid:3 ~parent:1 ~cause:"b" ());
-  (match Flow.forest_of_nodes (Flow.nodes t "f1") with
+  (* readers join spans into nodes by rid; the slow branch wins the
+     critical path *)
+  let spans =
+    [
+      span_for ~wait:10 ~flow:"f1" ~rid:1 ~parent:(-1) ~cause:"ingress" ();
+      span_for ~wait:5 ~flow:"f1" ~rid:2 ~parent:1 ~cause:"a" ();
+      span_for ~wait:100 ~eval:50 ~flow:"f1" ~rid:3 ~parent:1 ~cause:"b" ();
+    ]
+  in
+  let timed =
+    List.map
+      (fun n ->
+        let span_of (sp : Trace.span) = sp.Trace.sp_rid = n.Flow.n_rid in
+        { n with Flow.n_span = List.find_opt span_of spans })
+      (Flow.nodes t "f1")
+  in
+  (match Flow.forest_of_nodes timed with
    | [ root ] ->
      check int_ "root rid" 1 root.Flow.t_node.Flow.n_rid;
      check int_ "two children" 2 (List.length root.Flow.t_children);
@@ -509,7 +521,7 @@ let test_flow_store_trees () =
      check int_ "critical path cost" 160 total;
      check (Alcotest.list int_) "critical path rids" [ 1; 3 ] path
    | forest -> Alcotest.failf "expected one root, got %d" (List.length forest));
-  let ascii = Flow.render_ascii "f1" (Flow.nodes t "f1") in
+  let ascii = Flow.render_ascii "f1" timed in
   check bool_ "ascii names the cause" true (contains ascii "<-ingress");
   check bool_ "ascii marks critical path" true (contains ascii "*");
   (* FIFO flow eviction: two more flows push f1 out *)
@@ -587,6 +599,37 @@ let test_http_endpoint () =
         let status, _ = Http.get ~port "/nope" in
         check bool_ "404" true (contains status "404"))
 
+(* ---- span retention: the ring is the only span store ---- *)
+
+let test_ring_bounds_span_retention () =
+  let config = { S.default_config with S.trace_capacity = 2 } in
+  let srv =
+    S.deploy ~config
+      {|create queue roots kind basic mode persistent
+        create queue mids kind basic mode persistent
+        create queue leaves kind basic mode persistent
+        create rule left for roots if (//r) then do enqueue <m/> into mids
+        create rule right for roots if (//r) then do enqueue <m/> into mids
+        create rule down for mids if (//m) then do enqueue <l/> into leaves|}
+  in
+  let root = inject_ok srv "roots" "<r/>" in
+  ignore (S.run srv);
+  let flow =
+    match S.flow_id_of_rid srv root.Demaq.Message.rid with
+    | Some f -> f
+    | None -> Alcotest.fail "no flow for the injected root"
+  in
+  (* (node count, rids of the nodes that carry a span) *)
+  let read () =
+    let nodes = S.flow_nodes srv flow in
+    let timed = List.filter (fun n -> n.Flow.n_span <> None) nodes in
+    (List.length nodes, List.map (fun n -> n.Flow.n_rid) timed)
+  in
+  let count, timed = read () in
+  check int_ "whole cascade" 5 count;
+  check int_ "spans held = trace_capacity" 2 (List.length timed);
+  check bool_ "second read agrees" true (read () = (count, timed))
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
@@ -614,4 +657,6 @@ let suite =
     Alcotest.test_case "provenance across crash-restart" `Quick
       test_provenance_across_crash_restart;
     Alcotest.test_case "http endpoint" `Quick test_http_endpoint;
+    Alcotest.test_case "ring bounds span retention" `Quick
+      test_ring_bounds_span_retention;
   ]
