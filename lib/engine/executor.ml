@@ -8,10 +8,13 @@
    to run concurrently from several domains:
 
    - [state_mu] guards all shared engine state (queue manager, store,
-     caches, outboxes, timers). Functions suffixed [_unlocked] — and the
+     outboxes, timers). Functions suffixed [_unlocked] — and the
      whole error-routing family [raise_error]/[enqueue_internal]/
      [register_echo_timer] plus [in_txn] — assume it is HELD; public
-     entry points take it.
+     entry points take it. Per-message state (decoded body, document
+     node, provenance) lives on the queue manager's cached [Message.t]
+     and dies with it at retention GC; its lazy cells are forced only
+     under [state_mu].
    - [process] holds the lock only around the setup (fetch, lock
      acquisition, rule-plan lookup) and apply/commit phases. The
      CPU-heavy rule evaluation runs UNLOCKED: message trees are immutable
@@ -111,13 +114,9 @@ type t = {
   timers : Timer_wheel.t;
   clk : Clock.t;
   state_mu : Mutex.t;  (* guards everything below except the atomics/trace *)
-  node_cache : (int, Tree.node) Hashtbl.t;  (* rid -> body node *)
-  name_cache : (int, Prefilter.Names.t) Hashtbl.t;
-      (* rid -> element-name synopsis for condition pre-filtering *)
   collection_cache : (string, Value.t) Hashtbl.t;
   bindings : (string, gateway_binding) Hashtbl.t;  (* outgoing queue -> route *)
   interfaces : (string, Wsdl.t) Hashtbl.t;  (* WSDL file name -> parsed model *)
-  sent : (int, unit) Hashtbl.t;  (* rids already handed to the transport *)
   outbox : (string, int Queue.t) Hashtbl.t;
       (* untransmitted rids per outgoing gateway queue, so the pump never
          rescans whole queues *)
@@ -131,10 +130,10 @@ type t = {
   spans : Trace.t;  (* per-message lifecycle ring (capacity from cfg) *)
   flows : Flow.t;  (* bounded causal flow store (cascade trees) *)
   mutable flow_seq : int;
-      (* next flow-id sequence number; seeded past the store's rid
+      (* next flow-id sequence number; seeded at the store's rid
          high-water mark so ids minted after a crash-restart can never
          collide with flows persisted before it (every mint is followed
-         by at least one rid allocation, so used seqs stay <= max rid) *)
+         by at least one rid allocation, so used seqs stay < next rid) *)
   pending_ns : (int, int) Hashtbl.t;
       (* rid -> clock at schedule time, for enqueue->dispatch queue-wait
          attribution; populated only while timing or tracing is on *)
@@ -213,12 +212,9 @@ let create ~cfg ~qm ~st ~net ~compiled ~clk () =
     timers = Timer_wheel.create ~clock:clk ();
     clk;
     state_mu = Mutex.create ();
-    node_cache = Hashtbl.create 1024;
-    name_cache = Hashtbl.create 1024;
     collection_cache = Hashtbl.create 8;
     bindings = Hashtbl.create 8;
     interfaces = Hashtbl.create 4;
-    sent = Hashtbl.create 1024;
     outbox = Hashtbl.create 8;
     schedule = (fun ~priority:_ ~resources:_ _ -> ());
     batch_target = max 1 cfg.batch_size;
@@ -226,11 +222,7 @@ let create ~cfg ~qm ~st ~net ~compiled ~clk () =
     met = make_metrics reg;
     spans = Trace.create ~capacity:cfg.trace_capacity;
     flows = Flow.create ();
-    flow_seq =
-      1
-      + Store.fold_messages st
-          (fun acc (sm : Store.message) -> max acc sm.Store.rid)
-          0;
+    flow_seq = Store.next_rid st;
     pending_ns = Hashtbl.create 256;
     wait_hists = Hashtbl.create 8;
     fault = None;
@@ -389,15 +381,12 @@ let force_body_unlocked t (m : Message.t) =
 
 (* Rules see messages as document nodes (§3.4: qs:message() "returns the
    document node of the currently processed message"); one document per
-   message, cached, so node identity and document order are stable across
-   qs:queue()/qs:slice() calls. *)
+   message, held by its cached record, so node identity and document order
+   are stable across qs:queue()/qs:slice() calls. Forced under [state_mu]:
+   two domains forcing one lazy cell at once raise [Lazy.Undefined]. *)
 let message_node_unlocked t (m : Message.t) =
-  match Hashtbl.find_opt t.node_cache m.Message.rid with
-  | Some n -> n
-  | None ->
-    let n = Eval.doc_node_of_tree (force_body_unlocked t m) in
-    Hashtbl.replace t.node_cache m.Message.rid n;
-    n
+  ignore (force_body_unlocked t m);
+  Message.doc m
 
 let message_node t m = locked t (fun () -> message_node_unlocked t m)
 
@@ -464,6 +453,13 @@ let host_for t (m : Message.t) ~slice_ctx : Context.host =
 let queue_priority t name =
   match Qm.find_queue t.qm name with Some q -> q.Defs.priority | None -> 0
 
+(* The element-name synopsis condition pre-filtering admits rules on,
+   when it is available without a decode: from the body tree if that is
+   already materialized, else from a binary payload's header. *)
+let synopsis (m : Message.t) =
+  if Message.body_forced m then Some (Prefilter.element_names (Message.body m))
+  else Prefilter.payload_names (Message.raw m)
+
 (* Footprint-driven conflict resources: the message claims only the
    resources of the rules it can actually trigger (the per-rule conflict
    templates the compiler cached on the plan, admission-filtered against
@@ -473,9 +469,8 @@ let queue_priority t name =
    resource sets overlap — the relaxation this mode trades for dispatch
    width. Membership slice resources are always claimed (slice rules read
    their whole slice), and a ⊤ footprint (dynamically computed queue name)
-   expands to every declared queue. Reads the synopsis cache but never
-   populates it and never forces a body decode: a text payload without a
-   cached synopsis falls back to the plan's whole conflict union. *)
+   expands to every declared queue. Never forces a body decode: a text
+   payload falls back to the plan's whole conflict union. *)
 let footprint_resources t (m : Message.t) =
   let resources = ref [] in
   let top = ref false in
@@ -493,15 +488,7 @@ let footprint_resources t (m : Message.t) =
   (match Compiler.plan_for t.compiled m.Message.queue with
    | None -> ()
    | Some plan -> (
-     let names =
-       match Hashtbl.find_opt t.name_cache m.Message.rid with
-       | Some names -> Some names
-       | None ->
-         if Message.body_forced m then
-           Some (Prefilter.element_names (Message.body m))
-         else Prefilter.payload_names (Message.raw m)
-     in
-     match names with
+     match synopsis m with
      | None -> add_conflict plan.Compiler.conflict_union
      | Some names ->
        Array.iter
@@ -599,14 +586,7 @@ and enqueue_internal t txn ?rule ?rule_error_queue ?(trigger = None) ?provenance
     | None, None -> Message.no_provenance
   in
   match Qm.enqueue t.qm txn ?rule ?trigger ~provenance ~explicit ~queue ~payload () with
-  | Ok m ->
-    Metrics.incr t.met.m_messages_created;
-    note_flow t m;
-    schedule_message t m;
-    note_outgoing t m;
-    (match Qm.find_queue t.qm queue with
-     | Some { Defs.kind = Defs.Echo; _ } -> register_echo_timer t txn ?rule m
-     | _ -> ())
+  | Ok m -> admitted_unlocked t txn ?rule m
   | Error e ->
     let kind =
       match e with
@@ -618,6 +598,17 @@ and enqueue_internal t txn ?rule ?rule_error_queue ?(trigger = None) ?provenance
     raise_error t txn ~kind ~description:(Qm.error_to_string e) ?rule
       ?rule_error_queue ?provenance ~source_queue:origin_queue
       ~initial_message:payload ()
+
+(* What every admitted message goes through: flow edge, dispatch, gateway
+   outbox, and the echo timer of an echo-queue message. *)
+and admitted_unlocked t txn ?rule (m : Message.t) =
+  Metrics.incr t.met.m_messages_created;
+  note_flow t m;
+  schedule_message t m;
+  note_outgoing t m;
+  match Qm.find_queue t.qm m.Message.queue with
+  | Some { Defs.kind = Defs.Echo; _ } -> register_echo_timer t txn ?rule m
+  | _ -> ()
 
 and register_echo_timer t txn ?rule (m : Message.t) =
   let timeout =
@@ -653,13 +644,7 @@ let inject_unlocked t ~props ~provenance ~queue payload =
     in_txn t (fun txn ->
         match Qm.enqueue t.qm txn ~provenance ~explicit:props ~queue ~payload () with
         | Ok m ->
-          Metrics.incr t.met.m_messages_created;
-          note_flow t m;
-          schedule_message t m;
-          note_outgoing t m;
-          (match Qm.find_queue t.qm queue with
-           | Some { Defs.kind = Defs.Echo; _ } -> register_echo_timer t txn m
-           | _ -> ());
+          admitted_unlocked t txn m;
           m
         | Error e -> raise (Qm.Queue_error e))
   with
@@ -783,49 +768,20 @@ let apply_updates t txn blamed (m : Message.t) tagged =
             ~source_queue:m.Message.queue ~initial_message:(Message.body m) ()))
     tagged
 
-(* Entries in the per-rid caches must die with their message: the retention
-   GC reports what it collected and the engine purges the body/name caches,
-   the sent table, and any stale outbox entries (§2.3.3 decouples physical
-   cleanup from processing, but the caches must not outlive it). *)
-let purge_collected t rids =
-  if rids <> [] then begin
-    let collected = Hashtbl.create (List.length rids) in
-    List.iter
-      (fun rid ->
-        Hashtbl.replace collected rid ();
-        Hashtbl.remove t.node_cache rid;
-        Hashtbl.remove t.name_cache rid;
-        Hashtbl.remove t.pending_ns rid;
-        Hashtbl.remove t.sent rid)
-      rids;
-    Hashtbl.iter
-      (fun _ q ->
-        let keep = Queue.create () in
-        Queue.iter (fun rid -> if not (Hashtbl.mem collected rid) then Queue.push rid keep) q;
-        Queue.clear q;
-        Queue.transfer keep q)
-      t.outbox
-  end
-
-let run_gc_unlocked t =
-  let rids = Qm.gc_collect t.qm in
-  purge_collected t rids;
-  let n = List.length rids in
+(* Retention GC (§2.3.3). Collecting a message drops its cached record
+   and with it everything derived from it; an outbox entry left behind is
+   skipped by the pump, which finds no message for it. *)
+let counted_gc t n =
   Metrics.add t.met.m_gc_collected n;
   n
 
-let run_gc t = locked t (fun () -> run_gc_unlocked t)
+let run_gc t = locked t (fun () -> counted_gc t (Qm.gc t.qm))
 
 (* Budgeted GC slice for the background maintenance tick: at most
    [budget] deletability checks, cursor-resumed, so the tick never stalls
    the dispatch loop behind a full-store sweep. *)
 let run_gc_step t ~budget =
-  locked t @@ fun () ->
-  let rids = Qm.gc_step t.qm ~budget in
-  purge_collected t rids;
-  let n = List.length rids in
-  Metrics.add t.met.m_gc_collected n;
-  n
+  locked t (fun () -> counted_gc t (List.length (Qm.gc_step t.qm ~budget)))
 
 (* ---- the single-message transaction ---- *)
 
@@ -850,19 +806,20 @@ let message t rid =
    decode time is a sub-interval of the caller's lock phase. *)
 let prepare t ~acts ~now rid =
   locked t @@ fun () ->
+  (* queue-wait: time from schedule to this dispatch. The entry is popped
+     on every dispatch, skipped ones included (it may exist while timing
+     is sampled off); the observation lands only on timed runs, mirroring
+     the phase histograms' 1:8 sampling. *)
+  let scheduled = Hashtbl.find_opt t.pending_ns rid in
+  if Option.is_some scheduled then Hashtbl.remove t.pending_ns rid;
   match Qm.get t.qm rid with
   | None -> None  (* collected before its turn came *)
   | Some m when m.Message.processed -> None  (* rescheduled duplicate *)
   | Some m ->
-    (* queue-wait: time from schedule to this dispatch. The entry is
-       popped unconditionally (it may exist while timing is sampled off);
-       the observation lands only on timed runs, mirroring the phase
-       histograms' 1:8 sampling. *)
     let wait_ns =
-      match Hashtbl.find_opt t.pending_ns rid with
+      match scheduled with
       | None -> 0
       | Some t_sched ->
-        Hashtbl.remove t.pending_ns rid;
         let n = now () in
         if n > 0 then max 0 (n - t_sched) else 0
     in
@@ -882,19 +839,9 @@ let prepare t ~acts ~now rid =
     let message_names =
       if needs_names then
         Some
-          (match Hashtbl.find_opt t.name_cache m.Message.rid with
-           | Some names -> names
-           | None ->
-             let names =
-               if Message.body_forced m then
-                 Prefilter.element_names (Message.body m)
-               else
-                 match Prefilter.payload_names (Message.raw m) with
-                 | Some names -> names  (* streaming: header read only *)
-                 | None -> Prefilter.element_names (force_body_unlocked t m)
-             in
-             Hashtbl.replace t.name_cache m.Message.rid names;
-             names)
+          (match synopsis m with
+           | Some names -> names  (* streaming: header read only *)
+           | None -> Prefilter.element_names (force_body_unlocked t m))
       else None
     in
     let skip rule =

@@ -8,12 +8,15 @@
     the composition root can reach its components; the locking contract
     is part of the interface:
 
-    - [state_mu] guards the queue manager, store, caches, outboxes and
-      timers. Functions documented "assumes the lock" must only be called
-      from within {!locked} (or {!with_txn}); everything else locks
+    - [state_mu] guards the queue manager, store, outboxes and timers.
+      Functions documented "assumes the lock" must only be called from
+      within {!locked} (or {!with_txn}); everything else locks
       internally. Rule evaluation inside {!process} runs WITHOUT the
       lock — that is the engine's CPU parallelism — with the qs: host
       callbacks re-acquiring it per call.
+    - Per-message state (body, document node) lives on the queue
+      manager's cached {!Demaq_mq.Message.t}, is forced only under
+      [state_mu], and leaves with the record at retention GC.
     - Statistics live in a sharded {!Demaq_obs.Metrics} registry (shard 0
       is the coordinator domain; the worker pool binds worker [i] to
       shard [i+1]); lifecycle spans in a bounded {!Demaq_obs.Trace} ring.
@@ -27,7 +30,6 @@ module Store = Demaq_store.Message_store
 module Qm = Demaq_mq.Queue_manager
 module Message = Demaq_mq.Message
 module Compiler = Demaq_lang.Compiler
-module Prefilter = Demaq_lang.Prefilter
 module Network = Demaq_net.Network
 module Wsdl = Demaq_net.Wsdl
 module Metrics = Demaq_obs.Metrics
@@ -97,12 +99,9 @@ type t = {
   timers : Timer_wheel.t;
   clk : Clock.t;
   state_mu : Mutex.t;
-  node_cache : (int, Tree.node) Hashtbl.t;
-  name_cache : (int, Prefilter.Names.t) Hashtbl.t;
   collection_cache : (string, Value.t) Hashtbl.t;
   bindings : (string, gateway_binding) Hashtbl.t;
   interfaces : (string, Wsdl.t) Hashtbl.t;
-  sent : (int, unit) Hashtbl.t;
   outbox : (string, int Queue.t) Hashtbl.t;
   mutable schedule : priority:int -> resources:string list -> int -> unit;
   mutable batch_target : int;
@@ -204,8 +203,9 @@ val enqueue_internal :
 
 val mint_flow : t -> origin:string -> string
 (** Fresh node-unique flow id ("<node>-<origin>-<seq>"); deterministic,
-    and collision-free across crash-restarts (the sequence is seeded past
-    the store's rid high-water mark). Assumes the lock. *)
+    and collision-free across crash-restarts (the sequence is seeded at
+    the store's rid high-water mark, {!Store.next_rid}). Assumes the
+    lock. *)
 
 val root_prov :
   t -> ?flow:string -> origin:string -> unit -> Message.provenance
@@ -258,12 +258,12 @@ val admission_stats : t -> int * int * int
     decoded into trees, and the bytes those decodes read. *)
 
 val run_gc : t -> int
-(** Retention GC + cache purge (locks itself). *)
+(** Retention GC (locks itself); returns the number collected. *)
 
 val run_gc_step : t -> budget:int -> int
 (** Incremental slice of {!run_gc} for the background maintenance tick:
     at most [budget] deletability checks ({!Demaq_mq.Queue_manager.gc_step}),
-    cursor-resumed, plus the cache purge for whatever was collected. *)
+    cursor-resumed. *)
 
 val message : t -> int -> Message.t option
 (** Fetch a message and force its body parse, under the lock. *)

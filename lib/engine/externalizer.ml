@@ -8,9 +8,11 @@
      group-commit barrier covering the transaction that created (or
      error-routed) the message, so a crash can never have externalized an
      action it is about to forget (PR 2's exactly-once argument).
-   - Delivery is confirmed only by the transport: a rid enters the [sent]
-     table when the attempt succeeds or the message is given up on —
-     never before, so a failed transmission is not forfeited.
+   - A failed transmission is not forfeited: a retryable failure re-arms
+     through the timer wheel, and only a spent retry budget or a permanent
+     failure gives the message up, as an error message. A rid enters an
+     outbox once per process (at enqueue, or in deploy recovery), so the
+     pump hands each message to the transport once.
 
    The externalizer runs on the coordinator thread, between drains — the
    worker pool is quiescent while it pumps. Mutations of shared state
@@ -107,7 +109,6 @@ let transmit (t : E.t) ?(attempt = 1) (m : Message.t) (qdef : Defs.queue_def) =
   let reliable = List.mem_assoc "WS-ReliableMessaging" qdef.Defs.extensions in
   let dead_letter ~kind ~description =
     E.locked t (fun () ->
-        Hashtbl.replace t.E.sent m.Message.rid ();
         let creating_rule, rule_error_queue = creating_rule_route t m in
         E.in_txn t (fun txn ->
             E.raise_error t txn ~kind ~description ?rule:creating_rule
@@ -140,7 +141,6 @@ let transmit (t : E.t) ?(attempt = 1) (m : Message.t) (qdef : Defs.queue_def) =
   | `Net result ->
   match result with
   | Network.Sent replies ->
-    E.locked t (fun () -> Hashtbl.replace t.E.sent m.Message.rid ());
     (match binding.E.replies_to with
      | Some incoming ->
        (* a reply continues the causal flow of the transmission that
@@ -166,9 +166,7 @@ let transmit (t : E.t) ?(attempt = 1) (m : Message.t) (qdef : Defs.queue_def) =
                    ~initial_message:reply ()))
          replies
      | None -> ())
-  | Network.Lost ->
-    (* best-effort send; nobody to tell *)
-    E.locked t (fun () -> Hashtbl.replace t.E.sent m.Message.rid ())
+  | Network.Lost -> ()  (* best-effort send; nobody to tell *)
   | Network.Failed failure ->
     if reliable && retryable_failure failure && attempt <= t.E.cfg.E.transmit_retries
     then begin
@@ -203,15 +201,12 @@ let pump_gateways (t : E.t) =
                 let outbox = E.outbox_for t qdef.Defs.qname in
                 if Queue.is_empty outbox then None
                 else begin
-                  let rid = Queue.pop outbox in
-                  if Hashtbl.mem t.E.sent rid then Some None
-                  else
-                    match Qm.get t.E.qm rid with
-                    | Some m ->
-                      ignore (Message.body m);
-                      Some (Some m)
-                    | None -> Some None
-                      (* collected before transmission: nothing to do *)
+                  match Qm.get t.E.qm (Queue.pop outbox) with
+                  | Some m ->
+                    ignore (Message.body m);
+                    Some (Some m)
+                  | None -> Some None
+                    (* collected before transmission: nothing to do *)
                 end)
           with
           | None -> continue_ := false

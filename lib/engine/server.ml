@@ -361,7 +361,7 @@ let flow_id_of_rid t rid =
         | _ -> None)
 
 (* A flow's nodes, merged so trees render across crash-restart: durable
-   provenance (the store scan — survives everything) over the bounded
+   provenance (on every live message — survives everything) over the bounded
    flow store's edges (adds messages the GC already collected), each
    node joined with its span while the span ring still holds it. The
    records are fresh: the flow store keeps no spans. *)
@@ -373,19 +373,19 @@ let flow_nodes t flow_id =
     (Flow.nodes ctx.Executor.flows flow_id);
   Executor.locked ctx (fun () ->
       List.iter
-        (fun (sm : Store.message) ->
-          let _, _, prov = Message.decode_extra sm.Store.extra in
+        (fun (m : Message.t) ->
+          let prov = m.Message.prov in
           if prov.Message.p_flow = flow_id then
-            Hashtbl.replace by_rid sm.Store.rid
+            Hashtbl.replace by_rid m.Message.rid
               {
-                Flow.n_rid = sm.Store.rid;
-                n_queue = sm.Store.queue;
+                Flow.n_rid = m.Message.rid;
+                n_queue = m.Message.queue;
                 n_flow = flow_id;
                 n_parent = prov.Message.p_parent;
                 n_cause = prov.Message.p_cause;
                 n_span = None;
               })
-        (Store.all_messages ctx.Executor.st));
+        (Qm.all_messages ctx.Executor.qm));
   let spans = Hashtbl.create 32 in
   List.iter
     (fun (sp : Obs_trace.span) ->
@@ -444,9 +444,8 @@ let cache_sizes t =
   let ctx = t.ctx in
   Executor.locked ctx (fun () ->
       [
-        ("node", Hashtbl.length ctx.Executor.node_cache);
-        ("name", Hashtbl.length ctx.Executor.name_cache);
-        ("sent", Hashtbl.length ctx.Executor.sent);
+        ("message", Qm.cache_size ctx.Executor.qm);
+        ("pending", Hashtbl.length ctx.Executor.pending_ns);
         ("outbox",
          Hashtbl.fold (fun _ q n -> n + Queue.length q) ctx.Executor.outbox 0);
       ])
@@ -586,12 +585,5 @@ let deploy ?(config = default_config) ?time_source ?store:st ?network:net
      trees pick up where the crashed process left off (spans are gone —
      those hops render without timings — but the causal edges survive). *)
   Executor.locked ctx (fun () ->
-      Store.all_messages st
-      |> List.iter (fun (sm : Store.message) ->
-             let _, _, prov = Message.decode_extra sm.Store.extra in
-             if prov.Message.p_flow <> "" then
-               Flow.observe ctx.Executor.flows ~rid:sm.Store.rid
-                 ~queue:sm.Store.queue ~flow:prov.Message.p_flow
-                 ~parent:prov.Message.p_parent ~cause:prov.Message.p_cause
-                 ~tick:sm.Store.enqueued_at));
+      List.iter (Executor.note_flow ctx) (Qm.all_messages qm));
   t

@@ -274,8 +274,10 @@ val worker_stats : t -> Worker_pool.worker_stats list
 (** Per-worker counters: messages processed, idle waits, drains joined. *)
 
 val cache_sizes : t -> (string * int) list
-(** Current entry counts of the per-rid caches ([node], [name], [sent],
-    [outbox]); the retention GC must shrink these alongside the store. *)
+(** Current entry counts of the per-rid state: [message] (decoded
+    messages, each carrying its body and document node), [pending]
+    (schedule stamps awaiting dispatch) and [outbox] (untransmitted
+    gateway rids); the retention GC must shrink these with the store. *)
 
 val queue_contents : t -> string -> Demaq_mq.Message.t list
 

@@ -26,6 +26,7 @@ type t = {
   queue : string;
   raw : string Lazy.t;  (* stored payload bytes (binary bxml or legacy text) *)
   body : Tree.tree Lazy.t;  (* decoded on demand from [raw] *)
+  doc : Tree.node Lazy.t;  (* the document node built over [body] *)
   props : (string * Value.atomic) list;
   memberships : membership list;
   prov : provenance;
@@ -34,6 +35,7 @@ type t = {
 }
 
 let body m = Lazy.force m.body
+let doc m = Lazy.force m.doc
 let raw m = Lazy.force m.raw
 let body_forced m = Lazy.is_val m.body
 
@@ -121,11 +123,13 @@ let of_store store (sm : Demaq_store.Message_store.message) =
      access and then held by this record's lazy cell; [raw] stays
      un-forced until either an admission scan or a decode needs it *)
   let raw = lazy (Demaq_store.Message_store.payload store sm) in
+  let body = lazy (Demaq_xml.Bxml.decode_any (Lazy.force raw)) in
   {
     rid = sm.rid;
     queue = sm.queue;
     raw;
-    body = lazy (Demaq_xml.Bxml.decode_any (Lazy.force raw));
+    body;
+    doc = lazy (Tree.root_node (Tree.doc (Lazy.force body)));
     props;
     memberships;
     prov;

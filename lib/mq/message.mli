@@ -39,6 +39,9 @@ type t = {
           written since the binary format landed, legacy XML text for
           older stores — {!body} decodes either *)
   body : Demaq_xml.Tree.tree Lazy.t;
+  doc : Demaq_xml.Tree.node Lazy.t;
+      (** the document node over [body], derived and immutable like it;
+          every copy of the record shares it, so node identity is stable *)
   props : (string * Demaq_xquery.Value.atomic) list;
   memberships : membership list;
   prov : provenance;
@@ -50,6 +53,10 @@ type t = {
 
 val body : t -> Demaq_xml.Tree.tree
 (** Force the decoded payload tree. *)
+
+val doc : t -> Demaq_xml.Tree.node
+(** Force the document node (and with it the body). Not safe to force
+    from two domains at once: callers serialize it. *)
 
 val raw : t -> string
 (** Force the stored payload bytes (spilled bodies fault in through the

@@ -96,6 +96,9 @@ let of_store_cached t (sm : Store.message) =
 let get t rid =
   Option.map (of_store_cached t) (Store.get t.store rid)
 
+let all_messages t = List.map (of_store_cached t) (Store.all_messages t.store)
+let cache_size t = Hashtbl.length t.cache
+
 let queue_messages t queue =
   List.rev
     (Store.fold_queue t.store queue (fun acc sm -> of_store_cached t sm :: acc) [])
@@ -285,6 +288,7 @@ let enqueue t txn ?rule ?trigger ?(provenance = Message.no_provenance)
             queue;
             raw = Lazy.from_val serialized;
             body = Lazy.from_val payload;
+            doc = lazy (Tree.root_node (Tree.doc payload));
             props;
             memberships;
             prov = provenance;
@@ -329,10 +333,7 @@ let delete_batch t doomed =
     List.map (fun (m : Message.t) -> m.Message.rid) doomed
   end
 
-let gc_collect t =
-  delete_batch t
-    (List.filter (deletable t)
-       (List.map (of_store_cached t) (Store.all_messages t.store)))
+let gc_collect t = delete_batch t (List.filter (deletable t) (all_messages t))
 
 let gc t = List.length (gc_collect t)
 
@@ -368,14 +369,13 @@ let gc_cursor t = t.gc_cursor
 let rebuild_indexes t =
   Hashtbl.iter (fun _ idx -> Btree.clear idx) t.indexes;
   List.iter
-    (fun sm ->
-      let m = of_store_cached t sm in
+    (fun (m : Message.t) ->
       List.iter
         (fun mem ->
           Btree.add (index_for t mem.Message.m_slicing) mem.Message.m_key
             m.Message.rid)
         m.Message.memberships)
-    (Store.all_messages t.store)
+    (all_messages t)
 
 let index_stats t =
   Hashtbl.fold

@@ -78,6 +78,12 @@ val get : t -> int -> Message.t option
 val queue_messages : t -> string -> Message.t list
 (** Live messages of the queue, arrival order. *)
 
+val all_messages : t -> Message.t list
+(** Every live message, rid order. *)
+
+val cache_size : t -> int
+(** Decoded messages currently cached; collected messages leave it. *)
+
 val queue_length : t -> string -> int
 val unprocessed : t -> Message.t list
 
@@ -110,9 +116,9 @@ val gc : t -> int
     dropped. *)
 
 val gc_collect : t -> int list
-(** Like {!gc} but returns the rids of the collected messages, so callers
-    holding per-rid caches of their own (the engine's node, name-synopsis
-    and sent tables) can purge them. *)
+(** Like {!gc} but returns the rids of the collected messages. Everything
+    derived from a message lives on its cached {!Message.t}, so nothing
+    else needs purging. *)
 
 val gc_step : t -> budget:int -> int list
 (** Incremental {!gc_collect}: examine at most [budget] messages, resuming

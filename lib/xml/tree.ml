@@ -68,11 +68,11 @@ let rec equal_tree a b =
 
 type document = { id : int; roots : tree list }
 
-let doc_counter = ref 0
+(* Atomic: element constructors mint documents during unlocked rule
+   evaluation on every worker domain, and node identity rests on the id. *)
+let doc_counter = Atomic.make 1
 
-let doc_of_forest roots =
-  incr doc_counter;
-  { id = !doc_counter; roots }
+let doc_of_forest roots = { id = Atomic.fetch_and_add doc_counter 1; roots }
 
 let doc t = doc_of_forest [ t ]
 let doc_id d = d.id

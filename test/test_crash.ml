@@ -490,8 +490,9 @@ let test_multi_worker_barrier_before_transmission () =
 
 let test_gc_purges_caches () =
   (* Collecting messages must also purge every in-memory per-rid cache; a
-     long-running node otherwise leaks node trees, names and sent-markers
-     for messages that no longer exist. *)
+     long-running node otherwise leaks decoded messages (with their body
+     trees and document nodes) and schedule stamps for messages that no
+     longer exist. *)
   let srv = S.deploy ping_pong in
   for i = 1 to 10 do
     ignore (inject_ok srv "in" (Printf.sprintf "<ping>%d</ping>" i))

@@ -732,3 +732,40 @@ let suite =
       ("pending message counter", `Quick, test_pending_messages_counter);
       ("inherited properties through echo", `Quick, test_inherited_props_through_echo);
     ]
+
+(* ---- node identity across qs: calls (§3.4) ---- *)
+
+let identity_program = {|
+create queue log kind basic mode persistent
+create queue probe kind basic mode persistent
+create queue same kind basic mode persistent
+create rule identity for probe
+  if (count(qs:queue("log") | qs:queue("log")) = count(qs:queue("log"))
+      and qs:message() is qs:message())
+  then do enqueue <same/> into same
+|}
+
+let test_node_identity_across_qs_calls () =
+  (* each message is one document node: two qs:queue() calls return the
+     same nodes (the union deduplicates them) and two qs:message() calls
+     the same node — on a fresh node, and after a crash-restart where
+     the bodies are decoded lazily from the store *)
+  let dir = fresh_dir "identity" in
+  let cfg = Store.durable_config ~sync:Wal.Sync_never dir in
+  let st = Store.open_store cfg in
+  let srv = S.deploy ~store:st identity_program in
+  List.iter (fun i -> ignore (inject_ok srv "log" (Printf.sprintf "<l>%d</l>" i))) [ 1; 2; 3 ];
+  ignore (inject_ok srv "probe" "<p/>");
+  ignore (S.run srv);
+  check int_ "identity holds on a fresh node" 1 (List.length (bodies srv "same"));
+  let st2 = Demaq.Engine.Fault.crash_restart cfg st in
+  let srv2 = S.deploy ~store:st2 identity_program in
+  ignore (inject_ok srv2 "probe" "<p/>");
+  ignore (S.run srv2);
+  check int_ "log survived the restart" 3 (List.length (bodies srv2 "log"));
+  check int_ "identity holds after crash-restart" 2 (List.length (bodies srv2 "same"));
+  Store.close st2
+
+let suite =
+  suite
+  @ [ ("node identity across qs: calls", `Quick, test_node_identity_across_qs_calls) ]

@@ -406,6 +406,28 @@ let prop_doc_order_total =
             nodes)
         nodes)
 
+(* ---- document identity across domains ---- *)
+
+let test_doc_ids_distinct_across_domains () =
+  (* element constructors mint documents during unlocked rule evaluation
+     on every worker domain; node identity and document order rest on the
+     document id, so concurrent mints must never share one *)
+  let leaf = Tree.text "x" in
+  let ready = Atomic.make 0 in
+  let mint () =
+    (* start together, so the mints really interleave *)
+    Atomic.incr ready;
+    while Atomic.get ready < 4 do Domain.cpu_relax () done;
+    Array.init 100_000 (fun _ -> Tree.doc_id (Tree.doc leaf))
+  in
+  let ids =
+    Array.concat (List.map Domain.join (List.init 4 (fun _ -> Domain.spawn mint)))
+  in
+  Array.sort compare ids;
+  let dups = ref 0 in
+  Array.iteri (fun i id -> if i > 0 && id = ids.(i - 1) then incr dups) ids;
+  check int_ "no duplicate document ids" 0 !dups
+
 let suite =
   [
     ("name roundtrip", `Quick, test_name_roundtrip);
@@ -435,4 +457,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_pretty_roundtrip;
     QCheck_alcotest.to_alcotest prop_doc_order_total;
+    ("document ids distinct across domains", `Quick, test_doc_ids_distinct_across_domains);
   ]
