@@ -31,8 +31,8 @@ type event =
           into a fresh snapshot *)
   | Torn_compact of int
       (** a compaction that dies at its commit point — before the snapshot
-          rename when the integer is even, just after it when odd — then a
-          restart from whatever is on disk *)
+          slot write when the integer is even, just after the slot's fsync
+          when odd — then a restart from whatever is on disk *)
 
 type t = { seed : int; events : event list }
 

@@ -406,11 +406,11 @@ let run ?(blind_tear = false) ?(footprint = false) (sched : Schedule.t) =
          the disk holds. The barrier below runs before the fault can
          fire, so the entire pre-compaction state is the durability
          floor the restart must preserve — on either side of the
-         rename. *)
+         snapshot slot's commit point. *)
       ignore (Store.barrier !store);
       durable := snapshot ();
       let stage =
-        if n mod 2 = 0 then Store.Before_rename else Store.After_rename
+        if n mod 2 = 0 then Store.Before_commit else Store.After_commit
       in
       Store.set_compaction_fault !store
         (Some (fun s -> if s = stage then raise Torn_compaction));
@@ -419,8 +419,8 @@ let run ?(blind_tear = false) ?(footprint = false) (sched : Schedule.t) =
       emit
         (Printf.sprintf "torn-compact %s -> live=%d"
            (match stage with
-           | Store.Before_rename -> "before-rename"
-           | Store.After_rename -> "after-rename")
+           | Store.Before_commit -> "before-commit"
+           | Store.After_commit -> "after-commit")
            (List.length (Store.all_messages !store)))
   in
   let finish () =

@@ -22,7 +22,7 @@
       unsynced commits at delivery time;
     - {b durability}: no message whose commit was synced disappears across
       a crash-restart — including a restart after a compaction torn on
-      either side of its snapshot rename;
+      either side of its snapshot slot's commit point;
     - {b abort-error}: the error queue grew by exactly one message per
       transaction abort and per dead-lettered transmission;
     - {b shed-isolation}: an arrival the admission gate refused leaves no

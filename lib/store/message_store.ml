@@ -56,12 +56,17 @@ type t = {
       (* [Wal.records_written] as of the last checkpoint; -1 forces the
          first checkpoint after a recovery replay (the log must still be
          truncated even if this session wrote nothing new) *)
+  mutable snapshot_seq : int;
+      (* sequence number of the newest committed snapshot slot; 0 before
+         the first (a legacy single-file snapshot counts as 0) *)
   mutable compaction_fault : (compaction_stage -> unit) option;
-      (* crash-injection hook for the checkpoint/compaction commit points
-         (tests raise from it to simulate a torn compaction) *)
+      (* crash-injection hook around the checkpoint/compaction commit
+         point (tests raise from it to simulate a torn compaction) *)
+  mutable compaction_seconds : Demaq_obs.Metrics.histogram option;
+      (* set by [instrument] when the registry's timing path is on *)
 }
 
-and compaction_stage = Before_rename | After_rename
+and compaction_stage = Before_commit | After_commit
 
 let payload t m =
   match m.stored with
@@ -121,7 +126,7 @@ let apply_op t (op : Wal.op) =
   match op with
   | Wal.Insert { rid; queue; payload; extra; enqueued_at } ->
     if Hashtbl.mem t.messages rid then
-      (* a crash between the snapshot rename and the WAL truncation
+      (* a crash between the snapshot slot's fsync and the WAL truncation
          leaves the old log alongside the new snapshot; replaying its
          inserts on top of the snapshot-loaded message would push the rid
          into the queue vec a second time and enumerate it twice *)
@@ -145,9 +150,20 @@ let apply_op t (op : Wal.op) =
     | Some m -> m.deleted <- true
     | None -> ())
 
-(* ---- snapshots ---- *)
+(* ---- snapshots ----
 
-let snapshot_path dir = Filename.concat dir "snapshot.bin"
+   A snapshot lives in one of two slot files, [snapshot.0] and
+   [snapshot.1], laid out as [8-byte seq][8-byte len][8-byte crc32][body].
+   The checkpoint with sequence number [seq] overwrites slot [seq land 1]
+   in place and never touches the other slot, which holds the previous
+   snapshot, so a valid snapshot is on disk at every instant. Bytes past
+   [len] are the tail of an older, longer snapshot. *)
+
+let slot_path dir i = Filename.concat dir (Printf.sprintf "snapshot.%d" i)
+let slot_header = 24
+
+(* the single-file snapshot of earlier versions: a bare body *)
+let legacy_snapshot_path dir = Filename.concat dir "snapshot.bin"
 let wal_path dir = Filename.concat dir "wal.log"
 
 let encode_snapshot t =
@@ -194,11 +210,8 @@ let encode_snapshot t =
     lifetimes;
   Buffer.contents buf
 
-let load_snapshot t path =
-  let ic = open_in_bin path in
-  let contents = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let r = Codec.reader contents in
+let load_snapshot t contents ~pos ~len =
+  let r = Codec.reader ~pos ~len contents in
   t.next_rid <- Codec.get_int r;
   let messages =
     Codec.get_list r (fun r ->
@@ -239,6 +252,74 @@ let load_snapshot t path =
         ((slicing, key), lifetime))
   in
   List.iter (fun (k, v) -> Hashtbl.replace t.slice_lifetimes k v) lifetimes
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* The sequence number in a slot's header, -1 when there is none. It only
+   orders the candidates; [valid_slot] decides. *)
+let slot_seq dir i =
+  match
+    In_channel.with_open_bin (slot_path dir i) (fun ic ->
+        In_channel.really_input_string ic 8)
+  with
+  | Some s -> Int64.to_int (String.get_int64_le s 0)
+  | None | (exception Sys_error _) -> -1
+
+(* A slot holds a committed snapshot when its body fits the file, the CRC
+   matches and the sequence number belongs to this slot. *)
+let valid_slot dir i =
+  let contents = read_file (slot_path dir i) in
+  let size = String.length contents in
+  if size < slot_header then None
+  else
+    let seq = Int64.to_int (String.get_int64_le contents 0) in
+    let len = Int64.to_int (String.get_int64_le contents 8) in
+    let crc = Int64.to_int (String.get_int64_le contents 16) in
+    if seq < 1 || seq land 1 <> i || len < 0 || len > size - slot_header
+       || Crc32.sub contents slot_header len <> crc
+    then None
+    else Some (seq, contents, len)
+
+(* Load the valid slot with the highest sequence number; failing that, a
+   legacy single-file snapshot as sequence 0. *)
+let load_newest_snapshot t dir =
+  let newest_first =
+    List.sort (fun a b -> compare b a)
+      (List.filter (fun (seq, _) -> seq > 0) [ (slot_seq dir 0, 0); (slot_seq dir 1, 1) ])
+  in
+  let legacy = legacy_snapshot_path dir in
+  match List.find_map (fun (_, i) -> valid_slot dir i) newest_first with
+  | Some (seq, contents, len) ->
+    load_snapshot t contents ~pos:slot_header ~len;
+    t.snapshot_seq <- seq
+  | None when Sys.file_exists legacy ->
+    let contents = read_file legacy in
+    load_snapshot t contents ~pos:0 ~len:(String.length contents)
+  | None -> ()
+
+(* Overwrite slot [seq land 1] from offset 0 — no [O_TRUNC], no rename.
+   Freeing blocks that already reached disk (an unlink, a rename over the
+   old file, a truncate) costs tens of milliseconds on ext4; an in-place
+   write plus fsync costs well under one. The fsync is the commit point.
+   A slot file created here also needs its directory entry on disk
+   before the log it replaces may be truncated. *)
+let write_slot dir seq body =
+  let path = slot_path dir (seq land 1) in
+  let created = not (Sys.file_exists path) in
+  let header = Bytes.create slot_header in
+  Bytes.set_int64_le header 0 (Int64.of_int seq);
+  Bytes.set_int64_le header 8 (Int64.of_int (String.length body));
+  Bytes.set_int64_le header 16 (Int64.of_int (Crc32.string body));
+  let oc = open_out_gen [ Open_wronly; Open_creat; Open_binary ] 0o644 path in
+  output_bytes oc header;
+  output_string oc body;
+  flush oc;
+  Unix.fsync (Unix.descr_of_out_channel oc);
+  close_out oc;
+  if created then begin
+    let fd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
+  end
 
 (* ---- open / recovery ---- *)
 
@@ -284,19 +365,16 @@ let open_store config =
       last_logged_txn = 0;
       durable_txn = 0;
       wal_records_at_checkpoint = 0;
+      snapshot_seq = 0;
       compaction_fault = None;
+      compaction_seconds = None;
     }
   in
   match config.dir with
   | None -> t
   | Some dir ->
     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-    (* a crash mid-compaction can strand the half-written temporary
-       snapshot; it was never renamed, so it is dead weight — the real
-       snapshot + WAL still hold the authoritative state *)
-    (let tmp = snapshot_path dir ^ ".tmp" in
-     if Sys.file_exists tmp then Sys.remove tmp);
-    if Sys.file_exists (snapshot_path dir) then load_snapshot t (snapshot_path dir);
+    load_newest_snapshot t dir;
     let valid =
       Wal.replay (wal_path dir) (function
         | Wal.Commit { ops; _ } -> List.iter (apply_op t) ops
@@ -520,22 +598,23 @@ let checkpoint t =
           the snapshot on disk is already current, skip the flush+fsync *)
        ()
      else begin
-       (* the snapshot references heap rids: the heap must be durable first *)
+       (* encoding may spill late bodies into the heap, and the snapshot
+          references heap rids: the heap must be durable before the slot *)
+       let body = encode_snapshot t in
        Option.iter Heap_file.flush_pages t.heap;
-       let tmp = snapshot_path dir ^ ".tmp" in
-       let oc = open_out_bin tmp in
-       output_string oc (encode_snapshot t);
-       flush oc;
-       Unix.fsync (Unix.descr_of_out_channel oc);
-       close_out oc;
-       (* the rename is the commit point of the compaction: before it the
-          old snapshot + full WAL are authoritative, after it the new
-          snapshot is — either way a crash loses nothing. The fault hook
+       (* the slot's fsync is the commit point of the compaction: before
+          it the previous slot + full WAL are authoritative, after it the
+          new slot is — either way a crash loses nothing. The fault hook
           lets tests crash on both sides of the point. *)
-       (match t.compaction_fault with Some f -> f Before_rename | None -> ());
-       Sys.rename tmp (snapshot_path dir);
-       (match t.compaction_fault with Some f -> f After_rename | None -> ());
+       let seq = t.snapshot_seq + 1 in
+       (match t.compaction_fault with Some f -> f Before_commit | None -> ());
+       write_slot dir seq body;
+       t.snapshot_seq <- seq;
+       (match t.compaction_fault with Some f -> f After_commit | None -> ());
        Option.iter Wal.reset t.wal;
+       (* a committed slot supersedes the single-file snapshot *)
+       (let legacy = legacy_snapshot_path dir in
+        if Sys.file_exists legacy then Sys.remove legacy);
        t.wal_records_at_checkpoint <- wal_records;
        (* everything logged so far now lives in the fsynced snapshot *)
        t.durable_txn <- t.last_logged_txn
@@ -546,18 +625,23 @@ let checkpoint t =
 (* Compaction is checkpoint + WAL truncation viewed as space reclamation:
    harden the pending batch through the normal barrier, fold everything
    into a fresh snapshot, and report how many log bytes that retired. The
-   rename inside [checkpoint] is the commit point, so compaction is
-   crash-safe by construction — a torn run leaves either the old
-   snapshot + full WAL or the new snapshot + stale WAL (whose replay is
+   slot fsync inside [checkpoint] is the commit point, so compaction is
+   crash-safe by construction — a torn run leaves either the previous
+   slot + full WAL or the new slot + stale WAL (whose replay is
    idempotent against snapshot-loaded state). *)
 let compact t =
-  ignore (barrier t);
-  let wal_bytes () =
-    match t.wal with Some w -> Wal.bytes_written w | None -> 0
+  let run () =
+    ignore (barrier t);
+    let wal_bytes () =
+      match t.wal with Some w -> Wal.bytes_written w | None -> 0
+    in
+    let before = wal_bytes () in
+    checkpoint t;
+    max 0 (before - wal_bytes ())
   in
-  let before = wal_bytes () in
-  checkpoint t;
-  max 0 (before - wal_bytes ())
+  match t.compaction_seconds with
+  | Some h -> Demaq_obs.Metrics.time h run
+  | None -> run ()
 
 let compaction_due t ~max_wal_bytes =
   max_wal_bytes > 0
@@ -607,13 +691,18 @@ let stats t =
   }
 
 (* Register the store's metrics with an observability registry: WAL
-   fsync-latency and batch-fill histograms (via the log's hooks) plus
-   callback counters/gauges over the counters the store already keeps.
-   The fsync clock hook is only installed when the registry's timing path
-   is enabled at instrumentation time — with metrics off the WAL keeps
-   its zero-overhead fsync. *)
+   fsync-latency, batch-fill and compaction-time histograms (via the log's
+   hooks and [compact]) plus callback counters/gauges over the counters
+   the store already keeps. The clock hooks are only installed when the
+   registry's timing path is enabled at instrumentation time — with
+   metrics off the WAL keeps its zero-overhead fsync. *)
 let instrument t reg =
   let module M = Demaq_obs.Metrics in
+  if M.timing_on reg then
+    t.compaction_seconds <-
+      Some
+        (M.histogram reg "demaq_store_compaction_seconds"
+           ~help:"Wall-clock time of each store compaction");
   (match t.wal with
    | None -> ()
    | Some wal ->

@@ -10,6 +10,12 @@
     as one atomic, CRC-protected commit record. Recovery loads the latest
     snapshot and replays the intact prefix of the log.
 
+    On disk a durable store is [wal.log] plus two snapshot slot files,
+    [snapshot.0] and [snapshot.1], each [8-byte seq][8-byte len]
+    [8-byte crc32][body]. Checkpoints alternate between the slots and
+    overwrite them in place; no file is ever renamed, unlinked or
+    recreated in steady state.
+
     The [extra] field of a message is an opaque blob owned by the queue
     layer (it carries properties and slice memberships); the store never
     interprets it. *)
@@ -154,17 +160,26 @@ val unprocessed : t -> message list
 (** {1 Maintenance} *)
 
 val checkpoint : t -> unit
-(** Writes a snapshot, drops tombstoned messages, truncates the log. When
-    nothing reached the log or the heap file since the last checkpoint the
-    snapshot write and its fsync are skipped (tombstones are still
-    dropped). *)
+(** Writes a snapshot, drops tombstoned messages, truncates the log. The
+    snapshot gets the next sequence number [seq] and overwrites slot
+    [seq land 1] in place from offset 0, leaving the other slot (the
+    previous snapshot) untouched; its fsync is the commit point, and only
+    after it is the log truncated in place ({!Wal.reset}). {!open_store}
+    loads the valid slot with the highest [seq] (falling back to a legacy
+    single-file [snapshot.bin] as sequence 0, which the first committed
+    slot removes) and replays the log on top. When nothing reached the
+    log or the heap file since the last checkpoint the snapshot write and
+    its fsync are skipped (tombstones are still dropped). *)
 
 val compact : t -> int
 (** Log compaction: harden the pending group-commit batch, fold the state
     into a fresh snapshot ({!checkpoint}), and return the WAL bytes that
-    retired. The snapshot rename is the commit point — a crash on either
-    side of it loses nothing (the stale log's replay is idempotent
-    against snapshot-loaded state). [0] when the store is in-memory or
+    retired. The snapshot slot's fsync is the commit point — a crash on
+    either side of it loses nothing (before it: the previous slot + full
+    log; after it: the new slot + a stale log whose replay is idempotent
+    against snapshot-loaded state). Replaces no file and frees no blocks
+    of the snapshot. Observed by [demaq_store_compaction_seconds] when
+    {!instrument}ed with timing on. [0] when the store is in-memory or
     nothing new reached the log. *)
 
 val compaction_due : t -> max_wal_bytes:int -> bool
@@ -172,7 +187,9 @@ val compaction_due : t -> max_wal_bytes:int -> bool
     checkpoint (false for in-memory stores or [max_wal_bytes <= 0]) — the
     trigger the background maintenance tick polls. *)
 
-type compaction_stage = Before_rename | After_rename
+type compaction_stage =
+  | Before_commit  (** before the snapshot slot write begins *)
+  | After_commit  (** after the slot's fsync, before the log truncate *)
 
 val set_compaction_fault : t -> (compaction_stage -> unit) option -> unit
 (** Crash-injection hook around the compaction commit point; tests raise
@@ -194,6 +211,7 @@ val stats : t -> stats
 
 val instrument : t -> Demaq_obs.Metrics.registry -> unit
 (** Register the store's metrics: WAL fsync-latency / batch-fill
-    histograms (clock hooks installed only when the registry's timing path
+    histograms and the [demaq_store_compaction_seconds] histogram of
+    {!compact} (clock hooks installed only when the registry's timing path
     is on) and callback counters/gauges over {!stats}. Call once per
     store+registry pair. *)

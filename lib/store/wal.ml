@@ -38,10 +38,9 @@ type sync_mode =
    commit from several worker domains. The scratch buffer and header are
    safe to reuse for the same reason. *)
 type t = {
-  path : string;
   mu : Mutex.t;
-  mutable oc : out_channel;
-  mutable fd : Unix.file_descr;
+  oc : out_channel;
+  fd : Unix.file_descr;
   sync : sync_mode;
   scratch : Buffer.t;  (* record bodies are encoded into this, reused *)
   header : Bytes.t;  (* 16-byte length+crc frame header, reused *)
@@ -137,7 +136,6 @@ let open_log ?(sync = Sync_always) path =
   let fd = Unix.descr_of_out_channel oc in
   let bytes = (Unix.fstat fd).Unix.st_size in
   {
-    path;
     mu = Mutex.create ();
     oc;
     fd;
@@ -241,12 +239,16 @@ let close t =
   ignore (barrier t);
   close_out t.oc
 
-(* Truncate after a checkpoint: the snapshot now covers everything. *)
+(* Truncate after a checkpoint: the snapshot now covers everything. The
+   file is cut in place on the descriptor [open_log] opened with
+   [O_APPEND], so the next append lands at offset 0 of the same inode.
+   Closing a log reopened with [O_TRUNC] instead makes ext4 flush it on
+   close (its replace-via-truncate heuristic), a stall of tens of
+   milliseconds per compaction. *)
 let reset t =
-  close_out t.oc;
-  let oc = open_out_gen [ Open_wronly; Open_trunc; Open_creat; Open_binary ] 0o644 t.path in
-  t.oc <- oc;
-  t.fd <- Unix.descr_of_out_channel oc;
+  Mutex.protect t.mu @@ fun () ->
+  flush t.oc;
+  Unix.ftruncate t.fd 0;
   t.bytes <- 0;
   t.pending_records <- 0;
   t.pending_bytes <- 0

@@ -68,7 +68,12 @@ val close : t -> unit
 (** Closes the log after a final barrier. *)
 
 val reset : t -> unit
-(** Truncate after a checkpoint: the snapshot now covers everything. *)
+(** Truncate after a checkpoint: the snapshot now covers everything.
+    Flushes the channel, then cuts the file to zero in place on the open
+    [O_APPEND] descriptor, so the log keeps its inode and channel and the
+    next {!append} lands at offset 0. Serialized with appends and
+    barriers under the log mutex. Under [Sync_batch] the cut still frees
+    the blocks earlier barriers synced. *)
 
 val replay : string -> (record -> unit) -> int
 (** Invoke the callback on every intact record of a log file, stopping

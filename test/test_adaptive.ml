@@ -404,6 +404,42 @@ let test_compaction_due_threshold () =
   check int_ "in-memory compaction reclaims nothing" 0 (Store.compact mem);
   Store.close mem
 
+let test_compaction_time_metric () =
+  (* [compact] is timed into demaq_store_compaction_seconds when the
+     registry's timing path is on; with it off the series is absent *)
+  let module M = Demaq.Obs.Metrics in
+  let series_count reg =
+    let prefix = "demaq_store_compaction_seconds_count " in
+    List.find_map
+      (fun line ->
+        if String.starts_with ~prefix line then
+          Some
+            (int_of_string
+               (String.sub line (String.length prefix)
+                  (String.length line - String.length prefix)))
+        else None)
+      (String.split_on_char '\n' (M.render reg))
+  in
+  List.iter
+    (fun timing ->
+      let st = Store.open_store (Store.durable_config ~sync:Wal.Sync_never (fresh_dir ())) in
+      let reg = M.create ~timing () in
+      Store.instrument st reg;
+      for i = 1 to 2 do
+        let txn = Store.begin_txn st in
+        ignore
+          (Store.insert txn ~queue:"q" ~payload:(Printf.sprintf "<a n='%d'/>" i)
+             ~extra:"" ~enqueued_at:1 ~durable:true);
+        Store.commit txn;
+        ignore (Store.compact st)
+      done;
+      check Alcotest.(option int)
+        (Printf.sprintf "timing %b: compactions observed" timing)
+        (if timing then Some 2 else None)
+        (series_count reg);
+      Store.close st)
+    [ true; false ]
+
 let suite =
   [
     ("controller climbs and clamps", `Quick, test_controller_climbs_and_clamps);
@@ -427,4 +463,5 @@ let suite =
     ("rid high-water mark survives compaction", `Quick,
      test_rid_hwm_survives_compaction);
     ("compaction trigger thresholds", `Quick, test_compaction_due_threshold);
+    ("compaction time on the metrics registry", `Quick, test_compaction_time_metric);
   ]

@@ -508,18 +508,27 @@ let test_gc_purges_caches () =
 
 (* ---- torn compaction ---- *)
 
+(* Files named snapshot* in a store directory other than the two slots. *)
+let stray_snapshot_files dir =
+  List.filter
+    (fun f ->
+      String.starts_with ~prefix:"snapshot" f
+      && f <> "snapshot.0" && f <> "snapshot.1")
+    (Array.to_list (Sys.readdir dir))
+
 let test_torn_compaction_keeps_state () =
   (* Compaction dies at its commit point — on either side of the snapshot
-     rename — and a restart must still see every hardened message exactly
-     once (before the rename: the old snapshot + full log replay; after
-     it: the new snapshot + an idempotent replay of the stale log), with
-     the stray tmp file cleaned up and the rid high-water mark intact. *)
+     slot's fsync — and a restart must still see every hardened message
+     exactly once (before it: the previous slot + full log replay; after
+     it: the new slot + an idempotent replay of the stale log), with no
+     file besides the two slots and the rid high-water mark intact. A
+     slot torn mid-write must lose to the older slot plus the full log. *)
   List.iter
     (fun stage ->
       let tag =
         match stage with
-        | Store.Before_rename -> "before-rename"
-        | Store.After_rename -> "after-rename"
+        | Store.Before_commit -> "before-commit"
+        | Store.After_commit -> "after-commit"
       in
       let dir = fresh_dir ("torn-compact-" ^ tag) in
       let cfg =
@@ -554,8 +563,8 @@ let test_torn_compaction_keeps_state () =
         rids;
       check int_ (tag ^ ": exactly once, no replay duplicates") 5
         (List.length (Store.queue_rids st2 "q"));
-      check bool_ (tag ^ ": stray snapshot tmp cleaned") false
-        (Sys.file_exists (Filename.concat dir "snapshot.bin.tmp"));
+      check Alcotest.(list string) (tag ^ ": no slot other than the two exists") []
+        (stray_snapshot_files dir);
       let txn = Store.begin_txn st2 in
       let r_new =
         Store.insert txn ~queue:"q" ~payload:"<new/>" ~extra:""
@@ -565,7 +574,58 @@ let test_torn_compaction_keeps_state () =
       check bool_ (tag ^ ": rid high-water mark intact") true
         (r_new > List.fold_left max 0 rids);
       Store.close st2)
-    [ Store.Before_rename; Store.After_rename ]
+    [ Store.Before_commit; Store.After_commit ];
+  (* third case: a crash mid-write of the next slot leaves its header
+     (the next seq) over a truncated body. Build that image from a real
+     run: slot 1 holds seq 1, the log holds everything after it; the
+     compaction to seq 2 then writes slot 0 and truncates the log, and the
+     crash is emulated by cutting slot 0's body short and restoring the
+     log the compaction had not yet truncated. *)
+  let dir = fresh_dir "torn-compact-half-slot" in
+  let cfg =
+    Store.durable_config
+      ~sync:(Wal.Sync_batch { max_records = 100; max_bytes = 0 })
+      dir
+  in
+  let st = Store.open_store cfg in
+  let insert i =
+    let txn = Store.begin_txn st in
+    let r =
+      Store.insert txn ~queue:"q" ~payload:(Printf.sprintf "<m n='%d'/>" i)
+        ~extra:"" ~enqueued_at:1 ~durable:true
+    in
+    Store.commit txn;
+    r
+  in
+  let first = List.init 3 insert in
+  ignore (Store.compact st);
+  let second = List.init 4 (fun i -> insert (10 + i)) in
+  ignore (Store.barrier st);
+  let wal = Filename.concat dir "wal.log" in
+  let log_image = In_channel.with_open_bin wal In_channel.input_all in
+  ignore (Store.compact st);
+  Store.close st;
+  let slot0 = Filename.concat dir "snapshot.0" in
+  let slot0_image = In_channel.with_open_bin slot0 In_channel.input_all in
+  check int_ "half-slot: slot 0 holds seq 2" 2
+    (Int64.to_int (String.get_int64_le slot0_image 0));
+  Unix.truncate slot0 (24 + ((String.length slot0_image - 24) / 2));
+  Out_channel.with_open_bin wal (fun oc -> Out_channel.output_string oc log_image);
+  let st2 = Store.open_store cfg in
+  List.iter
+    (fun r ->
+      check bool_ (Printf.sprintf "half-slot: rid %d survives" r) true
+        (Store.get st2 r <> None))
+    (first @ second);
+  check int_ "half-slot: exactly once, no replay duplicates" 7
+    (List.length (Store.queue_rids st2 "q"));
+  (* the next compaction reuses the torn slot and commits over it *)
+  ignore (Store.compact st2);
+  Store.close st2;
+  let st3 = Store.open_store cfg in
+  check int_ "half-slot: the rewritten slot restores everything" 7
+    (List.length (Store.queue_rids st3 "q"));
+  Store.close st3
 
 (* ---- when commit records reach the file ---- *)
 

@@ -380,8 +380,14 @@ let test_sync_batch_byte_trigger () =
     ((Store.stats st).Store.wal_group_syncs >= 1);
   Store.close st
 
-let snapshot_ino dir =
-  (Unix.stat (Filename.concat dir "snapshot.bin")).Unix.st_ino
+(* The bytes of both snapshot slots ("" for a slot not yet written). *)
+let slot_images dir =
+  List.map
+    (fun f ->
+      let path = Filename.concat dir f in
+      if Sys.file_exists path then In_channel.with_open_bin path In_channel.input_all
+      else "")
+    [ "snapshot.0"; "snapshot.1" ]
 
 let test_checkpoint_skip_when_clean () =
   (* A checkpoint with no WAL records and no dirty pages since the last one
@@ -393,15 +399,17 @@ let test_checkpoint_skip_when_clean () =
   ignore (insert_msg txn "q" "<a/>");
   Store.commit txn;
   Store.checkpoint st;
-  let ino1 = snapshot_ino dir in
+  let images = slot_images dir in
   Store.checkpoint st;
-  check int_ "clean checkpoint skipped the snapshot write" ino1 (snapshot_ino dir);
+  check (Alcotest.list string_) "clean checkpoint skipped the snapshot write" images
+    (slot_images dir);
   check int_ "but was still counted" 2 (Store.stats st).Store.checkpoints;
   let txn = Store.begin_txn st in
   ignore (insert_msg txn "q" "<b/>");
   Store.commit txn;
   Store.checkpoint st;
-  check bool_ "new work forces a fresh snapshot" true (snapshot_ino dir <> ino1);
+  check int_ "new work forces a fresh snapshot into one slot" 1
+    (List.length (List.filter Fun.id (List.map2 ( <> ) images (slot_images dir))));
   Store.close st;
   (* a recovered non-empty log must be truncated by the next checkpoint
      even when this session wrote nothing new *)
@@ -419,6 +427,119 @@ let test_checkpoint_skip_when_clean () =
   let st3 = Store.open_store cfg in
   check int_ "snapshot alone restores everything" 3 (Store.queue_length st3 "q");
   Store.close st3
+
+let ino path = (Unix.stat path).Unix.st_ino
+
+let test_compaction_replaces_no_file () =
+  (* Compaction overwrites its snapshot slots and truncates the log in
+     place: across many compactions with traffic in between, no file of
+     the store gets a new inode, and a reopen sees every live message. *)
+  let dir = fresh_dir () in
+  let cfg =
+    Store.durable_config ~sync:(Wal.Sync_batch { max_records = 8; max_bytes = 0 }) dir
+  in
+  let st = Store.open_store cfg in
+  let files = [ "snapshot.0"; "snapshot.1"; "wal.log" ] in
+  let seen = Hashtbl.create 3 in
+  let live = ref [] in
+  for round = 1 to 10 do
+    for i = 1 to 5 do
+      let txn = Store.begin_txn st in
+      live := insert_msg txn "q" (Printf.sprintf "<m r='%d' i='%d'/>" round i) :: !live;
+      (* retention retires some of the traffic between compactions *)
+      (match !live with
+       | _ :: _ :: old :: _ when i = 5 ->
+         Store.delete txn old;
+         live := List.filter (( <> ) old) !live
+       | _ -> ());
+      Store.commit txn
+    done;
+    check bool_ (Printf.sprintf "compaction %d retired log bytes" round) true
+      (Store.compact st > 0);
+    List.iter
+      (fun f ->
+        let path = Filename.concat dir f in
+        if Sys.file_exists path then
+          match Hashtbl.find_opt seen f with
+          | None -> Hashtbl.replace seen f (ino path)
+          | Some first ->
+            check int_ (Printf.sprintf "compaction %d: %s kept its inode" round f)
+              first (ino path))
+      files
+  done;
+  List.iter
+    (fun f -> check bool_ (f ^ " exists") true (Hashtbl.mem seen f))
+    files;
+  Store.close st;
+  let st2 = Store.open_store cfg in
+  check (Alcotest.list int_) "reopen sees every live message"
+    (List.sort compare !live) (Store.queue_rids st2 "q");
+  Store.close st2
+
+let test_legacy_snapshot_upgrade () =
+  (* A directory left by the single-file snapshot format: snapshot.bin is
+     a bare snapshot body, wal.log the log since it. It opens with every
+     message, and its first compaction commits a slot and removes the
+     legacy file. *)
+  let dir = fresh_dir () in
+  let buf = Buffer.create 256 in
+  Codec.put_int buf 3 (* next rid *);
+  Codec.put_list buf
+    (fun buf (rid, payload, processed) ->
+      Codec.put_int buf rid;
+      Codec.put_string buf "q";
+      Codec.put_bool buf false (* inline *);
+      Codec.put_string buf payload;
+      Codec.put_string buf "";
+      Codec.put_int buf 1;
+      Codec.put_bool buf processed)
+    [ (1, "<old n='1'/>", true); (2, "<old n='2'/>", false) ];
+  Codec.put_list buf
+    (fun buf (slicing, key, lifetime) ->
+      Codec.put_string buf slicing;
+      Codec.put_string buf key;
+      Codec.put_int buf lifetime)
+    [ ("s", "k", 4) ];
+  let legacy = Filename.concat dir "snapshot.bin" in
+  Out_channel.with_open_bin legacy (fun oc -> Buffer.output_buffer oc buf);
+  let wal = Wal.open_log (Filename.concat dir "wal.log") in
+  Wal.append wal
+    (Wal.Commit
+       {
+         txn = 1;
+         ops =
+           [
+             Wal.Insert
+               { rid = 3; queue = "q"; payload = "<new/>"; extra = ""; enqueued_at = 2 };
+             Wal.Mark_processed { rid = 2 };
+           ];
+       });
+  Wal.close wal;
+  let cfg = Store.durable_config ~sync:Wal.Sync_never dir in
+  let expect st tag =
+    check (Alcotest.list int_) (tag ^ ": every message") [ 1; 2; 3 ]
+      (Store.queue_rids st "q");
+    check (Alcotest.list int_) (tag ^ ": processed flags") [ 3 ]
+      (List.map (fun m -> m.Store.rid) (Store.unprocessed st));
+    check int_ (tag ^ ": slice lifetime") 4 (Store.slice_lifetime st ~slicing:"s" ~key:"k");
+    check string_ (tag ^ ": payload") "<new/>"
+      (Store.payload st (Option.get (Store.get st 3)))
+  in
+  let st = Store.open_store cfg in
+  expect st "legacy open";
+  ignore (Store.compact st);
+  check bool_ "first committed slot removed snapshot.bin" false (Sys.file_exists legacy);
+  check bool_ "the slot exists" true
+    (Sys.file_exists (Filename.concat dir "snapshot.1"));
+  let txn = Store.begin_txn st in
+  let r = insert_msg txn "q" "<after/>" in
+  Store.commit txn;
+  check int_ "rid high-water mark carried over" 4 r;
+  Store.close st;
+  let st2 = Store.open_store cfg in
+  check (Alcotest.list int_) "reopen: every message" [ 1; 2; 3; 4 ]
+    (Store.queue_rids st2 "q");
+  Store.close st2
 
 (* qcheck: the store agrees with a trivial model under random op sequences *)
 
@@ -512,6 +633,8 @@ let suite =
     ("sync batch: auto barrier on byte size", `Quick, test_sync_batch_byte_trigger);
     ("checkpoint skipped when clean", `Quick, test_checkpoint_skip_when_clean);
     QCheck_alcotest.to_alcotest prop_store_model;
+    ("compaction replaces no file", `Quick, test_compaction_replaces_no_file);
+    ("legacy snapshot.bin upgrades to slots", `Quick, test_legacy_snapshot_upgrade);
   ]
 
 (* ---- large-payload spill (heap file integration) ---- *)
@@ -579,6 +702,41 @@ let test_spill_recovery_from_wal_only () =
   check string_ "body after re-spill" (big_payload 4000 3) (Store.payload st2 m);
   Store.close st2
 
+let test_spill_durable_before_snapshot () =
+  (* a body that recovery kept inline is spilled while the checkpoint
+     encodes the snapshot; the heap page must reach the file before the
+     snapshot commits, or a crash right after the compaction (the log
+     already truncated) leaves the snapshot pointing at a page the heap
+     file never got *)
+  let dir = fresh_dir () in
+  let st = Store.open_store (Store.durable_config ~sync:Wal.Sync_never dir) in
+  let txn = Store.begin_txn st in
+  let r1 = Store.insert txn ~queue:"q" ~payload:(big_payload 4000 5) ~extra:""
+      ~enqueued_at:1 ~durable:true in
+  Store.commit txn;
+  Store.close st;
+  let cfg = Store.durable_config ~sync:Wal.Sync_never ~spill_threshold:256 dir in
+  let st2 = Store.open_store cfg in
+  ignore (Store.compact st2);
+  (* the crash: only what reached the files survives, not the heap's
+     buffer pool *)
+  let crash_dir = fresh_dir () in
+  Array.iter
+    (fun f ->
+      let image = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+      Out_channel.with_open_bin (Filename.concat crash_dir f) (fun oc ->
+          Out_channel.output_string oc image))
+    (Sys.readdir dir);
+  Store.close st2;
+  let st3 = Store.open_store { cfg with Store.dir = Some crash_dir } in
+  let body =
+    match Store.get st3 r1 with
+    | None -> "missing"
+    | Some m -> ( try Store.payload st3 m with _ -> "unreadable")
+  in
+  check string_ "re-spilled body survives the crash" (big_payload 4000 5) body;
+  Store.close st3
+
 let test_spill_freed_by_gc () =
   let dir = fresh_dir () in
   let cfg = Store.durable_config ~sync:Wal.Sync_never ~spill_threshold:256 dir in
@@ -613,6 +771,8 @@ let spill_suite =
     ("spill: WAL-only recovery + re-spill", `Quick, test_spill_recovery_from_wal_only);
     ("spill: freed by tombstone drop", `Quick, test_spill_freed_by_gc);
     ("spill: abort frees", `Quick, test_spill_abort_frees);
+    ("spill: re-spilled body durable before the snapshot", `Quick,
+     test_spill_durable_before_snapshot);
   ]
 
 let suite = suite @ spill_suite
