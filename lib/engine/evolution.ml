@@ -10,7 +10,9 @@
    messages. New rules apply to all messages processed from now on; new
    properties and slicings only affect messages enqueued after the
    evolution (property values and memberships are fixed at creation,
-   §2.2). The swap happens under the executor's state lock, so no message
+   §2.2). A message of a queue that had no rule was processed when it was
+   created (an inert message, see [Executor.inert]), so a rule added to
+   such a queue applies only to messages created after it. The swap happens under the executor's state lock, so no message
    is processed against a half-updated definition set. *)
 
 module Qm = Demaq_mq.Queue_manager

@@ -25,6 +25,12 @@
      slices is serializable; reads of *other* queues see read-committed
      state, which single-worker mode — the deterministic reference —
      never exercises differently from the seed engine.
+   - An inert message (no plan of its queue or of its slices can react to
+     it) is processed by the transaction that creates it rather than
+     dispatched: [admitted_unlocked] marks it processed in that
+     transaction, and a [Store.on_commit] hook counts it and records its
+     span once the transaction commits. [process] returns how many
+     messages its transaction processed, inert ones included.
    - Statistics live in a sharded [Demaq_obs.Metrics] registry: workers
      mutate their own shard without synchronization, reads aggregate.
      Lifecycle spans go to a bounded [Demaq_obs.Trace] ring with its own
@@ -140,6 +146,10 @@ type t = {
   wait_hists : (string, Metrics.histogram) Hashtbl.t;
       (* per-queue demaq_queue_wait_seconds, registered lazily *)
   mutable fault : Fault.t option;  (* armed fault-injection points *)
+  mutable inline_processed : int;
+      (* inert messages processed by their creating transaction, counted
+         at its commit; under [state_mu] *)
+  gc_next : int Atomic.t;  (* processed count at which [gc_every] next fires *)
 }
 
 let make_metrics reg =
@@ -226,6 +236,8 @@ let create ~cfg ~qm ~st ~net ~compiled ~clk () =
     pending_ns = Hashtbl.create 256;
     wait_hists = Hashtbl.create 8;
     fault = None;
+    inline_processed = 0;
+    gc_next = Atomic.make cfg.gc_every;
   }
 
 let locked t f = Mutex.protect t.state_mu f
@@ -267,7 +279,37 @@ let in_txn t f =
     harden t;
     raise e
 
-let with_txn t f = locked t (fun () -> in_txn t f)
+(* Retention GC (§2.3.3). Collecting a message drops its cached record
+   and with it everything derived from it; an outbox entry left behind is
+   skipped by the pump, which finds no message for it. *)
+let counted_gc t n =
+  Metrics.add t.met.m_gc_collected n;
+  n
+
+let run_gc t = locked t (fun () -> counted_gc t (Qm.gc t.qm))
+
+(* [gc_every]: collect each time the processed count has reached the next
+   multiple since the last collection. Inline processing advances the
+   count by more than one per transaction, so a [mod] test could step
+   over a multiple; the compare-and-set lets one worker fire per multiple. *)
+let gc_due t =
+  let every = t.cfg.gc_every in
+  every > 0
+  &&
+  let next = Atomic.get t.gc_next in
+  let n = Metrics.value t.met.m_processed in
+  n >= next && Atomic.compare_and_set t.gc_next next (((n / every) + 1) * every)
+
+(* Checked after every transaction that can process messages — dispatched
+   ones and self-locking ones (ingress, replies, echo timers, error
+   routing) alike, since each may admit inert messages. Needs [state_mu]
+   free. *)
+let collect_if_due t = if gc_due t then ignore (run_gc t)
+
+let with_txn t f =
+  let v = locked t (fun () -> in_txn t f) in
+  collect_if_due t;
+  v
 
 let exn_description = function
   | Fault.Injected msg -> msg
@@ -535,6 +577,71 @@ let schedule_message t (m : Message.t) =
     ~priority:(queue_priority t m.Message.queue)
     ~resources:(resources_for t m) m.Message.rid
 
+(* ---- inert messages ---- *)
+
+(* A message no rule can react to: its queue is local or an incoming
+   gateway, has no compiled plan, and none of its slice memberships has
+   one. Processing it (§3.1) would evaluate nothing and only set its
+   processed flag, so the transaction that creates it does that instead
+   of a dispatch of its own. Echo and outgoing-gateway messages always
+   take their own paths (timer, transmission). *)
+let inert t (kind : Defs.kind option) (m : Message.t) =
+  (match kind with
+   | Some (Defs.Basic | Defs.Incoming_gateway) -> true
+   | Some (Defs.Outgoing_gateway | Defs.Echo) | None -> false)
+  && Option.is_none (Compiler.plan_for t.compiled m.Message.queue)
+  && List.for_all
+       (fun (mem : Message.membership) ->
+         Option.is_none (Compiler.plan_for t.compiled mem.Message.m_slicing))
+       m.Message.memberships
+
+(* The lifecycle span of a processed message, timed from [start_ns], with
+   no phase timed, no activation and a commit; [process] overrides what it
+   measured. *)
+let span t ~start_ns (m : Message.t) =
+  {
+    Trace.sp_rid = m.Message.rid;
+    sp_queue = m.Message.queue;
+    sp_flow = m.Message.prov.Message.p_flow;
+    sp_parent = m.Message.prov.Message.p_parent;
+    sp_cause = m.Message.prov.Message.p_cause;
+    sp_tick = Clock.now t.clk;
+    sp_worker = Metrics.shard_index t.reg;
+    sp_start_ns = start_ns;
+    sp_wait_ns = 0;
+    sp_lock_ns = 0;
+    sp_decode_ns = 0;
+    sp_eval_ns = 0;
+    sp_apply_ns = 0;
+    sp_barrier_ns = 0;
+    sp_activations = [];
+    sp_actions = 0;
+    sp_batch = t.batch_target;
+    sp_outcome = Trace.Committed;
+  }
+
+(* Counted like any processed message, but only once the creating
+   transaction commits; an abort drops the hook, so it leaves no count
+   and no span. Its span has no wait, lock, eval or apply phase. Runs
+   inside [Store.commit], so under [state_mu]. *)
+let count_inline t (m : Message.t) =
+  t.inline_processed <- t.inline_processed + 1;
+  Metrics.incr t.met.m_processed;
+  if Trace.enabled t.spans then
+    Trace.record t.spans (span t ~start_ns:(Metrics.now t.reg) m)
+
+let process_inline t txn (m : Message.t) =
+  Qm.mark_processed t.qm txn m;
+  Store.on_commit txn (fun () -> count_inline t m)
+
+(* Run [f] (which commits) and return how many inert messages its commits
+   processed inline. Assumes [state_mu] held: every commit happens under
+   it, so no other domain's commit lands in between. *)
+let counting_inline t f =
+  let before = t.inline_processed in
+  f ();
+  t.inline_processed - before
+
 (* ---- error routing (§3.6); assumes [state_mu] held ---- *)
 
 let rec raise_error t txn ~kind ~description ?rule ?rule_error_queue
@@ -599,16 +706,18 @@ and enqueue_internal t txn ?rule ?rule_error_queue ?(trigger = None) ?provenance
       ?rule_error_queue ?provenance ~source_queue:origin_queue
       ~initial_message:payload ()
 
-(* What every admitted message goes through: flow edge, dispatch, gateway
+(* What every admitted message goes through: flow edge, dispatch (or,
+   for an inert message, processing inside this transaction), gateway
    outbox, and the echo timer of an echo-queue message. *)
 and admitted_unlocked t txn ?rule (m : Message.t) =
   Metrics.incr t.met.m_messages_created;
   note_flow t m;
-  schedule_message t m;
+  let kind =
+    Option.map (fun q -> q.Defs.kind) (Qm.find_queue t.qm m.Message.queue)
+  in
+  if inert t kind m then process_inline t txn m else schedule_message t m;
   note_outgoing t m;
-  match Qm.find_queue t.qm m.Message.queue with
-  | Some { Defs.kind = Defs.Echo; _ } -> register_echo_timer t txn ?rule m
-  | _ -> ()
+  if kind = Some Defs.Echo then register_echo_timer t txn ?rule m
 
 and register_echo_timer t txn ?rule (m : Message.t) =
   let timeout =
@@ -652,23 +761,31 @@ let inject_unlocked t ~props ~provenance ~queue payload =
   | exception Qm.Queue_error e -> Error e
 
 let inject t ?(props = []) ?flow ?(origin = "ingress") ~queue payload =
-  locked t (fun () ->
-      inject_unlocked t ~props
-        ~provenance:(root_prov t ?flow ~origin ())
-        ~queue payload)
+  let r =
+    locked t (fun () ->
+        inject_unlocked t ~props
+          ~provenance:(root_prov t ?flow ~origin ())
+          ~queue payload)
+  in
+  collect_if_due t;
+  r
 
 (* Batch ingress: admit a whole batch under one lock acquisition, so the
    gateway path amortizes locking and encoder scratch warm-up across the
    batch instead of paying them per document. Each document is its own
    cascade root: without an adopted [flow] each mints its own flow id. *)
 let inject_many t ?(props = []) ?flow ?(origin = "ingress") ~queue payloads =
-  locked t (fun () ->
-      List.map
-        (fun payload ->
-          inject_unlocked t ~props
-            ~provenance:(root_prov t ?flow ~origin ())
-            ~queue payload)
-        payloads)
+  let r =
+    locked t (fun () ->
+        List.map
+          (fun payload ->
+            inject_unlocked t ~props
+              ~provenance:(root_prov t ?flow ~origin ())
+              ~queue payload)
+          payloads)
+  in
+  collect_if_due t;
+  r
 
 let admission_stats t =
   ( Metrics.value t.met.m_admission_scans,
@@ -767,15 +884,6 @@ let apply_updates t txn blamed (m : Message.t) tagged =
             ~provenance:(error_prov ~rule:at.at_rule m)
             ~source_queue:m.Message.queue ~initial_message:(Message.body m) ()))
     tagged
-
-(* Retention GC (§2.3.3). Collecting a message drops its cached record
-   and with it everything derived from it; an outbox entry left behind is
-   skipped by the pump, which finds no message for it. *)
-let counted_gc t n =
-  Metrics.add t.met.m_gc_collected n;
-  n
-
-let run_gc t = locked t (fun () -> counted_gc t (Qm.gc t.qm))
 
 (* Budgeted GC slice for the background maintenance tick: at most
    [budget] deletability checks, cursor-resumed, so the tick never stalls
@@ -949,7 +1057,7 @@ let process t rid =
   let t_start = now () in
   let acts = ref [] in
   match prepare t ~acts ~now rid with
-  | None -> false
+  | None -> 0
   | Some (m, txn, pws, decode_ns, wait_ns) ->
     let t_locked = now () in
     let blamed = ref None in
@@ -958,6 +1066,7 @@ let process t rid =
     let barrier_ns = ref 0 in
     let actions = ref 0 in
     let outcome = ref Trace.Committed in
+    let inline = ref 0 in
     (match
        let tagged = evaluate t txn blamed ~acts m pws in
        t_evaled := now ();
@@ -974,7 +1083,10 @@ let process t rid =
              | _ -> false
            in
            if not is_echo then Qm.mark_processed t.qm txn m;
-           Store.commit txn);
+           inline := counting_inline t (fun () -> Store.commit txn);
+           (* counted under [state_mu]: an ingress domain, bound to no
+              shard, counts the inert messages it admits on shard 0 *)
+           Metrics.incr t.met.m_processed);
        t_applied := now ()
      with
      | () -> ()
@@ -987,6 +1099,7 @@ let process t rid =
        let b0 = now () in
        locked t (fun () ->
            Metrics.incr t.met.m_txn_aborts;
+           Metrics.incr t.met.m_processed;
            Store.abort txn;
            (* earlier transactions of the current batch are committed but
               possibly unsynced; the abort must not widen their exposure *)
@@ -1001,12 +1114,15 @@ let process t rid =
          | None -> (None, None)
        in
        (try
-          with_txn t (fun txn ->
-              raise_error t txn ~kind:Errors.Evaluation_error
-                ~description:(exn_description e) ?rule ?rule_error_queue
-                ~source_queue:m.Message.queue
-                ~initial_message:(Message.body m) ();
-              Qm.mark_processed t.qm txn m)
+          locked t (fun () ->
+              inline :=
+                counting_inline t (fun () ->
+                    in_txn t (fun txn ->
+                        raise_error t txn ~kind:Errors.Evaluation_error
+                          ~description:(exn_description e) ?rule
+                          ?rule_error_queue ~source_queue:m.Message.queue
+                          ~initial_message:(Message.body m) ();
+                        Qm.mark_processed t.qm txn m)))
         with e2 ->
           Log.err (fun f ->
               f "error routing for #%d failed: %s" m.Message.rid
@@ -1020,14 +1136,7 @@ let process t rid =
     if tracing then
       Trace.record t.spans
         {
-          Trace.sp_rid = m.Message.rid;
-          sp_queue = m.Message.queue;
-          sp_flow = m.Message.prov.Message.p_flow;
-          sp_parent = m.Message.prov.Message.p_parent;
-          sp_cause = m.Message.prov.Message.p_cause;
-          sp_tick = Clock.now t.clk;
-          sp_worker = Metrics.shard_index t.reg;
-          sp_start_ns = t_start;
+          (span t ~start_ns:t_start m) with
           sp_wait_ns = wait_ns;
           sp_lock_ns = t_locked - t_start;
           sp_decode_ns = decode_ns;
@@ -1036,12 +1145,7 @@ let process t rid =
           sp_barrier_ns = !barrier_ns;
           sp_activations = List.rev !acts;
           sp_actions = !actions;
-          sp_batch = t.batch_target;
           sp_outcome = !outcome;
         };
-    Metrics.incr t.met.m_processed;
-    if
-      t.cfg.gc_every > 0
-      && Metrics.value t.met.m_processed mod t.cfg.gc_every = 0
-    then ignore (run_gc t);
-    true
+    collect_if_due t;
+    1 + !inline

@@ -3,7 +3,11 @@
 
     {!process} is the paper's iterative cycle — evaluate every pertinent
     rule against a snapshot, collect the pending-action list, apply it in
-    one transaction, route failures as error messages (§3.6). The shared
+    one transaction, route failures as error messages (§3.6). A message
+    no rule can react to (an inert message: a basic or incoming-gateway
+    queue with no plan, in no slicing with one) is not dispatched; the
+    transaction that creates it marks it processed, and it is counted at
+    that transaction's commit. The shared
     engine context {!t} is exposed transparently so the externalizer and
     the composition root can reach its components; the locking contract
     is part of the interface:
@@ -117,6 +121,10 @@ type t = {
   pending_ns : (int, int) Hashtbl.t;
   wait_hists : (string, Metrics.histogram) Hashtbl.t;
   mutable fault : Fault.t option;
+  mutable inline_processed : int;
+      (** inert messages processed by their creating transaction, counted
+          at its commit; under [state_mu] *)
+  gc_next : int Atomic.t;  (** processed count at which [gc_every] next fires *)
 }
 
 val create :
@@ -141,8 +149,14 @@ val in_txn : t -> (Store.txn -> 'a) -> 'a
 (** Commit on return, abort + harden + re-raise on exception. Assumes the
     lock. *)
 
+val collect_if_due : t -> unit
+(** Run the retention GC if the processed count has reached the next
+    multiple of [gc_every] (no-op when it is 0). Called after every
+    transaction that can process messages; needs the lock free. *)
+
 val with_txn : t -> (Store.txn -> 'a) -> 'a
-(** {!locked} + {!in_txn}. *)
+(** {!locked} + {!in_txn}, then {!collect_if_due}: inert messages the
+    transaction admitted count as processed. *)
 
 val exn_description : exn -> string
 val set_collection : t -> string -> Tree.tree list -> unit
@@ -197,7 +211,8 @@ val enqueue_internal :
   origin_queue:string ->
   unit ->
   unit
-(** Enqueue + schedule + echo-timer registration. Assumes the lock.
+(** Enqueue + schedule (or, for an inert message, processing inside
+    [txn]) + echo-timer registration. Assumes the lock.
     Without an explicit [provenance] the child's causal edge derives from
     [trigger]: inherit its flow id, parent = trigger rid, cause = [rule]. *)
 
@@ -268,7 +283,9 @@ val run_gc_step : t -> budget:int -> int
 val message : t -> int -> Message.t option
 (** Fetch a message and force its body parse, under the lock. *)
 
-val process : t -> int -> bool
-(** Process one scheduled message end to end; [false] means the rid was
-    skipped (collected, or a rescheduled duplicate). Never raises for
-    rule-level failures — those become error messages. *)
+val process : t -> int -> int
+(** Process one scheduled message end to end in one transaction; returns
+    how many messages that processed: the message itself plus every
+    inert message its transaction created and processed inline. [0]
+    means the rid was skipped (collected, or a rescheduled duplicate).
+    Never raises for rule-level failures — those become error messages. *)

@@ -115,7 +115,8 @@ let transmit (t : E.t) ?(attempt = 1) (m : Message.t) (qdef : Defs.queue_def) =
               ?rule_error_queue
               ~provenance:(E.error_prov ?rule:creating_rule m)
               ~source_queue:m.Message.queue
-              ~initial_message:(Message.body m) ()))
+              ~initial_message:(Message.body m) ()));
+    E.collect_if_due t
   in
   match
     match interface_check t m qdef with

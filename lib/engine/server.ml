@@ -152,30 +152,32 @@ let step t =
     (Worker_pool.drain t.pool ~budget:1
        ~process:(fun rid ->
          let m = Executor.message t.ctx rid in
-         let ok = Executor.process t.ctx rid in
-         (if ok then match m with Some m -> picked := Processed m | None -> ());
-         ok));
+         let n = Executor.process t.ctx rid in
+         (if n > 0 then match m with Some m -> picked := Processed m | None -> ());
+         n));
   !picked
 
 let run ?(max_steps = max_int) t =
-  let processed = ref 0 in
+  let steps = ref 0 and processed = ref 0 in
   let continue_ = ref true in
   let reg = t.ctx.Executor.reg in
   let last_harden = ref (Metrics.now reg) in
-  (* [max_steps] bounds processed messages only: rescheduled duplicates and
-     collected rids are skipped inside the pool without touching the
-     budget. *)
-  while !continue_ && !processed < max_steps do
+  (* [max_steps] bounds dispatched transactions only: rescheduled
+     duplicates and collected rids are skipped inside the pool without
+     touching the budget. [processed] also counts the inert messages each
+     transaction processed inline. *)
+  while !continue_ && !steps < max_steps do
     (* drain up to the batch target (across all workers); their commits
        share one durability barrier instead of one fsync each. Read per
        iteration: the adaptive controller moves [batch_target] between
        drains. *)
     let batch_size = max 1 t.ctx.Executor.batch_target in
-    let budget = min batch_size (max_steps - !processed) in
-    let n =
+    let budget = min batch_size (max_steps - !steps) in
+    let d =
       Worker_pool.drain t.pool ~budget ~process:(fun rid -> Executor.process t.ctx rid)
     in
-    processed := !processed + n;
+    steps := !steps + d.Worker_pool.transactions;
+    processed := !processed + d.Worker_pool.messages;
     (* one barrier covers the whole batch; the pump re-checks it before
        every transmission, so error-routing commits made while pumping are
        hardened before they can externalize. Under the adaptive
@@ -187,7 +189,7 @@ let run ?(max_steps = max_int) t =
       match t.adaptive with
       | None -> true  (* fixed batch: barrier per drain, the seed behaviour *)
       | Some a ->
-        n >= batch_size
+        d.Worker_pool.transactions >= batch_size
         || float_of_int (Metrics.now reg - !last_harden) /. 1e6
            >= Controller.flush_ms a.a_ctl
     in
@@ -196,7 +198,7 @@ let run ?(max_steps = max_int) t =
       last_harden := Metrics.now reg
     end;
     let sent = Externalizer.pump_gateways t.ctx in
-    if n = 0 && sent = 0 then continue_ := false
+    if d.Worker_pool.transactions = 0 && sent = 0 then continue_ := false
   done;
   !processed
 

@@ -32,8 +32,9 @@ type config = Executor.config = {
           as a retention concern); 0 disables. The span ring is the only
           place spans are kept, so this bounds span memory. *)
   gc_every : int;
-      (** run the retention GC after every N processed messages;
-          0 disables automatic GC ("physical cleanup is decoupled from
+      (** run the retention GC each time the processed count reaches a
+          further multiple of N (a transaction that also processes inert
+          messages can step over one; it still fires once); 0 disables automatic GC ("physical cleanup is decoupled from
           message processing", §2.3.3) *)
   system_error_queue : string option;
       (** last-resort error queue (§3.6 "system level") *)
@@ -179,11 +180,14 @@ val set_picker : t -> (int -> int) option -> unit
     scheduler order. See {!Worker_pool.set_picker}. *)
 
 val run : ?max_steps:int -> t -> int
-(** Drain up to [batch_size] messages, issue one durability barrier, then
-    {!pump_gateways}; repeat until the node is quiescent (or the step bound
-    is hit); returns the number of messages processed. [max_steps] counts
-    processed messages only — rescheduled duplicates and already-collected
-    rids are skipped for free. Does not advance time. *)
+(** Drain up to [batch_size] dispatched transactions, issue one
+    durability barrier, then {!pump_gateways}; repeat until the node is
+    quiescent (or the step bound is hit). Returns every message processed,
+    including the inert messages (no rule can react to them) that a
+    transaction processed inline when it created them — so the result can
+    exceed [max_steps]. [batch_size] and [max_steps] count dispatched
+    transactions: rescheduled duplicates and already-collected rids are
+    skipped for free. Does not advance time. *)
 
 (** {1 Adaptive runtime}
 

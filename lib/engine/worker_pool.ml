@@ -22,12 +22,14 @@
    - [budget = 1] (single-step driving, e.g. [Server.step]): same
      argument, regardless of the configured worker count.
 
-   Budget semantics match the seed's [max_steps]: only messages whose
-   processing callback returns [true] count; rescheduled duplicates and
-   collected rids are skipped for free. A worker therefore stops only
-   when the budget is exhausted by *completed* work — while claimed work
-   is still in flight it waits, because an in-flight skip hands its
-   budget slot back. *)
+   The budget counts dispatched transactions: only rids whose processing
+   callback reports at least one processed message count; rescheduled
+   duplicates and collected rids are skipped for free. One transaction
+   may process several messages (the dispatched one plus the inert
+   messages it created), and the drain reports both totals. A worker
+   stops only when the budget is exhausted by *completed* work — while
+   claimed work is still in flight it waits, because an in-flight skip
+   hands its budget slot back. *)
 
 module Metrics = Demaq_obs.Metrics
 
@@ -36,7 +38,7 @@ let log = Logs.Src.create "demaq.worker_pool" ~doc:"Demaq worker pool"
 module Log = (val Logs.src_log log : Logs.LOG)
 
 type worker_stats = {
-  mutable w_processed : int;  (* messages this worker completed *)
+  mutable w_processed : int;  (* messages this worker's transactions processed *)
   mutable w_idle : int;  (* times it blocked waiting for compatible work *)
   mutable w_drains : int;  (* drain calls it participated in *)
 }
@@ -51,7 +53,8 @@ type t = {
       (* worker i records into shard i+1; shard 0 stays the coordinator's *)
   (* per-drain monitor state, guarded by [mu] *)
   mutable in_flight : int;
-  mutable done_ : int;
+  mutable done_ : int;  (* transactions *)
+  mutable messages : int;
   mutable budget : int;
   mutable failure : exn option;
   mutable picker : (int -> int) option;
@@ -71,6 +74,7 @@ let create ?registry ~workers () =
       registry;
       in_flight = 0;
       done_ = 0;
+      messages = 0;
       budget = 0;
       failure = None;
       picker = None;
@@ -92,7 +96,7 @@ let create ?registry ~workers () =
          let name fam = Printf.sprintf "%s{worker=\"%d\"}" fam i in
          Metrics.counter_fn reg
            (name "demaq_worker_processed_total")
-           ~help:"Messages completed per worker slot" (fun () ->
+           ~help:"Messages processed per worker slot" (fun () ->
              float_of_int w.w_processed);
          Metrics.counter_fn reg
            (name "demaq_worker_idle_total")
@@ -124,33 +128,36 @@ let worker_stats t =
          { w_processed = w.w_processed; w_idle = w.w_idle; w_drains = w.w_drains })
        t.wstats)
 
+type drained = { transactions : int; messages : int }
+
 (* ---- inline (deterministic) drain ---- *)
 
 let drain_inline t ~budget ~process =
   let ws = t.wstats.(0) in
   ws.w_drains <- ws.w_drains + 1;
-  let done_ = ref 0 in
+  let done_ = ref 0 and messages = ref 0 in
   let continue_ = ref true in
   while !continue_ && !done_ < budget do
     match locked t (fun () -> Dispatch.next ?pick:t.picker t.dsp) with
     | Dispatch.Ready rid ->
-      let ok =
+      let n =
         match process rid with
-        | ok -> ok
+        | n -> n
         | exception e ->
           locked t (fun () -> Dispatch.complete t.dsp rid);
           raise e
       in
       locked t (fun () -> Dispatch.complete t.dsp rid);
-      if ok then begin
+      if n > 0 then begin
         incr done_;
-        ws.w_processed <- ws.w_processed + 1
+        messages := !messages + n;
+        ws.w_processed <- ws.w_processed + n
       end
     | Dispatch.Busy | Dispatch.Empty ->
       (* Busy is impossible with nothing in flight; treat it as drained *)
       continue_ := false
   done;
-  !done_
+  { transactions = !done_; messages = !messages }
 
 (* ---- parallel drain ---- *)
 
@@ -194,15 +201,16 @@ let worker_loop t i ~process =
     match action with
     | `Stop -> continue_ := false
     | `Run rid ->
-      let result = match process rid with ok -> Ok ok | exception e -> Error e in
+      let result = match process rid with n -> Ok n | exception e -> Error e in
       Mutex.lock t.mu;
       t.in_flight <- t.in_flight - 1;
       Dispatch.complete t.dsp rid;
       (match result with
-       | Ok true ->
+       | Ok n when n > 0 ->
          t.done_ <- t.done_ + 1;
-         ws.w_processed <- ws.w_processed + 1
-       | Ok false -> ()
+         t.messages <- t.messages + n;
+         ws.w_processed <- ws.w_processed + n
+       | Ok _ -> ()
        | Error e -> if t.failure = None then t.failure <- Some e);
       Condition.broadcast t.cond;
       Mutex.unlock t.mu
@@ -210,6 +218,7 @@ let worker_loop t i ~process =
 
 let drain_parallel t ~budget ~process =
   t.done_ <- 0;
+  t.messages <- 0;
   t.in_flight <- 0;
   t.budget <- budget;
   t.failure <- None;
@@ -218,9 +227,11 @@ let drain_parallel t ~budget ~process =
     Array.init t.workers (fun i -> Domain.spawn (fun () -> worker_loop t i ~process))
   in
   Array.iter Domain.join doms;
-  match t.failure with Some e -> raise e | None -> t.done_
+  match t.failure with
+  | Some e -> raise e
+  | None -> { transactions = t.done_; messages = t.messages }
 
 let drain t ~budget ~process =
-  if budget <= 0 then 0
+  if budget <= 0 then { transactions = 0; messages = 0 }
   else if t.workers = 1 || budget = 1 then drain_inline t ~budget ~process
   else drain_parallel t ~budget ~process

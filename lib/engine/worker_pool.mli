@@ -1,14 +1,15 @@
 (** The worker pool: N OCaml 5 domains draining the dispatcher.
 
     Owns a {!Dispatch.t} behind a monitor; {!drain} runs up to [budget]
-    messages through the supplied callback, spawning domains per call and
+    transactions through the supplied callback, spawning domains per call and
     joining them before returning. With [workers = 1] (or [budget = 1])
     the drain runs inline on the calling thread and is deterministic:
     message order matches the seed single-threaded scheduler exactly.
 
-    The [process] callback receives a rid and returns whether the message
-    was actually processed ([false] = skipped duplicate/collected rid,
-    which does not count against the budget). An exception escaping
+    The [process] callback receives a rid, runs its transaction, and
+    returns how many messages that transaction processed ([0] = skipped
+    duplicate/collected rid, which does not count against the budget).
+    An exception escaping
     [process] stops the drain and is re-raised from {!drain} after all
     workers have been joined. *)
 
@@ -33,16 +34,22 @@ val schedule : t -> priority:int -> resources:string list -> int -> unit
 (** Thread-safe; wakes blocked workers. Callable from inside [process]
     (messages enqueued by a transaction schedule their successors). *)
 
-val drain : t -> budget:int -> process:(int -> bool) -> int
-(** Run until [budget] messages have been processed or no runnable work
-    remains; returns the number processed. Not itself reentrant — one
-    drain at a time. *)
+type drained = {
+  transactions : int;  (** dispatched rids that processed something *)
+  messages : int;  (** messages those transactions processed *)
+}
+
+val drain : t -> budget:int -> process:(int -> int) -> drained
+(** Run until [budget] transactions have completed or no runnable work
+    remains. Not itself reentrant — one drain at a time. *)
 
 val pending : t -> int
 val pending_rids : t -> int list
 
 type worker_stats = {
-  mutable w_processed : int;  (** messages this worker completed *)
+  mutable w_processed : int;
+      (** messages this worker's transactions processed, inert ones
+          included *)
   mutable w_idle : int;  (** times it blocked waiting for compatible work *)
   mutable w_drains : int;  (** drain calls it participated in *)
 }

@@ -406,13 +406,14 @@ type txn = {
   store : t;
   mutable ops : Wal.op list;  (* reversed; only the durable ones *)
   mutable undo : (unit -> unit) list;
+  mutable on_commit : (unit -> unit) list;  (* reversed; dropped on abort *)
   mutable finished : bool;
 }
 
 let begin_txn t =
   let id = t.next_txn in
   t.next_txn <- id + 1;
-  { id; store = t; ops = []; undo = []; finished = false }
+  { id; store = t; ops = []; undo = []; on_commit = []; finished = false }
 
 let txn_id txn = txn.id
 
@@ -447,6 +448,10 @@ let mark_processed txn rid =
       txn.ops <- Wal.Mark_processed { rid } :: txn.ops;
       txn.undo <- (fun () -> m.processed <- false) :: txn.undo
     end
+
+let on_commit txn f =
+  check_active txn;
+  txn.on_commit <- f :: txn.on_commit
 
 let slice_reset txn ~slicing ~key =
   check_active txn;
@@ -485,7 +490,8 @@ let commit txn =
      if t.config.sync <> Wal.Sync_never && Wal.pending_records wal = 0 then
        t.durable_txn <- txn.id
    | _ -> ());
-  Lock_manager.release_all t.lock_mgr ~txn:txn.id
+  Lock_manager.release_all t.lock_mgr ~txn:txn.id;
+  List.iter (fun f -> f ()) (List.rev txn.on_commit)
 
 (* ---- group commit ---- *)
 

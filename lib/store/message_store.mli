@@ -89,6 +89,10 @@ val delete : txn -> int -> unit
 (** Tombstones a message (used by the retention GC). Logged only when the
     store was configured with [log_deletions = true]. *)
 
+val on_commit : txn -> (unit -> unit) -> unit
+(** [on_commit txn f] runs [f] right after [txn] commits, in registration
+    order, once its locks are released. An aborted transaction drops it. *)
+
 val commit : txn -> unit
 val abort : txn -> unit
 

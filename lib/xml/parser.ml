@@ -177,7 +177,12 @@ let read_attr_value st =
     Buffer.contents buf
   end
 
-(* Namespace environment: prefix -> uri bindings; innermost first. *)
+(* Namespace environment: prefix -> uri bindings; innermost first. The
+   [xml] prefix is bound once, in the root environment every top-level
+   entry point starts from: binding it per element would grow the list
+   with depth, and every unprefixed name lookup walks that list. *)
+let root_env = [ ("xml", xml_ns) ]
+
 let resolve_elem_name st env raw =
   let prefix, local = split_prefix raw in
   match List.assoc_opt prefix env with
@@ -283,12 +288,13 @@ let rec parse_element st env =
       let v = read_attr_value st in
       (match split_prefix araw with
        | "", "xmlns" -> env := ("", v) :: !env
+       | "xmlns", "xml" -> ()  (* fixed to [xml_ns]; never rebound *)
        | "xmlns", p -> env := (p, v) :: !env
        | _ -> raw_attrs := (araw, v) :: !raw_attrs);
       attrs ()
   in
   attrs ();
-  let env = ("xml", xml_ns) :: !env in
+  let env = !env in
   let name = resolve_elem_name st env raw in
   let attrs =
     List.rev_map
@@ -424,7 +430,7 @@ let parse ?(preserve_space = false) src =
   let st = make_state preserve_space src in
   parse_prolog st;
   if peek st <> '<' then error st "expected document element";
-  let root = parse_element st [] in
+  let root = parse_element st root_env in
   skip_space st;
   (* Allow trailing comments / PIs after the root. *)
   let rec trailer () =
@@ -462,7 +468,7 @@ let parse_many ?(preserve_space = false) src =
     end
   in
   let rec go () =
-    docs := parse_element st [] :: !docs;
+    docs := parse_element st root_env :: !docs;
     misc ();
     if not (at_end st) then
       if peek st = '<' then go () else error st "content after document element"

@@ -98,15 +98,71 @@ let aggregate name fold init args =
       else [ Atom (numeric_result (List.fold_left fold init nums)) ])
   | _ -> err "%s: expected one argument" name
 
+(* fn:distinct-values keeps an atom unless [compare_atomic] equates it with
+   one already kept. That equality is not transitive ("1.0" = 1 = "1", yet
+   "1.0" <> "1"), so the kept atoms are indexed by how each kind compares:
+   strings and booleans by string value, integers exactly, and integers,
+   decimals and strings also by numeric value. A candidate probes exactly
+   the indexes [compare_atomic] would consult for its kind, so the result
+   is that of the pairwise scan, in first-occurrence order, in expected
+   linear time. *)
+module Str_tbl = Hashtbl.Make (String)
+module Int_tbl = Hashtbl.Make (Int)
+
+module Num_tbl = Hashtbl.Make (struct
+  type t = float
+
+  (* [Float.compare] equates nan with nan and -0.0 with 0.0 *)
+  let equal a b = Float.compare a b = 0
+  let hash f = if Float.is_nan f then 0 else Hashtbl.hash (if f = 0.0 then 0.0 else f)
+end)
+
 let distinct_values v =
   let atoms = atomize v in
-  let rec dedup seen = function
-    | [] -> []
-    | a :: rest ->
-      if List.exists (fun b -> compare_atomic a b = 0) seen then dedup seen rest
-      else a :: dedup (a :: seen) rest
+  let n = List.length atoms in
+  (* only a number probes a string's numeric value; without numbers that
+     index stays empty *)
+  let numbers =
+    List.exists (function Integer _ | Decimal _ -> true | _ -> false) atoms
   in
-  List.map (fun a -> Atom a) (dedup [] atoms)
+  let by_string = Str_tbl.create n (* kept strings and booleans *)
+  and by_int = Int_tbl.create 16
+  and int_num = Num_tbl.create 16
+  and dec_num = Num_tbl.create 16
+  and str_num = Num_tbl.create 16 in
+  let seen a =
+    match a with
+    | Boolean _ -> Str_tbl.mem by_string (string_of_atomic a)
+    | Integer i ->
+      let f = float_of_int i in
+      Int_tbl.mem by_int i || Num_tbl.mem dec_num f || Num_tbl.mem str_num f
+    | Decimal f -> Num_tbl.mem int_num f || Num_tbl.mem dec_num f || Num_tbl.mem str_num f
+    | String s | Untyped s ->
+      Str_tbl.mem by_string s
+      || (numbers
+         &&
+         let f = number_of_atomic a in
+         Num_tbl.mem int_num f || Num_tbl.mem dec_num f)
+  in
+  let keep a =
+    match a with
+    | Boolean _ -> Str_tbl.replace by_string (string_of_atomic a) ()
+    | Integer i ->
+      Int_tbl.replace by_int i ();
+      Num_tbl.replace int_num (float_of_int i) ()
+    | Decimal f -> Num_tbl.replace dec_num f ()
+    | String s | Untyped s ->
+      Str_tbl.replace by_string s ();
+      if numbers then Num_tbl.replace str_num (number_of_atomic a) ()
+  in
+  List.filter_map
+    (fun a ->
+      if seen a then None
+      else begin
+        keep a;
+        Some (Atom a)
+      end)
+    atoms
 
 let call env name (args : Value.t list) : Value.t =
   let prefix, local = strip_prefix name in

@@ -192,12 +192,14 @@ let doc_order_dedup v =
       List.filter_map (function Node n -> Some n | Atom _ -> None) v
     in
     let sorted = List.stable_sort Tree.doc_order nodes in
-    let rec dedup = function
+    (* tail-recursive: keep the last of each run of the same node *)
+    let rec dedup acc = function
       | a :: (b :: _ as rest) ->
-        if Tree.same_node a b then dedup rest else a :: dedup rest
-      | l -> l
+        if Tree.same_node a b then dedup acc rest else dedup (Node a :: acc) rest
+      | [ a ] -> List.rev (Node a :: acc)
+      | [] -> List.rev acc
     in
-    List.map (fun n -> Node n) (dedup sorted)
+    dedup [] sorted
 
 let equal_item a b =
   match a, b with

@@ -28,4 +28,5 @@ let () =
       ("adaptive", Test_adaptive.suite);
       ("http", Test_http.suite);
       ("sim", Test_sim.suite);
+      ("inert", Test_inert.suite);
     ]

@@ -109,6 +109,50 @@ let test_parse_namespaces () =
     | _ -> Alcotest.fail "no child")
   | _ -> Alcotest.fail "no element"
 
+let xml_ns = "http://www.w3.org/XML/1998/namespace"
+
+(* The [xml] prefix resolves at any depth, and a document cannot rebind
+   it. *)
+let test_parse_xml_prefix () =
+  let t = parse {|<a xmlns:xml="urn:bogus"><b><c xml:lang="en"/></b></a>|} in
+  let c =
+    match t with
+    | Tree.Element { children = [ Tree.Element { children = [ c ]; _ } ]; _ } -> c
+    | _ -> Alcotest.fail "unexpected shape"
+  in
+  match c with
+  | Tree.Element { attrs = [ a ]; _ } ->
+    check string_ "xml:lang namespace" xml_ns (Name.uri a.Tree.attr_name);
+    check string_ "xml:lang local" "lang" (Name.local a.Tree.attr_name)
+  | _ -> Alcotest.fail "no attribute"
+
+(* Parse time must grow linearly with nesting depth: 8x the depth may cost
+   at most 20x the time (best of 3 each). A per-level namespace binding
+   made each name lookup walk a list as long as the depth, about 70x. *)
+let test_parse_depth_linear () =
+  let nested d =
+    let b = Buffer.create (7 * d) in
+    for _ = 1 to d do
+      Buffer.add_string b "<a>"
+    done;
+    for _ = 1 to d do
+      Buffer.add_string b "</a>"
+    done;
+    Buffer.contents b
+  in
+  let best_of_3 src =
+    List.fold_left min infinity
+      (List.init 3 (fun _ ->
+           let t0 = Unix.gettimeofday () in
+           ignore (parse src);
+           Unix.gettimeofday () -. t0))
+  in
+  let shallow = best_of_3 (nested 2_000) and deep = best_of_3 (nested 16_000) in
+  let ratio = deep /. Float.max shallow 1e-6 in
+  if ratio > 20. then
+    Alcotest.failf "16k deep took %.1fx the time of 2k deep (%.2f ms vs %.2f ms)"
+      ratio (deep *. 1e3) (shallow *. 1e3)
+
 let test_parse_errors () =
   let fails s =
     match Parser.parse_result s with
@@ -440,6 +484,8 @@ let suite =
     ("parse prolog and doctype", `Quick, test_parse_prolog_doctype);
     ("whitespace stripping", `Quick, test_parse_whitespace_strip);
     ("namespaces", `Quick, test_parse_namespaces);
+    ("xml prefix fixed at any depth", `Quick, test_parse_xml_prefix);
+    ("parse time linear in nesting depth", `Quick, test_parse_depth_linear);
     ("parse errors", `Quick, test_parse_errors);
     ("parse error positions", `Quick, test_parse_error_position);
     ("escaping", `Quick, test_escaping);

@@ -420,6 +420,107 @@ let prop_flwor_map =
       show (eval src)
       = String.concat ";" (List.init n (fun i -> string_of_int ((i + 1) * (i + 1)))))
 
+(* ---- distinct-values: the hash-based form against the pairwise scan ---- *)
+
+(* The original quadratic implementation: keep an atom unless
+   [compare_atomic] equates it with one already kept. *)
+let distinct_reference atoms =
+  let rec dedup seen = function
+    | [] -> []
+    | a :: rest ->
+      if List.exists (fun b -> Value.compare_atomic a b = 0) seen then dedup seen rest
+      else a :: dedup (a :: seen) rest
+  in
+  dedup [] atoms
+
+(* Small pools, so equal and cross-kind-equal atoms are frequent: numeric
+   strings that equal numbers but not each other ("1", "1.0", " 1"),
+   booleans that equal their string spelling, nan and signed zeros. *)
+let gen_atom =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun b -> Value.Boolean b) bool;
+        map (fun i -> Value.Integer i) (int_range (-2) 3);
+        map
+          (fun f -> Value.Decimal f)
+          (oneofl [ 0.0; -0.0; 1.0; 1.5; -2.0; 3.0; Float.nan; Float.infinity ]);
+        map
+          (fun s -> Value.String s)
+          (oneofl [ "1"; "1.0"; " 1"; "0"; "-0"; "true"; "false"; "abc"; "nan"; "inf"; "" ]);
+        map
+          (fun s -> Value.Untyped s)
+          (oneofl [ "1"; "1.5"; "2"; "true"; "abc"; "NaN"; "-2.0"; "3" ]);
+      ])
+
+let show_atoms atoms = String.concat ";" (List.map Value.string_of_atomic atoms)
+
+let same_atoms a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun x y ->
+         (* structural, except that nan must match nan *)
+         match x, y with
+         | Value.Decimal f, Value.Decimal g -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+         | _ -> x = y)
+       a b
+
+let prop_distinct_values_reference =
+  QCheck.Test.make ~name:"distinct-values agrees with the pairwise scan" ~count:1000
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 0 12) gen_atom)
+       ~print:(fun atoms ->
+         String.concat ","
+           (List.map
+              (fun a ->
+                match a with
+                | Value.Boolean _ -> "B:" ^ Value.string_of_atomic a
+                | Value.Integer _ -> "I:" ^ Value.string_of_atomic a
+                | Value.Decimal f -> Printf.sprintf "D:%h" f
+                | Value.String s -> Printf.sprintf "S:%S" s
+                | Value.Untyped s -> Printf.sprintf "U:%S" s)
+              atoms)))
+    (fun atoms ->
+      let got =
+        List.map
+          (function Value.Atom a -> a | Value.Node _ -> assert false)
+          (Demaq.Xquery.Functions.call (Context.make ()) "distinct-values"
+             [ List.map (fun a -> Value.Atom a) atoms ])
+      in
+      let want = distinct_reference atoms in
+      same_atoms got want
+      || QCheck.Test.fail_reportf "got %s, want %s" (show_atoms got) (show_atoms want))
+
+(* 32k distinct values take well under 50 ms (the pairwise scan: ~12 s).
+   The query runs as a deployed rule would: compiled with [//i] fused
+   into a descendant step. *)
+let test_distinct_values_linear () =
+  let n = 32_768 in
+  let b = Buffer.create (n * 16) in
+  Buffer.add_string b "<r>";
+  for i = 0 to n - 1 do
+    Printf.bprintf b "<i>%d</i>" i
+  done;
+  Buffer.add_string b "</r>";
+  let env =
+    {
+      (Context.make ()) with
+      Context.item = Some (Value.Node (Eval.node_of_tree (Xml_parser.parse (Buffer.contents b))));
+    }
+  in
+  let expr =
+    Demaq.Lang.Compiler.fuse_descendant_steps (Parser.parse "distinct-values(//i)")
+  in
+  let best = ref infinity and count = ref 0 in
+  for _ = 1 to 3 do
+    let t0 = Unix.gettimeofday () in
+    count := List.length (Eval.eval env expr);
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  check int_ "all distinct" n !count;
+  if !best > 0.050 then
+    Alcotest.failf "distinct-values over %d values took %.1f ms" n (!best *. 1e3)
+
 let quick name f = (name, `Quick, f)
 let table cases = List.map (fun (name, f) -> (name, `Quick, f)) cases
 
@@ -445,4 +546,6 @@ let suite =
   @ [
       QCheck_alcotest.to_alcotest prop_arith;
       QCheck_alcotest.to_alcotest prop_flwor_map;
+      QCheck_alcotest.to_alcotest prop_distinct_values_reference;
+      quick "distinct-values linear in its input" test_distinct_values_linear;
     ]
