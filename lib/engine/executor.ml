@@ -329,11 +329,9 @@ let outbox_for t queue =
     Hashtbl.replace t.outbox queue q;
     q
 
-let note_outgoing t (m : Message.t) =
-  match Qm.find_queue t.qm m.Message.queue with
-  | Some { Defs.kind = Defs.Outgoing_gateway; _ } ->
+let note_outgoing t (qdef : Defs.queue_def) (m : Message.t) =
+  if qdef.Defs.kind = Defs.Outgoing_gateway then
     Queue.push m.Message.rid (outbox_for t m.Message.queue)
-  | _ -> ()
 
 (* ---- causal provenance (flow tracing); assumes [state_mu] held ---- *)
 
@@ -568,14 +566,12 @@ let resources_for t (m : Message.t) =
            Printf.sprintf "s:%s/%s" mem.Message.m_slicing mem.Message.m_key)
          m.Message.memberships
 
-let schedule_message t (m : Message.t) =
+let schedule_message t ~priority (m : Message.t) =
   (* queue-wait attribution starts at schedule time; only paid for when
      someone will consume the timings *)
   if Metrics.timing_on t.reg || Trace.enabled t.spans then
     Hashtbl.replace t.pending_ns m.Message.rid (Metrics.now t.reg);
-  t.schedule
-    ~priority:(queue_priority t m.Message.queue)
-    ~resources:(resources_for t m) m.Message.rid
+  t.schedule ~priority ~resources:(resources_for t m) m.Message.rid
 
 (* ---- inert messages ---- *)
 
@@ -585,10 +581,10 @@ let schedule_message t (m : Message.t) =
    processed flag, so the transaction that creates it does that instead
    of a dispatch of its own. Echo and outgoing-gateway messages always
    take their own paths (timer, transmission). *)
-let inert t (kind : Defs.kind option) (m : Message.t) =
+let inert t (kind : Defs.kind) (m : Message.t) =
   (match kind with
-   | Some (Defs.Basic | Defs.Incoming_gateway) -> true
-   | Some (Defs.Outgoing_gateway | Defs.Echo) | None -> false)
+   | Defs.Basic | Defs.Incoming_gateway -> true
+   | Defs.Outgoing_gateway | Defs.Echo -> false)
   && Option.is_none (Compiler.plan_for t.compiled m.Message.queue)
   && List.for_all
        (fun (mem : Message.membership) ->
@@ -692,8 +688,8 @@ and enqueue_internal t txn ?rule ?rule_error_queue ?(trigger = None) ?provenance
       derived_prov ~cause:(Option.value ~default:"" rule) trig
     | None, None -> Message.no_provenance
   in
-  match Qm.enqueue t.qm txn ?rule ?trigger ~provenance ~explicit ~queue ~payload () with
-  | Ok m -> admitted_unlocked t txn ?rule m
+  match Qm.admit t.qm txn ?rule ?trigger ~provenance ~explicit ~queue ~payload () with
+  | Ok (qdef, m) -> admitted_unlocked t txn ?rule qdef m
   | Error e ->
     let kind =
       match e with
@@ -708,16 +704,15 @@ and enqueue_internal t txn ?rule ?rule_error_queue ?(trigger = None) ?provenance
 
 (* What every admitted message goes through: flow edge, dispatch (or,
    for an inert message, processing inside this transaction), gateway
-   outbox, and the echo timer of an echo-queue message. *)
-and admitted_unlocked t txn ?rule (m : Message.t) =
+   outbox, and the echo timer of an echo-queue message. [qdef] is the
+   definition [Qm.admit] resolved for the message's queue. *)
+and admitted_unlocked t txn ?rule (qdef : Defs.queue_def) (m : Message.t) =
   Metrics.incr t.met.m_messages_created;
   note_flow t m;
-  let kind =
-    Option.map (fun q -> q.Defs.kind) (Qm.find_queue t.qm m.Message.queue)
-  in
-  if inert t kind m then process_inline t txn m else schedule_message t m;
-  note_outgoing t m;
-  if kind = Some Defs.Echo then register_echo_timer t txn ?rule m
+  if inert t qdef.Defs.kind m then process_inline t txn m
+  else schedule_message t ~priority:qdef.Defs.priority m;
+  note_outgoing t qdef m;
+  if qdef.Defs.kind = Defs.Echo then register_echo_timer t txn ?rule m
 
 and register_echo_timer t txn ?rule (m : Message.t) =
   let timeout =
@@ -751,9 +746,9 @@ and register_echo_timer t txn ?rule (m : Message.t) =
 let inject_unlocked t ~props ~provenance ~queue payload =
   match
     in_txn t (fun txn ->
-        match Qm.enqueue t.qm txn ~provenance ~explicit:props ~queue ~payload () with
-        | Ok m ->
-          admitted_unlocked t txn m;
+        match Qm.admit t.qm txn ~provenance ~explicit:props ~queue ~payload () with
+        | Ok (qdef, m) ->
+          admitted_unlocked t txn qdef m;
           m
         | Error e -> raise (Qm.Queue_error e))
   with
@@ -1077,12 +1072,8 @@ let process t rid =
            apply_updates t txn blamed m tagged;
            (* Echo-queue messages stay unprocessed until their timer fires,
               so a restart can re-register the pending timeout (§2.1.3). *)
-           let is_echo =
-             match Qm.find_queue t.qm m.Message.queue with
-             | Some { Defs.kind = Defs.Echo; _ } -> true
-             | _ -> false
-           in
-           if not is_echo then Qm.mark_processed t.qm txn m;
+           if not (Qm.is_echo t.qm m.Message.queue) then
+             Qm.mark_processed t.qm txn m;
            inline := counting_inline t (fun () -> Store.commit txn);
            (* counted under [state_mu]: an ingress domain, bound to no
               shard, counts the inert messages it admits on shard 0 *)

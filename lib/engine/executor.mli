@@ -33,6 +33,7 @@ module Context = Demaq_xquery.Context
 module Store = Demaq_store.Message_store
 module Qm = Demaq_mq.Queue_manager
 module Message = Demaq_mq.Message
+module Defs = Demaq_mq.Defs
 module Compiler = Demaq_lang.Compiler
 module Network = Demaq_net.Network
 module Wsdl = Demaq_net.Wsdl
@@ -166,8 +167,9 @@ val register_interface : t -> file:string -> string -> (unit, string) result
 val outbox_for : t -> string -> int Queue.t
 (** Assumes the lock. *)
 
-val note_outgoing : t -> Message.t -> unit
-(** Assumes the lock. *)
+val note_outgoing : t -> Defs.queue_def -> Message.t -> unit
+(** Puts the message in its queue's outbox when the definition is an
+    outgoing gateway. Assumes the lock. *)
 
 val queue_priority : t -> string -> int
 
@@ -178,9 +180,10 @@ val resources_for : t -> Message.t -> string list
     (membership slice resources always included; ⊤ expands to every
     declared queue). *)
 
-val schedule_message : t -> Message.t -> unit
-(** Route through the [schedule] hook (the worker pool). Safe under the
-    lock: the hook only takes the pool monitor. *)
+val schedule_message : t -> priority:int -> Message.t -> unit
+(** Route through the [schedule] hook (the worker pool) at the priority
+    of the message's queue. Safe under the lock: the hook only takes the
+    pool monitor. *)
 
 val raise_error :
   t ->

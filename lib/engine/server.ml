@@ -564,9 +564,8 @@ let deploy ?(config = default_config) ?time_source ?store:st ?network:net
   Executor.locked ctx (fun () ->
       List.iter
         (fun (qdef : Defs.queue_def) ->
-          if qdef.Defs.kind = Defs.Outgoing_gateway then
-            List.iter (Executor.note_outgoing ctx)
-              (Qm.queue_messages qm qdef.Defs.qname))
+          List.iter (Executor.note_outgoing ctx qdef)
+            (Qm.queue_messages qm qdef.Defs.qname))
         (Qm.queue_defs qm));
   let unprocessed = Qm.unprocessed qm in
   (* Resume at the MAXIMUM stored timestamp in one step: list order is
@@ -581,7 +580,9 @@ let deploy ?(config = default_config) ?time_source ?store:st ?network:net
       match Qm.find_queue qm m.Message.queue with
       | Some { Defs.kind = Defs.Echo; _ } ->
         Executor.with_txn ctx (fun txn -> Executor.register_echo_timer ctx txn m)
-      | _ -> Executor.schedule_message ctx m)
+      | qdef ->
+        let priority = match qdef with Some q -> q.Defs.priority | None -> 0 in
+        Executor.schedule_message ctx ~priority m)
     unprocessed;
   (* Refill the flow store from durable provenance so /flows and the flow
      trees pick up where the crashed process left off (spans are gone —

@@ -131,20 +131,7 @@ let fold_constants expr =
       | e -> e)
     expr
 
-(* [a//t] parses as [a/descendant-or-self::node()/child::t], which
-   evaluates to every node of the subtree and then every node's children.
-   Without predicates on the child step it selects exactly
-   [a/descendant::t]; a predicate there counts positions among one
-   parent's children, so such a step is left alone. *)
-let fuse_descendant_steps expr =
-  Ast.map_expr
-    (function
-      | Ast.Path
-          ( Ast.Path (a, Ast.Axis_step (Ast.Descendant_or_self, Ast.Node_kind_test, [])),
-            Ast.Axis_step (Ast.Child, test, []) ) ->
-        Ast.Path (a, Ast.Axis_step (Ast.Descendant, test, []))
-      | e -> e)
-    expr
+let fuse_descendant_steps = Ast.fuse_descendant_steps
 
 (* Inline fixed properties: only safe for rules on a physical queue (the
    property expression for that specific queue is known statically). *)

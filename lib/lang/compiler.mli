@@ -106,5 +106,6 @@ val conflict_to_string : conflict -> string
 
 val fuse_descendant_steps : Demaq_xquery.Ast.expr -> Demaq_xquery.Ast.expr
 (** The per-rule rewrite of a predicate-free [a/descendant-or-self::node()/child::t]
-    into [a/descendant::t]; both select the same sequence. Exposed for
-    tests. *)
+    into [a/descendant::t]; both select the same sequence. It is
+    {!Demaq_xquery.Ast.fuse_descendant_steps}, which {!Demaq_xquery.Eval.run}
+    applies too. Exposed for tests. *)

@@ -6,6 +6,7 @@ module Eval = Demaq_xquery.Eval
 module Context = Demaq_xquery.Context
 module Store = Demaq_store.Message_store
 module Btree = Demaq_store.Btree
+module Rid_table = Demaq_store.Rid_table
 
 type error =
   | Unknown_queue of string
@@ -27,11 +28,13 @@ exception Queue_error of error
 type t = {
   store : Store.t;
   queues : (string, Defs.queue_def) Hashtbl.t;
+  mutable echo_queues : string list;  (* names of the [Echo] queues *)
   mutable properties : Defs.property_def list;  (* declaration order *)
   mutable slicings : Defs.slicing_def list;
   indexes : (string, int Btree.t) Hashtbl.t;  (* slicing -> key -> rids *)
   collections : (string, Tree.tree list) Hashtbl.t;
-  cache : (int, Message.t) Hashtbl.t;  (* rid -> decoded message *)
+  cache : Message.t Rid_table.t;  (* rid -> decoded message *)
+  unenqueue : int -> unit;  (* [Store.insert]'s undo: [forget] the rid *)
   clock : unit -> int;
   encode_payload : Tree.tree -> string;  (* stored representation *)
   mutable gc_cursor : int;
@@ -55,7 +58,14 @@ let index_for t slicing =
     Hashtbl.replace t.indexes slicing idx;
     idx
 
-let add_queue t def = Hashtbl.replace t.queues def.Defs.qname def
+let add_queue t def =
+  let name = def.Defs.qname in
+  Hashtbl.replace t.queues name def;
+  t.echo_queues <- List.filter (fun q -> q <> name) t.echo_queues;
+  if def.Defs.kind = Defs.Echo then t.echo_queues <- name :: t.echo_queues
+
+let is_echo t name = t.echo_queues <> [] && List.mem name t.echo_queues
+
 let add_property t def = t.properties <- t.properties @ [ def ]
 
 let add_slicing t def =
@@ -76,20 +86,47 @@ let collection t name = Option.value ~default:[] (Hashtbl.find_opt t.collections
 
 (* ---- message access with cache ---- *)
 
+(* the empty slot of [cache] *)
+let no_message =
+  let body = Tree.text "" in
+  {
+    Message.rid = -1;
+    queue = "";
+    raw = Lazy.from_val "";
+    body = Lazy.from_val body;
+    doc = lazy (Tree.root_node (Tree.doc body));
+    props = [];
+    memberships = [];
+    prov = Message.no_provenance;
+    enqueued_at = 0;
+    processed = false;
+  }
+
+(* Drop a message's cache entry and its slice-index postings: when the
+   GC collects it, and when the transaction that enqueued it aborts. *)
+let forget ~cache ~indexes (m : Message.t) =
+  Rid_table.remove cache m.Message.rid;
+  List.iter
+    (fun mem ->
+      match Hashtbl.find_opt indexes mem.Message.m_slicing with
+      | Some idx -> Btree.remove idx mem.Message.m_key (fun rid -> rid = m.Message.rid)
+      | None -> ())
+    m.Message.memberships
+
 let of_store_cached t (sm : Store.message) =
   let m =
-    match Hashtbl.find_opt t.cache sm.rid with
+    match Rid_table.find_opt t.cache sm.rid with
     | Some m -> m
     | None ->
       let m = Message.of_store t.store sm in
-      Hashtbl.replace t.cache sm.rid m;
+      Rid_table.set t.cache sm.rid m;
       m
   in
   (* [processed] may have changed since the cache entry was created. *)
   if m.Message.processed = sm.processed then m
   else begin
     let m = { m with Message.processed = sm.processed } in
-    Hashtbl.replace t.cache sm.rid m;
+    Rid_table.set t.cache sm.rid m;
     m
   end
 
@@ -97,7 +134,7 @@ let get t rid =
   Option.map (of_store_cached t) (Store.get t.store rid)
 
 let all_messages t = List.map (of_store_cached t) (Store.all_messages t.store)
-let cache_size t = Hashtbl.length t.cache
+let cache_size t = Rid_table.length t.cache
 
 let queue_messages t queue =
   List.rev
@@ -247,7 +284,7 @@ let memberships_of t props =
           })
     t.slicings
 
-let enqueue t txn ?rule ?trigger ?(provenance = Message.no_provenance)
+let admit t txn ?rule ?trigger ?(provenance = Message.no_provenance)
     ?(explicit = []) ~queue ~payload () =
   match find_queue t queue with
   | None -> Error (Unknown_queue queue)
@@ -276,7 +313,8 @@ let enqueue t txn ?rule ?trigger ?(provenance = Message.no_provenance)
         in
         let durable = qdef.mode = Defs.Persistent in
         let rid =
-          Store.insert txn ~queue ~payload:serialized ~extra ~enqueued_at ~durable
+          Store.insert ~on_undo:t.unenqueue txn ~queue ~payload:serialized ~extra
+            ~enqueued_at ~durable
         in
         List.iter
           (fun mem ->
@@ -296,8 +334,11 @@ let enqueue t txn ?rule ?trigger ?(provenance = Message.no_provenance)
             processed = false;
           }
         in
-        Hashtbl.replace t.cache rid m;
-        Ok m))
+        Rid_table.set t.cache rid m;
+        Ok (qdef, m)))
+
+let enqueue t txn ?rule ?trigger ?provenance ?explicit ~queue ~payload () =
+  Result.map snd (admit t txn ?rule ?trigger ?provenance ?explicit ~queue ~payload ())
 
 (* ---- updates ---- *)
 
@@ -320,14 +361,7 @@ let delete_batch t doomed =
     List.iter
       (fun (m : Message.t) ->
         Store.delete txn m.Message.rid;
-        Hashtbl.remove t.cache m.Message.rid;
-        List.iter
-          (fun mem ->
-            Btree.remove
-              (index_for t mem.Message.m_slicing)
-              mem.Message.m_key
-              (fun rid -> rid = m.Message.rid))
-          m.Message.memberships)
+        forget ~cache:t.cache ~indexes:t.indexes m)
       doomed;
     Store.commit txn;
     List.map (fun (m : Message.t) -> m.Message.rid) doomed
@@ -389,15 +423,19 @@ let create ?clock ?(payload_format = `Binary) store =
     | `Binary -> Demaq_xml.Bxml.encode
     | `Text -> fun tree -> Serializer.to_string tree
   in
+  let cache = Rid_table.create ~dummy:no_message and indexes = Hashtbl.create 8 in
   let t =
     {
       store;
       queues = Hashtbl.create 16;
+      echo_queues = [];
       properties = [];
       slicings = [];
-      indexes = Hashtbl.create 8;
+      indexes;
       collections = Hashtbl.create 8;
-      cache = Hashtbl.create 1024;
+      cache;
+      unenqueue =
+        (fun rid -> Option.iter (forget ~cache ~indexes) (Rid_table.find_opt cache rid));
       clock;
       encode_payload;
       gc_cursor = 0;

@@ -41,6 +41,11 @@ val add_property : t -> Defs.property_def -> unit
 val add_slicing : t -> Defs.slicing_def -> unit
 
 val find_queue : t -> string -> Defs.queue_def option
+
+val is_echo : t -> string -> bool
+(** Whether the named queue is an echo queue: a scan of the (usually
+    empty) list of echo queues, no hashing. *)
+
 val find_slicing : t -> string -> Defs.slicing_def option
 val queue_defs : t -> Defs.queue_def list
 val slicing_defs : t -> Defs.slicing_def list
@@ -70,7 +75,23 @@ val enqueue :
     lifetimes, and inserts the message. Durable iff the queue is
     persistent and the store is durable. [provenance] (default
     {!Message.no_provenance}) is persisted in the extra blob alongside the
-    properties, so causal flow edges survive crash-restart. *)
+    properties, so causal flow edges survive crash-restart. If the
+    transaction aborts, the cache entry and slice-index postings it added
+    are removed again. *)
+
+val admit :
+  t ->
+  Store.txn ->
+  ?rule:string ->
+  ?trigger:Message.t ->
+  ?provenance:Message.provenance ->
+  ?explicit:(string * Value.atomic) list ->
+  queue:string ->
+  payload:Tree.tree ->
+  unit ->
+  (Defs.queue_def * Message.t, error) result
+(** {!enqueue}, also returning the definition of the queue it resolved,
+    so the caller need not look the queue up again. *)
 
 (** {1 Reads} *)
 
@@ -79,10 +100,13 @@ val queue_messages : t -> string -> Message.t list
 (** Live messages of the queue, arrival order. *)
 
 val all_messages : t -> Message.t list
-(** Every live message, rid order. *)
+(** Every live message, in increasing rid order. *)
 
 val cache_size : t -> int
-(** Decoded messages currently cached; collected messages leave it. *)
+(** Decoded messages currently cached; collected messages leave it,
+    and so do messages whose creating transaction aborted. The cache is a
+    {!Demaq_store.Rid_table}: it holds a page of slots per page-aligned
+    rid range with at least one cached message. *)
 
 val queue_length : t -> string -> int
 val unprocessed : t -> Message.t list

@@ -40,7 +40,7 @@ type t = {
   config : config;
   wal : Wal.t option;
   heap : Heap_file.t option;  (* large-payload store *)
-  messages : (int, message) Hashtbl.t;
+  messages : message Rid_table.t;
   queues : (string, int Vec.t) Hashtbl.t;
   slice_lifetimes : (string * string, int) Hashtbl.t;
   lock_mgr : Lock_manager.t;
@@ -48,6 +48,10 @@ type t = {
   mutable low_rid : int;
       (* no rid below it is in [messages]: lowered by inserts, raised past
          the dropped rids when tombstones are dropped *)
+  mutable live : int;  (* entries of [messages] not deleted *)
+  mutable tombstones : int;  (* entries of [messages] deleted *)
+  mutable spilled : int;  (* entries of [messages] stored out of line *)
+  mutable inline_bytes : int;  (* bytes of the inline bodies in [messages] *)
   mutable next_txn : int;
   mutable checkpoints : int;
   mutable last_logged_txn : int;  (* highest txn with a WAL commit record *)
@@ -67,6 +71,11 @@ type t = {
 }
 
 and compaction_stage = Before_commit | After_commit
+
+(* the empty slot of [messages] *)
+let no_message =
+  { rid = -1; queue = ""; stored = Inline ""; extra = ""; enqueued_at = 0;
+    processed = false; deleted = false }
 
 let payload t m =
   match m.stored with
@@ -104,10 +113,34 @@ let queue_vec t queue =
 
 (* ---- applying operations to the in-memory state ---- *)
 
+(* The gauges [stats] reports are counters kept here, at every point an
+   entry enters or leaves [messages] or changes state, so reading them
+   never walks the table. [sign] is +1 when [m]'s body joins the table's
+   account and -1 when it leaves. *)
+let account_body t m sign =
+  match m.stored with
+  | Inline s -> t.inline_bytes <- t.inline_bytes + (sign * String.length s)
+  | Spilled _ -> t.spilled <- t.spilled + sign
+
+let set_deleted t m deleted =
+  if m.deleted <> deleted then begin
+    m.deleted <- deleted;
+    let d = if deleted then 1 else -1 in
+    t.tombstones <- t.tombstones + d;
+    t.live <- t.live - d
+  end
+
+let remove_entry t m =
+  Rid_table.remove t.messages m.rid;
+  account_body t m (-1);
+  if m.deleted then t.tombstones <- t.tombstones - 1 else t.live <- t.live - 1
+
 let apply_insert t ~rid ~queue ~stored ~extra ~enqueued_at =
   let m = { rid; queue; stored; extra; enqueued_at; processed = false; deleted = false } in
-  if rid < t.low_rid || Hashtbl.length t.messages = 0 then t.low_rid <- rid;
-  Hashtbl.replace t.messages rid m;
+  if rid < t.low_rid || Rid_table.length t.messages = 0 then t.low_rid <- rid;
+  Rid_table.set t.messages rid m;
+  account_body t m 1;
+  t.live <- t.live + 1;
   Vec.push (queue_vec t queue) rid;
   if rid >= t.next_rid then t.next_rid <- rid + 1;
   m
@@ -125,7 +158,7 @@ let payload_replayable payload =
 let apply_op t (op : Wal.op) =
   match op with
   | Wal.Insert { rid; queue; payload; extra; enqueued_at } ->
-    if Hashtbl.mem t.messages rid then
+    if Rid_table.mem t.messages rid then
       (* a crash between the snapshot slot's fsync and the WAL truncation
          leaves the old log alongside the new snapshot; replaying its
          inserts on top of the snapshot-loaded message would push the rid
@@ -140,14 +173,14 @@ let apply_op t (op : Wal.op) =
       Log.warn (fun f ->
           f "WAL replay: skipping #%d (queue %s): corrupt binary payload" rid queue)
   | Wal.Mark_processed { rid } -> (
-    match Hashtbl.find_opt t.messages rid with
+    match Rid_table.find_opt t.messages rid with
     | Some m -> m.processed <- true
     | None -> ())
   | Wal.Slice_reset { slicing; key; lifetime } ->
     Hashtbl.replace t.slice_lifetimes (slicing, key) lifetime
   | Wal.Delete { rid; _ } -> (
-    match Hashtbl.find_opt t.messages rid with
-    | Some m -> m.deleted <- true
+    match Rid_table.find_opt t.messages rid with
+    | Some m -> set_deleted t m true
     | None -> ())
 
 (* ---- snapshots ----
@@ -170,9 +203,8 @@ let encode_snapshot t =
   let buf = Buffer.create 4096 in
   Codec.put_int buf t.next_rid;
   let live =
-    Hashtbl.fold (fun _ m acc -> if m.deleted then acc else m :: acc) t.messages []
+    Rid_table.fold (fun _ m acc -> if m.deleted then acc else m :: acc) t.messages []
   in
-  let live = List.sort (fun a b -> compare a.rid b.rid) live in
   Codec.put_list buf
     (fun buf m ->
       Codec.put_int buf m.rid;
@@ -183,7 +215,9 @@ let encode_snapshot t =
        | Inline s when should_spill t s ->
          (match t.heap with
           | Some heap ->
-            m.stored <- Spilled (Heap_file.insert heap s, String.length s)
+            account_body t m (-1);
+            m.stored <- Spilled (Heap_file.insert heap s, String.length s);
+            account_body t m 1
           | None -> ())
        | _ -> ());
       (match m.stored with
@@ -198,7 +232,7 @@ let encode_snapshot t =
       Codec.put_string buf m.extra;
       Codec.put_int buf m.enqueued_at;
       Codec.put_bool buf m.processed)
-    live;
+    (List.rev live);
   let lifetimes =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.slice_lifetimes []
   in
@@ -330,7 +364,7 @@ let sweep_heap_orphans t =
   | None -> ()
   | Some heap ->
     let referenced = Hashtbl.create 64 in
-    Hashtbl.iter
+    Rid_table.iter
       (fun _ m ->
         match m.stored with
         | Spilled (hrid, _) -> Hashtbl.replace referenced hrid ()
@@ -354,12 +388,16 @@ let open_store config =
       config;
       wal = None;
       heap;
-      messages = Hashtbl.create 1024;
+      messages = Rid_table.create ~dummy:no_message;
       queues = Hashtbl.create 16;
       slice_lifetimes = Hashtbl.create 64;
       lock_mgr = Lock_manager.create ();
       next_rid = 1;
       low_rid = 1;
+      live = 0;
+      tombstones = 0;
+      spilled = 0;
+      inline_bytes = 0;
       next_txn = 1;
       checkpoints = 0;
       last_logged_txn = 0;
@@ -420,12 +458,12 @@ let txn_id txn = txn.id
 let check_active txn =
   if txn.finished then invalid_arg "transaction already finished"
 
-let insert txn ~queue ~payload ~extra ~enqueued_at ~durable =
+let insert ?(on_undo = ignore) txn ~queue ~payload ~extra ~enqueued_at ~durable =
   check_active txn;
   let t = txn.store in
   let rid = t.next_rid in
   let stored = store_payload t payload in
-  ignore (apply_insert t ~rid ~queue ~stored ~extra ~enqueued_at);
+  let m = apply_insert t ~rid ~queue ~stored ~extra ~enqueued_at in
   if durable then
     txn.ops <- Wal.Insert { rid; queue; payload; extra; enqueued_at } :: txn.ops;
   txn.undo <-
@@ -433,14 +471,15 @@ let insert txn ~queue ~payload ~extra ~enqueued_at ~durable =
       (match stored, t.heap with
        | Spilled (hrid, _), Some heap -> Heap_file.free heap hrid
        | _ -> ());
-      Hashtbl.remove t.messages rid;
-      Vec.filter_in_place (fun r -> r <> rid) (queue_vec t queue))
+      remove_entry t m;
+      Vec.filter_in_place (fun r -> r <> rid) (queue_vec t queue);
+      on_undo rid)
     :: txn.undo;
   rid
 
 let mark_processed txn rid =
   check_active txn;
-  match Hashtbl.find_opt txn.store.messages rid with
+  match Rid_table.find_opt txn.store.messages rid with
   | None -> ()
   | Some m ->
     if not m.processed then begin
@@ -466,15 +505,15 @@ let slice_reset txn ~slicing ~key =
 let delete txn rid =
   check_active txn;
   let t = txn.store in
-  match Hashtbl.find_opt t.messages rid with
+  match Rid_table.find_opt t.messages rid with
   | None -> ()
   | Some m ->
     if not m.deleted then begin
-      m.deleted <- true;
+      set_deleted t m true;
       if t.config.log_deletions then
         (* emulate update-in-place logging: the before-image rides along *)
         txn.ops <- Wal.Delete { rid; image = payload t m } :: txn.ops;
-      txn.undo <- (fun () -> m.deleted <- false) :: txn.undo
+      txn.undo <- (fun () -> set_deleted t m false) :: txn.undo
     end
 
 let commit txn =
@@ -511,10 +550,8 @@ let unsynced_commits t =
 let unsynced_bytes t =
   match t.wal with Some wal -> Wal.pending_bytes wal | None -> 0
 
-(* cheap accessor for the adaptive controller's per-tick sampling: [stats]
-   folds the whole message table, which a control loop must not pay for *)
-let wal_group_syncs t =
-  match t.wal with Some wal -> Wal.group_syncs_performed wal | None -> 0
+let wal_count f t = match t.wal with Some w -> f w | None -> 0
+let wal_group_syncs t = wal_count Wal.group_syncs_performed t
 
 let abort txn =
   check_active txn;
@@ -525,8 +562,8 @@ let abort txn =
 (* ---- reads ---- *)
 
 let get t rid =
-  match Hashtbl.find_opt t.messages rid with
-  | Some m when not m.deleted -> Some m
+  match Rid_table.find_opt t.messages rid with
+  | Some m as found when not m.deleted -> found
   | _ -> None
 
 let queue_rids t queue =
@@ -552,10 +589,9 @@ let low_rid t = t.low_rid
 let next_rid t = t.next_rid
 
 let fold_messages t f init =
-  Hashtbl.fold (fun _ m acc -> if m.deleted then acc else f acc m) t.messages init
+  Rid_table.fold (fun _ m acc -> if m.deleted then acc else f acc m) t.messages init
 
-let all_messages t =
-  List.sort (fun a b -> compare a.rid b.rid) (fold_messages t (fun acc m -> m :: acc) [])
+let all_messages t = List.rev (fold_messages t (fun acc m -> m :: acc) [])
 
 let slice_lifetime t ~slicing ~key =
   Option.value ~default:0 (Hashtbl.find_opt t.slice_lifetimes (slicing, key))
@@ -568,25 +604,25 @@ let unprocessed t =
 (* One pass over the table and one filter per affected queue vector, so a
    compaction costs O(store), not O(tombstones x queue length). *)
 let drop_tombstones t =
-  let doomed = Hashtbl.create 64 in
-  Hashtbl.iter (fun rid m -> if m.deleted then Hashtbl.replace doomed rid m) t.messages;
-  if Hashtbl.length doomed > 0 then begin
+  if t.tombstones > 0 then begin
+    let doomed =
+      Rid_table.fold (fun _ m acc -> if m.deleted then m :: acc else acc) t.messages []
+    in
     let queues = Hashtbl.create 8 in
-    Hashtbl.iter
-      (fun rid m ->
+    List.iter
+      (fun m ->
         (match m.stored, t.heap with
          | Spilled (hrid, _), Some heap -> Heap_file.free heap hrid
          | _ -> ());
-        Hashtbl.remove t.messages rid;
+        remove_entry t m;
         Hashtbl.replace queues m.queue ())
       doomed;
+    (* a dropped rid is one no longer in the table *)
     Hashtbl.iter
       (fun queue () ->
-        Vec.filter_in_place (fun r -> not (Hashtbl.mem doomed r)) (queue_vec t queue))
+        Vec.filter_in_place (fun r -> Rid_table.mem t.messages r) (queue_vec t queue))
       queues;
-    while t.low_rid < t.next_rid && not (Hashtbl.mem t.messages t.low_rid) do
-      t.low_rid <- t.low_rid + 1
-    done
+    t.low_rid <- Option.value ~default:t.next_rid (Rid_table.lowest t.messages)
   end
 
 let checkpoint t =
@@ -670,30 +706,16 @@ type stats = {
 }
 
 let stats t =
-  let live, dead =
-    Hashtbl.fold
-      (fun _ m (live, dead) -> if m.deleted then (live, dead + 1) else (live + 1, dead))
-      t.messages (0, 0)
-  in
-  let spilled, inline_bytes =
-    Hashtbl.fold
-      (fun _ m (spilled, bytes) ->
-        match m.stored with
-        | Spilled _ -> (spilled + 1, bytes)
-        | Inline s -> (spilled, bytes + String.length s))
-      t.messages (0, 0)
-  in
   {
-    live_messages = live;
-    tombstones = dead;
-    wal_bytes = (match t.wal with Some w -> Wal.bytes_written w | None -> 0);
-    wal_records = (match t.wal with Some w -> Wal.records_written w | None -> 0);
-    wal_syncs = (match t.wal with Some w -> Wal.syncs_performed w | None -> 0);
-    wal_group_syncs =
-      (match t.wal with Some w -> Wal.group_syncs_performed w | None -> 0);
+    live_messages = t.live;
+    tombstones = t.tombstones;
+    wal_bytes = wal_count Wal.bytes_written t;
+    wal_records = wal_count Wal.records_written t;
+    wal_syncs = wal_count Wal.syncs_performed t;
+    wal_group_syncs = wal_count Wal.group_syncs_performed t;
     checkpoints = t.checkpoints;
-    spilled_payloads = spilled;
-    inline_bytes;
+    spilled_payloads = t.spilled;
+    inline_bytes = t.inline_bytes;
   }
 
 (* Register the store's metrics with an observability registry: WAL
@@ -731,27 +753,26 @@ let instrument t reg =
        ?on_fsync
        ~on_batch:(fun n -> M.observe batch n)
        ());
-  let s () = stats t in
-  M.counter_fn reg "demaq_wal_bytes_total" ~help:"Bytes appended to the WAL"
-    (fun () -> float_of_int (s ()).wal_bytes);
-  M.counter_fn reg "demaq_wal_records_total" ~help:"Records appended to the WAL"
-    (fun () -> float_of_int (s ()).wal_records);
-  M.counter_fn reg "demaq_wal_syncs_total" ~help:"WAL fsyncs performed"
-    (fun () -> float_of_int (s ()).wal_syncs);
-  M.counter_fn reg "demaq_wal_group_syncs_total"
-    ~help:"Group-commit barriers that actually synced"
-    (fun () -> float_of_int (s ()).wal_group_syncs);
+  (* each callback reads one counter: a scrape never walks the table *)
+  let wal name help f =
+    M.counter_fn reg name ~help (fun () -> float_of_int (wal_count f t))
+  in
+  wal "demaq_wal_bytes_total" "Bytes appended to the WAL" Wal.bytes_written;
+  wal "demaq_wal_records_total" "Records appended to the WAL" Wal.records_written;
+  wal "demaq_wal_syncs_total" "WAL fsyncs performed" Wal.syncs_performed;
+  wal "demaq_wal_group_syncs_total" "Group-commit barriers that actually synced"
+    Wal.group_syncs_performed;
   M.counter_fn reg "demaq_store_checkpoints_total" ~help:"Checkpoints written"
-    (fun () -> float_of_int (s ()).checkpoints);
+    (fun () -> float_of_int t.checkpoints);
   M.gauge_fn reg "demaq_store_live_messages" ~help:"Live messages in the store"
-    (fun () -> float_of_int (s ()).live_messages);
+    (fun () -> float_of_int t.live);
   M.gauge_fn reg "demaq_store_tombstones" ~help:"Messages awaiting checkpoint drop"
-    (fun () -> float_of_int (s ()).tombstones);
+    (fun () -> float_of_int t.tombstones);
   M.gauge_fn reg "demaq_store_spilled_payloads"
     ~help:"Bodies stored out of line in the heap file"
-    (fun () -> float_of_int (s ()).spilled_payloads);
+    (fun () -> float_of_int t.spilled);
   M.gauge_fn reg "demaq_store_inline_bytes" ~help:"Memory held by inline bodies"
-    (fun () -> float_of_int (s ()).inline_bytes);
+    (fun () -> float_of_int t.inline_bytes);
   M.gauge_fn reg "demaq_wal_unsynced_commits"
     ~help:"Commits appended but not yet covered by a barrier"
     (fun () -> float_of_int (unsynced_commits t))

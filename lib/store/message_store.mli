@@ -76,10 +76,13 @@ val begin_txn : t -> txn
 val txn_id : txn -> int
 
 val insert :
+  ?on_undo:(int -> unit) ->
   txn -> queue:string -> payload:string -> extra:string -> enqueued_at:int ->
   durable:bool -> int
 (** Returns the new message's rid. [durable:false] (transient queues) skips
-    the log; such messages are lost on restart by design (§2.1.1). *)
+    the log; such messages are lost on restart by design (§2.1.1). If the
+    transaction aborts, the insert is undone and [on_undo] is applied to
+    its rid. *)
 
 val mark_processed : txn -> int -> unit
 val slice_reset : txn -> slicing:string -> key:string -> unit
@@ -92,6 +95,7 @@ val delete : txn -> int -> unit
 val on_commit : txn -> (unit -> unit) -> unit
 (** [on_commit txn f] runs [f] right after [txn] commits, in registration
     order, once its locks are released. An aborted transaction drops it. *)
+
 
 val commit : txn -> unit
 val abort : txn -> unit
@@ -127,8 +131,8 @@ val unsynced_bytes : t -> int
     their tears by it. Always 0 outside [Sync_batch]. *)
 
 val wal_group_syncs : t -> int
-(** Barriers that actually synced, without the O(messages) fold of
-    {!stats} — the adaptive controller samples this every tick. *)
+(** Barriers that actually synced; the adaptive controller samples this
+    every tick. *)
 
 (** {1 Reads} *)
 
@@ -141,12 +145,11 @@ val queue_rids : t -> string -> int list
 val queue_length : t -> string -> int
 val fold_queue : t -> string -> ('a -> message -> 'a) -> 'a -> 'a
 val fold_messages : t -> ('a -> message -> 'a) -> 'a -> 'a
-(** Folds over every live message in no particular order, without the
-    sort {!all_messages} pays. *)
+(** Folds over every live message in increasing rid order. *)
 
 val all_messages : t -> message list
-(** Every live message, sorted by rid: a fold and sort of the whole
-    table. *)
+(** Every live message in increasing rid order: one walk of the table,
+    no sort. *)
 
 val low_rid : t -> int
 (** No message (live or tombstoned) has a rid below this. It is the lowest
@@ -201,7 +204,7 @@ val set_compaction_fault : t -> (compaction_stage -> unit) option -> unit
 
 type stats = {
   live_messages : int;
-  tombstones : int;
+  tombstones : int;  (** deleted messages not yet dropped by a checkpoint *)
   wal_bytes : int;
   wal_records : int;
   wal_syncs : int;
@@ -212,10 +215,12 @@ type stats = {
 }
 
 val stats : t -> stats
+(** O(1): every field is a counter the store keeps as messages are
+    inserted, deleted, undone and dropped, never a walk of the table. *)
 
 val instrument : t -> Demaq_obs.Metrics.registry -> unit
 (** Register the store's metrics: WAL fsync-latency / batch-fill
     histograms and the [demaq_store_compaction_seconds] histogram of
     {!compact} (clock hooks installed only when the registry's timing path
-    is on) and callback counters/gauges over {!stats}. Call once per
-    store+registry pair. *)
+    is on) and callback counters/gauges that each read one of the
+    counters behind {!stats}. Call once per store+registry pair. *)

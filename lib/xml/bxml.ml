@@ -28,7 +28,7 @@ type enc = {
   mutable tok : Bytes.t;
   mutable tlen : int;
   out : Buffer.t;
-  tbl : (Name.t, int) Hashtbl.t;
+  tbl : (Name.t, int) Hashtbl.t;  (* used past [scan_limit] names only *)
   mutable names : Name.t array;
   mutable elem_used : Bytes.t; (* one flag byte per interned name *)
   mutable ncount : int;
@@ -37,6 +37,10 @@ type enc = {
 let initial_tok = 1024
 let scratch_cap = 1 lsl 20 (* shrink arenas bigger than 1 MiB after use *)
 let no_name = Name.make ""
+
+(* Up to this many distinct names, [name_id] finds a name by scanning
+   [names]: no hashing, and nothing to reset between documents. *)
+let scan_limit = 16
 
 let make_enc () =
   {
@@ -55,7 +59,7 @@ let reset e =
   e.tlen <- 0;
   Buffer.clear e.out;
   if e.ncount > 0 then begin
-    Hashtbl.reset e.tbl;
+    if e.ncount > scan_limit then Hashtbl.reset e.tbl;
     Bytes.fill e.elem_used 0 e.ncount '\x00';
     e.ncount <- 0
   end
@@ -106,11 +110,26 @@ let patch_u32 e at v =
   if v > 0xFFFFFFFF then fail "subtree too large for u32 content length";
   Bytes.set_int32_le e.tok at (Int32.of_int v)
 
+(* The index of [name] among the first [n] names, or -1. Names are
+   interned, so a physical match is the common hit; structural equality
+   is the second pass. *)
+let scan_names names n name =
+  let rec same i = if i = n then -1 else if names.(i) == name then i else same (i + 1) in
+  let rec equal i =
+    if i = n then -1 else if Name.equal names.(i) name then i else equal (i + 1)
+  in
+  let i = same 0 in
+  if i >= 0 then i else equal 0
+
+let find_name e name =
+  if e.ncount <= scan_limit then scan_names e.names e.ncount name
+  else match Hashtbl.find_opt e.tbl name with Some i -> i | None -> -1
+
 let name_id e ~elem name =
+  let found = find_name e name in
   let idx =
-    match Hashtbl.find_opt e.tbl name with
-    | Some i -> i
-    | None ->
+    if found >= 0 then found
+    else begin
       let i = e.ncount in
       if i = Array.length e.names then begin
         let names = Array.make (2 * i) no_name in
@@ -121,9 +140,13 @@ let name_id e ~elem name =
         e.elem_used <- elem_used
       end;
       e.names.(i) <- name;
-      Hashtbl.add e.tbl name i;
+      (* the table takes over once the scan would pass [scan_limit] *)
+      if i = scan_limit then
+        for j = 0 to i do Hashtbl.add e.tbl e.names.(j) j done
+      else if i > scan_limit then Hashtbl.add e.tbl name i;
       e.ncount <- i + 1;
       i
+    end
   in
   if elem then Bytes.set e.elem_used idx '\x01';
   idx

@@ -225,3 +225,18 @@ let called_functions e =
   fold_expr
     (fun acc e -> match e with Call (name, _) -> name :: acc | _ -> acc)
     [] e
+
+(* [a//t] parses as [a/descendant-or-self::node()/child::t], which
+   evaluates to every node of the subtree and then every node's children.
+   Without predicates on the child step it selects exactly
+   [a/descendant::t]; a predicate there counts positions among one
+   parent's children, so such a step is left alone. *)
+let fuse_descendant_steps expr =
+  map_expr
+    (function
+      | Path
+          ( Path (a, Axis_step (Descendant_or_self, Node_kind_test, [])),
+            Axis_step (Child, test, []) ) ->
+        Path (a, Axis_step (Descendant, test, []))
+      | e -> e)
+    expr

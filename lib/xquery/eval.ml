@@ -494,7 +494,7 @@ let eval_with_updates env expr =
   (v, pending env)
 
 let run ?host ?(vars = []) ?context src =
-  let expr = Parser.parse src in
+  let expr = Ast.fuse_descendant_steps (Parser.parse src) in
   let env = Context.make ?host () in
   let env =
     match context with

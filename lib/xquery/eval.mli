@@ -32,4 +32,6 @@ val run :
   string ->
   Value.t * Update.t list
 (** One-shot convenience: parse and evaluate [expr] with the given context
-    tree as context item. *)
+    tree as context item. Predicate-free [a//t] steps run fused as
+    [a/descendant::t] ({!Ast.fuse_descendant_steps}), as in a compiled
+    rule. *)

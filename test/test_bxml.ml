@@ -206,3 +206,39 @@ let suite =
     QCheck_alcotest.to_alcotest prop_admission_agrees;
     QCheck_alcotest.to_alcotest prop_payload_names_text_none;
   ]
+
+(* The encoder scans its first 16 names and hands over to a hash table
+   past them. Across that boundary, with names that are equal but not
+   physically shared, each distinct name gets one dictionary entry, the
+   document round-trips exactly, and the next, smaller document starts
+   from an empty dictionary. *)
+let test_many_names () =
+  let module Name = Demaq.Xml.Name in
+  let name i =
+    let local = Printf.sprintf "e%d" i in
+    if i mod 2 = 0 then Name.make local else Name.intern local
+  in
+  let elems =
+    List.init 40 (fun i ->
+        Tree.elem_ns
+          ~attrs:
+            [ { Tree.attr_name = Name.make (Printf.sprintf "a%d" (i mod 20));
+                attr_value = "v" } ]
+          (name (i mod 30))
+          [ Tree.elem_ns (name (i mod 30)) [ Tree.text "x" ] ])
+  in
+  let big = Tree.elem "root" elems in
+  let bin = Bxml.encode big in
+  check bool_ "round-trips exactly" true (Tree.equal_tree big (Bxml.decode bin));
+  check int_ "one synopsis entry per distinct element name" 31
+    (List.length (List.sort_uniq compare (Bxml.synopsis bin)));
+  check int_ "and no duplicates" 31 (List.length (Bxml.synopsis bin));
+  check string_ "encoding is deterministic" bin (Bxml.encode big);
+  let small = Parser.parse order_doc in
+  check string_ "a later document does not inherit names" (Bxml.encode small)
+    (Bxml.encode (Parser.parse order_doc));
+  check (Alcotest.list string_) "its synopsis is its own"
+    [ "customer"; "item"; "items"; "order"; "orderID"; "price" ]
+    (List.sort compare (Bxml.synopsis (Bxml.encode small)))
+
+let suite = suite @ [ ("many distinct names: scan, then table", `Quick, test_many_names) ]

@@ -29,4 +29,5 @@ let () =
       ("http", Test_http.suite);
       ("sim", Test_sim.suite);
       ("inert", Test_inert.suite);
+      ("rid-table", Test_rid_table.suite);
     ]

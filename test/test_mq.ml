@@ -450,3 +450,28 @@ let prop_index_scan_equivalent =
         [ 0; 1; 2; 3; 4 ])
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest prop_index_scan_equivalent ]
+
+(* An aborted enqueue leaves no decoded message behind in the cache, so
+   a run of aborts cannot pin cache pages, and no posting in the slice
+   index; a committed one stays cached and indexed. *)
+let test_abort_evicts_cache () =
+  let qm = fixture () in
+  let before = Qm.cache_size qm in
+  let txn = Store.begin_txn (Qm.store qm) in
+  let m =
+    match Qm.enqueue qm txn ~queue:"order" ~payload:(xml (order_msg "7")) () with
+    | Ok m -> m
+    | Error e -> Alcotest.fail (Qm.error_to_string e)
+  in
+  check int_ "cached while the transaction runs" (before + 1) (Qm.cache_size qm);
+  Store.abort txn;
+  check int_ "evicted by the abort" before (Qm.cache_size qm);
+  check bool_ "and gone from the store" true (Qm.get qm m.Message.rid = None);
+  check (Alcotest.list string_) "and from the slice index" []
+    (Qm.slice_keys qm ~slicing:"orders");
+  ignore (enqueue_ok qm "order" (order_msg "8"));
+  check int_ "a committed enqueue stays cached" (before + 1) (Qm.cache_size qm);
+  check (Alcotest.list string_) "and indexed" [ "8" ] (Qm.slice_keys qm ~slicing:"orders")
+
+let suite =
+  suite @ [ ("aborted enqueue leaves the cache", `Quick, test_abort_evicts_cache) ]

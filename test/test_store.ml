@@ -929,3 +929,144 @@ let codec_suite =
   ]
 
 let suite = suite @ codec_suite
+
+(* ---- the rid-indexed message table ---- *)
+
+(* A crash on either side of the snapshot slot's fsync during compaction:
+   after it, the log still holds inserts the new snapshot already has;
+   before it, the whole log replays, its inserts out of rid order (the
+   transaction holding the lowest rid commits last). Over several pages
+   of rids, every message is held exactly once, in rid order. *)
+let test_replay_over_snapshot_once () =
+  List.iter
+    (fun stage ->
+      let dir = fresh_dir () in
+      let cfg =
+        Store.durable_config
+          ~sync:(Wal.Sync_batch { max_records = 10_000; max_bytes = 0 })
+          dir
+      in
+      let st = Store.open_store cfg in
+      let insert txn i =
+        Store.insert txn ~queue:"q" ~payload:(Printf.sprintf "<m n='%d'/>" i)
+          ~extra:"" ~enqueued_at:1 ~durable:true
+      in
+      let first = Store.begin_txn st in
+      let r0 = insert first 0 in
+      let later =
+        List.init 2_500 (fun i ->
+            let txn = Store.begin_txn st in
+            let r = insert txn (i + 1) in
+            Store.commit txn;
+            r)
+      in
+      Store.commit first;
+      ignore (Store.barrier st);
+      Store.set_compaction_fault st
+        (Some (fun s -> if s = stage then failwith "crash"));
+      (match Store.compact st with
+       | _ -> Alcotest.fail "the fault did not fire"
+       | exception Failure _ -> ());
+      Store.close st;
+      let st2 = Store.open_store cfg in
+      let want = r0 :: later in
+      check Alcotest.(list int) "each message once, in rid order" want
+        (List.map (fun m -> m.Store.rid) (Store.all_messages st2));
+      check Alcotest.(list int) "the queue holds each once" want
+        (List.sort compare (Store.queue_rids st2 "q"));
+      check int_ "live count" (List.length want) (Store.stats st2).Store.live_messages;
+      Store.close st2)
+    [ Store.Before_commit; Store.After_commit ]
+
+(* The message counts behind [stats] are counters; after any sequence of
+   committed and aborted inserts and deletes and compactions they equal
+   what a walk of a model of the table gives, and the live count equals
+   a fold of the store. *)
+type counted_op =
+  | Insert_msgs of int list * bool  (* payload sizes, commit? *)
+  | Delete_msg of int * bool  (* index into the live messages, commit? *)
+  | Compact_store
+
+let spill_at = 64
+
+let gen_counted_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun sizes c -> Insert_msgs (sizes, c))
+             (list_size (int_range 1 4) (int_range 1 (2 * spill_at))) bool);
+        (3, map2 (fun i c -> Delete_msg (i, c)) (int_bound 50) bool);
+        (1, return Compact_store);
+      ])
+
+let print_counted_op = function
+  | Insert_msgs (sizes, c) ->
+    Printf.sprintf "insert [%s]%s" (String.concat "," (List.map string_of_int sizes))
+      (if c then "" else " abort")
+  | Delete_msg (i, c) -> Printf.sprintf "delete #%d%s" i (if c then "" else " abort")
+  | Compact_store -> "compact"
+
+let prop_stats_counters =
+  QCheck.Test.make ~name:"store stats counters equal a walk" ~count:40
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_counted_op ops))
+       QCheck.Gen.(list_size (int_range 1 30) gen_counted_op))
+    (fun ops ->
+      let dir = fresh_dir () in
+      let st =
+        Store.open_store
+          (Store.durable_config ~sync:Wal.Sync_never ~spill_threshold:spill_at dir)
+      in
+      (* rid -> (payload size, deleted) for every entry of the table *)
+      let model = Hashtbl.create 16 in
+      let finish txn commit = if commit then Store.commit txn else Store.abort txn in
+      let apply = function
+        | Insert_msgs (sizes, commit) ->
+          let txn = Store.begin_txn st in
+          let rids =
+            List.map
+              (fun n ->
+                ( Store.insert txn ~queue:"q" ~payload:(String.make n 'x') ~extra:""
+                    ~enqueued_at:1 ~durable:true,
+                  n ))
+              sizes
+          in
+          finish txn commit;
+          if commit then List.iter (fun (r, n) -> Hashtbl.replace model r (n, false)) rids
+        | Delete_msg (i, commit) -> (
+          match List.nth_opt (Store.all_messages st) i with
+          | None -> ()
+          | Some m ->
+            let txn = Store.begin_txn st in
+            Store.delete txn m.Store.rid;
+            finish txn commit;
+            if commit then
+              let n, _ = Hashtbl.find model m.Store.rid in
+              Hashtbl.replace model m.Store.rid (n, true))
+        | Compact_store ->
+          ignore (Store.compact st);
+          Hashtbl.filter_map_inplace
+            (fun _ (n, d) -> if d then None else Some (n, d))
+            model
+      in
+      let agrees () =
+        let s = Store.stats st in
+        let walk f = Hashtbl.fold (fun _ e acc -> acc + f e) model 0 in
+        s.Store.live_messages = walk (fun (_, d) -> if d then 0 else 1)
+        && s.Store.live_messages = Store.fold_messages st (fun n _ -> n + 1) 0
+        && s.Store.tombstones = walk (fun (_, d) -> if d then 1 else 0)
+        && s.Store.spilled_payloads = walk (fun (n, _) -> if n > spill_at then 1 else 0)
+        && s.Store.inline_bytes = walk (fun (n, _) -> if n > spill_at then 0 else n)
+      in
+      let ok = List.for_all (fun op -> apply op; agrees ()) ops in
+      Store.close st;
+      ok)
+
+let rid_table_suite =
+  [
+    ("replay over a snapshot holding its inserts: each message once", `Quick,
+     test_replay_over_snapshot_once);
+    QCheck_alcotest.to_alcotest prop_stats_counters;
+  ]
+
+let suite = suite @ rid_table_suite
