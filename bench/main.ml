@@ -1293,12 +1293,12 @@ let b16_width_run ~n ~messages ~granularity =
       | `Queue -> [ plan.Compiler.queue_resource ]
       | `Footprint -> footprint_res (j mod n)
     in
-    Dispatch.schedule d ~priority:0 ~resources j
+    Dispatch.schedule d ~priority:0 ~resources ~stamp:(-1) j
   done;
   let widths = ref [] in
   let rec wave acc =
     match Dispatch.next d with
-    | Dispatch.Ready rid -> wave (rid :: acc)
+    | Dispatch.Ready e -> wave (e :: acc)
     | Dispatch.Busy | Dispatch.Empty -> acc
   in
   let rec drain () =

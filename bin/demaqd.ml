@@ -714,18 +714,6 @@ let parse_url url =
       | exception Not_found ->
         Error (Printf.sprintf "cannot resolve host %S" host)))
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (fun c ->
-         match c with
-         | '"' -> "\\\""
-         | '\\' -> "\\\\"
-         | '\n' -> "\\n"
-         | c when Char.code c < 32 -> Printf.sprintf "\\u%04x" (Char.code c)
-         | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
 let fmt_ms v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v
 
 let loadgen_json ~name ~workload entries =
@@ -747,7 +735,7 @@ let loadgen_json ~name ~workload entries =
     (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
     tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec Sys.ocaml_version
     (Domain.recommended_domain_count ())
-    (json_escape workload) (json_escape name)
+    (Demaq.Obs.Trace.json_escape workload) (Demaq.Obs.Trace.json_escape name)
     (String.concat ", " entries)
 
 let result_entry rate (r : Lg.results) =

@@ -8,6 +8,12 @@
     in-flight resource are parked and re-enter the heap with their
     original sequence number when the resource frees.
 
+    A scheduled message is one {!entry}: its rid, conflict resources and
+    schedule stamp travel with it from {!schedule} through {!next} to
+    {!complete}, so the dispatcher keeps no table keyed by rid. This
+    partition is the engine's only isolation mechanism: it is how
+    slice-granularity locking (§4.3) is enforced.
+
     NOT internally synchronized: callers (the worker pool's monitor)
     must serialize all access. *)
 
@@ -15,12 +21,23 @@ type t
 
 val create : unit -> t
 
-val schedule : t -> priority:int -> resources:string list -> int -> unit
-(** Add a message rid with its conflict resources. A rid already queued
-    or running is ignored (rescheduled duplicate). *)
+type entry = Scheduler.entry = {
+  rid : int;
+  priority : int;
+  seq : int;
+  resources : string list;
+  stamp : int;
+}
+
+val schedule :
+  t -> priority:int -> resources:string list -> stamp:int -> int -> unit
+(** Add a message rid with its conflict resources and schedule stamp
+    (see {!Scheduler.entry}). The dispatcher does not look for
+    duplicates: each rid is scheduled once, and a second copy of a
+    processed message is skipped by the executor. *)
 
 type slot =
-  | Ready of int  (** rid to run; its resources are now claimed *)
+  | Ready of entry  (** entry to run; its resources are now claimed *)
   | Busy  (** work exists but all of it conflicts with running messages *)
   | Empty  (** nothing queued or parked *)
 
@@ -34,9 +51,10 @@ val next : ?pick:(int -> int) -> t -> slot
     interleaving is explored reproducibly. [pick] is invoked exactly once
     per [Ready] result. *)
 
-val complete : t -> int -> unit
-(** The rid finished (or was skipped): release its resources and revive
-    entries parked on them. *)
+val complete : t -> entry -> unit
+(** The handed-out entry finished (or was skipped): release its
+    resources and revive entries parked on them. Only an entry {!next}
+    returned may be completed, once. *)
 
 val pending : t -> int
 (** Queued + parked (excludes running). *)
@@ -46,5 +64,3 @@ val queued : t -> int
 
 val parked : t -> int
 (** Entries blocked on an in-flight conflict resource. *)
-
-val pending_rids : t -> int list

@@ -48,15 +48,7 @@ let evolve (ctx : Executor.t) src =
       in
       let combined = base @ additions in
       let analysis = Analysis.analyze combined in
-      if not analysis.Analysis.ok then
-        Error
-          (String.concat "\n"
-             (List.filter_map
-                (fun d ->
-                  if d.Analysis.severity = Analysis.Error then
-                    Some (Format.asprintf "%a" Analysis.pp_diagnostic d)
-                  else None)
-                analysis.Analysis.diagnostics))
+      if not analysis.Analysis.ok then Error (Analysis.errors_to_string analysis)
       else
         Executor.locked ctx (fun () ->
             List.iter

@@ -15,11 +15,11 @@
      node, provenance) lives on the queue manager's cached [Message.t]
      and dies with it at retention GC; its lazy cells are forced only
      under [state_mu].
-   - [process] holds the lock only around the setup (fetch, lock
-     acquisition, rule-plan lookup) and apply/commit phases. The
-     CPU-heavy rule evaluation runs UNLOCKED: message trees are immutable
-     once parsed, and the qs: host callbacks re-acquire [state_mu]
-     per call. Same-queue and same-slice conflicts cannot run
+   - [process] holds the lock only around the setup (fetch, rule-plan
+     lookup, prefilter) and apply/commit phases. The CPU-heavy rule
+     evaluation runs UNLOCKED: message trees are immutable once parsed,
+     and the qs: host callbacks re-acquire [state_mu] per call.
+     Same-queue and same-slice conflicts cannot run
      concurrently (the dispatcher partitions on exactly the resources
      [resources_for] reports), so a rule's view of its own queue and
      slices is serializable; reads of *other* queues see read-committed
@@ -43,7 +43,6 @@ module Eval = Demaq_xquery.Eval
 module Context = Demaq_xquery.Context
 module Update = Demaq_xquery.Update
 module Store = Demaq_store.Message_store
-module Lock = Demaq_store.Lock_manager
 module Qm = Demaq_mq.Queue_manager
 module Message = Demaq_mq.Message
 module Defs = Demaq_mq.Defs
@@ -104,7 +103,7 @@ type metrics = {
          without ever materializing a body tree *)
   m_trees_materialized : Metrics.counter;  (* payload decodes into trees *)
   m_decoded_bytes : Metrics.counter;  (* payload bytes those decodes read *)
-  m_lock_seconds : Metrics.histogram;  (* setup: fetch + locks + plans *)
+  m_lock_seconds : Metrics.histogram;  (* setup: fetch + plans + prefilter *)
   m_decode_seconds : Metrics.histogram;  (* lazy body decode inside setup *)
   m_eval_seconds : Metrics.histogram;  (* unlocked snapshot evaluation *)
   m_apply_seconds : Metrics.histogram;  (* locked apply + commit *)
@@ -126,7 +125,8 @@ type t = {
   outbox : (string, int Queue.t) Hashtbl.t;
       (* untransmitted rids per outgoing gateway queue, so the pump never
          rescans whole queues *)
-  mutable schedule : priority:int -> resources:string list -> int -> unit;
+  mutable schedule :
+    priority:int -> resources:string list -> stamp:int -> int -> unit;
       (* set by the composition root to the worker pool's scheduler *)
   mutable batch_target : int;
       (* group-commit batch the coordinator drains per barrier; fixed at
@@ -140,9 +140,6 @@ type t = {
          high-water mark so ids minted after a crash-restart can never
          collide with flows persisted before it (every mint is followed
          by at least one rid allocation, so used seqs stay < next rid) *)
-  pending_ns : (int, int) Hashtbl.t;
-      (* rid -> clock at schedule time, for enqueue->dispatch queue-wait
-         attribution; populated only while timing or tracing is on *)
   wait_hists : (string, Metrics.histogram) Hashtbl.t;
       (* per-queue demaq_queue_wait_seconds, registered lazily *)
   mutable fault : Fault.t option;  (* armed fault-injection points *)
@@ -191,7 +188,7 @@ let make_metrics reg =
         ~help:"Stored payload bytes read by body decodes";
     m_lock_seconds =
       Metrics.histogram reg "demaq_phase_lock_seconds"
-        ~help:"Transaction setup: fetch, lock acquisition, plan lookup (sampled 1:8 unless tracing)";
+        ~help:"Transaction setup: fetch, plan lookup, prefilter (sampled 1:8 unless tracing)";
     m_decode_seconds =
       Metrics.histogram reg "demaq_phase_decode_seconds"
         ~help:"Lazy payload decode during setup (sampled 1:8 unless tracing)";
@@ -226,14 +223,13 @@ let create ~cfg ~qm ~st ~net ~compiled ~clk () =
     bindings = Hashtbl.create 8;
     interfaces = Hashtbl.create 4;
     outbox = Hashtbl.create 8;
-    schedule = (fun ~priority:_ ~resources:_ _ -> ());
+    schedule = (fun ~priority:_ ~resources:_ ~stamp:_ _ -> ());
     batch_target = max 1 cfg.batch_size;
     reg;
     met = make_metrics reg;
     spans = Trace.create ~capacity:cfg.trace_capacity;
     flows = Flow.create ();
     flow_seq = Store.next_rid st;
-    pending_ns = Hashtbl.create 256;
     wait_hists = Hashtbl.create 8;
     fault = None;
     inline_processed = 0;
@@ -248,23 +244,24 @@ let set_fault t fault = t.fault <- fault
    [harden] issues the barrier that makes everything logged so far durable.
    The engine must call it before any effect escapes the process — gateway
    transmissions, timer-armed retries — so that no externalized action ever
-   references a transaction a crash could still lose. The barrier is
-   serialized inside the WAL, so one worker's harden covers every record
-   any worker appended before it. *)
+   references a transaction a crash could still lose. That holds with
+   [group_commit] off too: a [Sync_batch] store defers every fsync to a
+   barrier either way, and the config only decides whether [Server.run]
+   adds one per drain. The barrier is serialized inside the WAL, so one
+   worker's harden covers every record any worker appended before it. *)
 let harden t =
-  if t.cfg.group_commit then
-    if Metrics.timing_on t.reg then begin
-      let t0 = Metrics.now t.reg in
-      ignore (Store.barrier t.st);
-      Metrics.observe t.met.m_barrier_seconds (Metrics.now t.reg - t0)
-    end
-    else ignore (Store.barrier t.st)
+  if Metrics.timing_on t.reg then begin
+    let t0 = Metrics.now t.reg in
+    ignore (Store.barrier t.st);
+    Metrics.observe t.met.m_barrier_seconds (Metrics.now t.reg - t0)
+  end
+  else ignore (Store.barrier t.st)
 
 (* Crash safety (§3.1, §3.6): every state change runs inside [in_txn], so
    that an exception anywhere — evaluator bugs, injected faults, broken
-   endpoint handlers — aborts the transaction and releases its locks via
-   [Store.abort] instead of leaking them. Assumes [state_mu] is held;
-   [with_txn] is the self-locking variant. *)
+   endpoint handlers — aborts the transaction via [Store.abort], undoing
+   its changes, instead of leaving them half applied. Assumes [state_mu]
+   is held; [with_txn] is the self-locking variant. *)
 let in_txn t f =
   let txn = Store.begin_txn t.st in
   match f txn with
@@ -547,8 +544,8 @@ let footprint_resources t (m : Message.t) =
 
 (* The conflict resources the dispatcher partitions on. Default: always
    the queue (per-queue arrival order must survive parallelism), plus the
-   slice memberships — exactly the resources the lock manager serializes
-   on under slice-granularity locking (§4.3). The per-queue resource
+   slice memberships: the partition is slice-granularity locking (§4.3),
+   two messages of one slice never run together. The per-queue resource
    string is the one the compiler interned on the plan, so dispatch never
    rebuilds it per message. Under [footprint_dispatch] the partition
    narrows to the admitted rules' static footprints. *)
@@ -567,11 +564,13 @@ let resources_for t (m : Message.t) =
          m.Message.memberships
 
 let schedule_message t ~priority (m : Message.t) =
-  (* queue-wait attribution starts at schedule time; only paid for when
-     someone will consume the timings *)
-  if Metrics.timing_on t.reg || Trace.enabled t.spans then
-    Hashtbl.replace t.pending_ns m.Message.rid (Metrics.now t.reg);
-  t.schedule ~priority ~resources:(resources_for t m) m.Message.rid
+  (* queue-wait attribution starts at schedule time; the clock is read
+     only when someone will consume the timings *)
+  let stamp =
+    if Metrics.timing_on t.reg || Trace.enabled t.spans then Metrics.now t.reg
+    else -1
+  in
+  t.schedule ~priority ~resources:(resources_for t m) ~stamp m.Message.rid
 
 (* ---- inert messages ---- *)
 
@@ -835,17 +834,6 @@ let plan_works_for t (m : Message.t) =
   in
   queue_work @ slice_works
 
-let acquire_locks t txn (m : Message.t) =
-  let locks = Store.locks t.st in
-  let txn_id = Store.txn_id txn in
-  List.iter
-    (fun r -> ignore (Lock.acquire locks ~txn:txn_id r Lock.Exclusive))
-    (Lock.Message_lock m.Message.rid
-    :: List.map
-         (fun (mem : Message.membership) ->
-           Lock.Slice_lock (mem.Message.m_slicing, mem.Message.m_key))
-         m.Message.memberships)
-
 let apply_updates t txn blamed (m : Message.t) tagged =
   List.iter
     (fun (at, update) ->
@@ -898,38 +886,35 @@ let message t rid =
   | None -> None
 
 (* Setup phase, under [state_mu]: fetch the message, open the transaction,
-   take its 2PL locks, look up the pertinent rule plans and pre-filter
-   them against the message's element-name synopsis. Binary payloads
-   carry the synopsis in their header, so admission is decided on the
-   raw bytes; the body tree is materialized only when at least one rule
-   survives the filter — a message every pertinent rule prefilters away
-   commits its no-op transaction without ever decoding. When tracing is
+   look up the pertinent rule plans and pre-filter them against the
+   message's element-name synopsis. Isolation needs nothing here: the
+   dispatcher never runs this message beside one sharing its queue or a
+   slice. Binary payloads carry the synopsis in their header, so
+   admission is decided on the raw bytes; the body tree is materialized
+   only when at least one rule survives the filter — a message every
+   pertinent rule prefilters away commits its no-op transaction without
+   ever decoding. When tracing is
    on, pre-filtered rules are pushed onto [acts] as skipped activations.
    [now] is the (possibly free-running-zero) phase clock; the returned
    decode time is a sub-interval of the caller's lock phase. *)
-let prepare t ~acts ~now rid =
+let prepare t ~acts ~now ~stamp rid =
   locked t @@ fun () ->
-  (* queue-wait: time from schedule to this dispatch. The entry is popped
-     on every dispatch, skipped ones included (it may exist while timing
-     is sampled off); the observation lands only on timed runs, mirroring
-     the phase histograms' 1:8 sampling. *)
-  let scheduled = Hashtbl.find_opt t.pending_ns rid in
-  if Option.is_some scheduled then Hashtbl.remove t.pending_ns rid;
   match Qm.get t.qm rid with
   | None -> None  (* collected before its turn came *)
   | Some m when m.Message.processed -> None  (* rescheduled duplicate *)
   | Some m ->
+    (* queue-wait: time from schedule ([stamp], -1 when unstamped) to this
+       dispatch; the observation lands only on timed runs, mirroring the
+       phase histograms' 1:8 sampling *)
     let wait_ns =
-      match scheduled with
-      | None -> 0
-      | Some t_sched ->
+      if stamp < 0 then 0
+      else
         let n = now () in
-        if n > 0 then max 0 (n - t_sched) else 0
+        if n > 0 then max 0 (n - stamp) else 0
     in
     if wait_ns > 0 && Metrics.timing_on t.reg then
       Metrics.observe (wait_hist_for t m.Message.queue) wait_ns;
     let txn = Store.begin_txn t.st in
-    acquire_locks t txn m;
     let pws = plan_works_for t m in
     let needs_names =
       List.exists
@@ -1040,7 +1025,7 @@ let evaluate t txn blamed ~acts (m : Message.t) pws =
       end)
     pws
 
-let process t rid =
+let process t ~stamp rid =
   let tracing = Trace.enabled t.spans in
   (* the clock is read only when someone consumes the timings; with
      metrics on (and no tracing) phase latencies are sampled 1-in-8 so
@@ -1051,7 +1036,7 @@ let process t rid =
   let now () = if timed then Metrics.now t.reg else 0 in
   let t_start = now () in
   let acts = ref [] in
-  match prepare t ~acts ~now rid with
+  match prepare t ~acts ~now ~stamp rid with
   | None -> 0
   | Some (m, txn, pws, decode_ns, wait_ns) ->
     let t_locked = now () in
@@ -1082,7 +1067,7 @@ let process t rid =
      with
      | () -> ()
      | exception e ->
-       (* abort, release the locks, and — §3.6 — turn the failure into an
+       (* abort, undoing the changes, and — §3.6 — turn the failure into an
           error message rather than a wedged engine: route it and
           neutralize the trigger in a fresh transaction, then keep going *)
        if !t_evaled = t_locked then t_evaled := now ();

@@ -108,7 +108,10 @@ type t = {
   bindings : (string, gateway_binding) Hashtbl.t;
   interfaces : (string, Wsdl.t) Hashtbl.t;
   outbox : (string, int Queue.t) Hashtbl.t;
-  mutable schedule : priority:int -> resources:string list -> int -> unit;
+  mutable schedule :
+    priority:int -> resources:string list -> stamp:int -> int -> unit;
+      (** the worker pool's {!Worker_pool.schedule}; [stamp] is the clock
+          at schedule time, [-1] when nothing reads queue-wait timings *)
   mutable batch_target : int;
       (** group-commit batch the coordinator drains per barrier; fixed at
           [cfg.batch_size] unless the adaptive controller is steering it *)
@@ -119,7 +122,6 @@ type t = {
       (** bounded causal flow store of provenance edges, fed on enqueue
           ({!note_flow} via the enqueue paths); spans stay in [spans] *)
   mutable flow_seq : int;
-  pending_ns : (int, int) Hashtbl.t;
   wait_hists : (string, Metrics.histogram) Hashtbl.t;
   mutable fault : Fault.t option;
   mutable inline_processed : int;
@@ -144,7 +146,9 @@ val locked : t -> (unit -> 'a) -> 'a
 val set_fault : t -> Fault.t option -> unit
 
 val harden : t -> unit
-(** Group-commit barrier; must precede any externalized effect. *)
+(** Durability barrier ({!Store.barrier}); must precede any externalized
+    effect. Called whatever [group_commit] says: it does nothing when no
+    commit is pending or under [Sync_always]. *)
 
 val in_txn : t -> (Store.txn -> 'a) -> 'a
 (** Commit on return, abort + harden + re-raise on exception. Assumes the
@@ -182,8 +186,9 @@ val resources_for : t -> Message.t -> string list
 
 val schedule_message : t -> priority:int -> Message.t -> unit
 (** Route through the [schedule] hook (the worker pool) at the priority
-    of the message's queue. Safe under the lock: the hook only takes the
-    pool monitor. *)
+    of the message's queue, with its {!resources_for} and, when timing or
+    tracing is on, a schedule stamp. Safe under the lock: the hook only
+    takes the pool monitor. *)
 
 val raise_error :
   t ->
@@ -286,9 +291,13 @@ val run_gc_step : t -> budget:int -> int
 val message : t -> int -> Message.t option
 (** Fetch a message and force its body parse, under the lock. *)
 
-val process : t -> int -> int
+val process : t -> stamp:int -> int -> int
 (** Process one scheduled message end to end in one transaction; returns
     how many messages that processed: the message itself plus every
     inert message its transaction created and processed inline. [0]
-    means the rid was skipped (collected, or a rescheduled duplicate).
-    Never raises for rule-level failures — those become error messages. *)
+    means the rid was skipped (collected, or already processed).
+    [stamp] is the dispatch entry's schedule stamp, the start of the
+    message's queue wait ([-1]: none). Isolation comes from the
+    dispatcher, which never runs it beside a message sharing its queue
+    or a slice. Never raises for rule-level failures — those become
+    error messages. *)

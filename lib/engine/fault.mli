@@ -9,7 +9,7 @@
 
     A {!t} handed to {!Server.set_fault} is consulted at the engine's
     injection points; the engine must abort the surrounding transaction,
-    release all locks, route an error message (§3.6) and keep running. *)
+    undo its changes, route an error message (§3.6) and keep running. *)
 
 module Store := Demaq_store.Message_store
 

@@ -10,7 +10,6 @@ type 'a t = {
 let create cmp = { cmp; data = [||]; size = 0 }
 
 let length h = h.size
-let is_empty h = h.size = 0
 
 let swap h i j =
   let tmp = h.data.(i) in
@@ -60,5 +59,3 @@ let pop h =
     end;
     Some top
   end
-
-let to_list h = Array.to_list (Array.sub h.data 0 h.size)

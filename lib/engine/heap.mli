@@ -7,7 +7,6 @@ type 'a t
 
 val create : ('a -> 'a -> int) -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 
 val peek : 'a t -> 'a option
@@ -15,6 +14,3 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** Remove and return the minimum element. *)
-
-val to_list : 'a t -> 'a list
-(** The live elements in internal (heap array) order. *)

@@ -5,7 +5,13 @@
    Higher queue priority wins; within a priority level, arrival order
    (a monotone sequence number) gives FIFO behaviour. *)
 
-type entry = { rid : int; priority : int; seq : int }
+type entry = {
+  rid : int;
+  priority : int;
+  seq : int;
+  resources : string list;
+  stamp : int;
+}
 
 type t = { heap : entry Heap.t; mutable next_seq : int }
 
@@ -16,21 +22,16 @@ let compare_entries a b =
 
 let create () = { heap = Heap.create compare_entries; next_seq = 0 }
 
-let add t ~priority rid =
+let entry t ~priority ~resources ~stamp rid =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  Heap.push t.heap { rid; priority; seq }
+  { rid; priority; seq; resources; stamp }
 
-let entry t ~priority rid =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  { rid; priority; seq }
+let add t ~priority rid =
+  Heap.push t.heap (entry t ~priority ~resources:[] ~stamp:(-1) rid)
 
 let push t e = Heap.push t.heap e
 let pop_entry t = Heap.pop t.heap
 let pop t = Option.map (fun e -> e.rid) (Heap.pop t.heap)
-let peek t = Option.map (fun e -> e.rid) (Heap.peek t.heap)
 let peek_entry t = Heap.peek t.heap
 let length t = Heap.length t.heap
-let is_empty t = Heap.is_empty t.heap
-let pending_rids t = List.map (fun e -> e.rid) (Heap.to_list t.heap)

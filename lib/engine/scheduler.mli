@@ -9,17 +9,30 @@
 
 type t
 
-type entry = { rid : int; priority : int; seq : int }
+type entry = {
+  rid : int;
+  priority : int;
+  seq : int;
+  resources : string list;
+      (** conflict resources the dispatcher partitions on *)
+  stamp : int;
+      (** clock (ns) when the message was scheduled, for queue-wait
+          attribution; [-1] when nothing reads the timings *)
+}
 (** A scheduled message with its arrival sequence number. Exposed so the
     dispatcher can park an entry (queue busy on another worker) and later
-    re-push it with its original [seq], preserving per-queue FIFO. *)
+    re-push it with its original [seq], preserving per-queue FIFO; the
+    entry carries everything the dispatcher and the executor need about
+    the message, so neither keeps a table keyed by rid. *)
 
 val create : unit -> t
 
 val add : t -> priority:int -> int -> unit
-(** Schedule a message rid at the given queue priority. *)
+(** Schedule a message rid at the given queue priority, with no
+    resources and no stamp. *)
 
-val entry : t -> priority:int -> int -> entry
+val entry :
+  t -> priority:int -> resources:string list -> stamp:int -> int -> entry
 (** Allocate the next arrival sequence number for a rid without pushing;
     pair with {!push}. *)
 
@@ -32,13 +45,7 @@ val pop : t -> int option
 val pop_entry : t -> entry option
 (** Like {!pop} but keeps the priority and sequence number attached. *)
 
-val peek : t -> int option
-
 val peek_entry : t -> entry option
-(** Like {!peek} but with priority and sequence number attached. *)
+(** The next entry, not removed. *)
 
 val length : t -> int
-val is_empty : t -> bool
-
-val pending_rids : t -> int list
-(** All scheduled rids in heap (not scheduling) order; for diagnostics. *)

@@ -145,14 +145,17 @@ let next_timer_due t = Timer_wheel.next_due t.ctx.Executor.timers
 
 type step_result = Processed of Message.t | Idle
 
+let process t (e : Dispatch.entry) =
+  Executor.process t.ctx ~stamp:e.Dispatch.stamp e.Dispatch.rid
+
 (* budget 1 => the pool drains inline: deterministic, seed scheduler order *)
 let step t =
   let picked = ref Idle in
   ignore
     (Worker_pool.drain t.pool ~budget:1
-       ~process:(fun rid ->
-         let m = Executor.message t.ctx rid in
-         let n = Executor.process t.ctx rid in
+       ~process:(fun e ->
+         let m = Executor.message t.ctx e.Dispatch.rid in
+         let n = process t e in
          (if n > 0 then match m with Some m -> picked := Processed m | None -> ());
          n));
   !picked
@@ -174,7 +177,7 @@ let run ?(max_steps = max_int) t =
     let batch_size = max 1 t.ctx.Executor.batch_target in
     let budget = min batch_size (max_steps - !steps) in
     let d =
-      Worker_pool.drain t.pool ~budget ~process:(fun rid -> Executor.process t.ctx rid)
+      Worker_pool.drain t.pool ~budget ~process:(process t)
     in
     steps := !steps + d.Worker_pool.transactions;
     processed := !processed + d.Worker_pool.messages;
@@ -184,8 +187,11 @@ let run ?(max_steps = max_int) t =
        controller a short drain (batch not filled) may defer the barrier
        until the flush deadline — safe, because every externalization
        path hardens for itself; the deferral only trades commit-to-disk
-       latency for fewer fsyncs, bounded by the deadline. *)
+       latency for fewer fsyncs, bounded by the deadline. Without group
+       commit there is no per-drain barrier at all. *)
     let flush_due =
+      t.ctx.Executor.cfg.group_commit
+      &&
       match t.adaptive with
       | None -> true  (* fixed batch: barrier per drain, the seed behaviour *)
       | Some a ->
@@ -419,9 +425,9 @@ let stats_json t =
   let field name v =
     if not !first then Buffer.add_char buf ',';
     first := false;
-    (* labelled metric names embed quotes (worker="0"); escape for JSON *)
-    let name = String.concat "\\\"" (String.split_on_char '"' name) in
-    Buffer.add_string buf (Printf.sprintf "\"%s\":%s" name v)
+    (* labelled metric names embed quotes (worker="0") *)
+    Buffer.add_string buf
+      (Printf.sprintf "\"%s\":%s" (Obs_trace.json_escape name) v)
   in
   let num v =
     if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
@@ -447,7 +453,6 @@ let cache_sizes t =
   Executor.locked ctx (fun () ->
       [
         ("message", Qm.cache_size ctx.Executor.qm);
-        ("pending", Hashtbl.length ctx.Executor.pending_ns);
         ("outbox",
          Hashtbl.fold (fun _ q n -> n + Queue.length q) ctx.Executor.outbox 0);
       ])
@@ -507,15 +512,7 @@ let deploy ?(config = default_config) ?time_source ?store:st ?network:net
       | Analysis.Error -> ())
     analysis.Analysis.diagnostics;
   if not analysis.Analysis.ok then
-    raise
-      (Deployment_error
-         (String.concat "\n"
-            (List.filter_map
-               (fun d ->
-                 if d.Analysis.severity = Analysis.Error then
-                   Some (Format.asprintf "%a" Analysis.pp_diagnostic d)
-                 else None)
-               analysis.Analysis.diagnostics)));
+    raise (Deployment_error (Analysis.errors_to_string analysis));
   let st = match st with Some s -> s | None -> Store.open_store Store.default_config in
   let clk = Clock.create ?time_source () in
   let qm = Qm.create ~clock:(fun () -> Clock.now clk) ?payload_format st in
@@ -546,8 +543,7 @@ let deploy ?(config = default_config) ?time_source ?store:st ?network:net
   let pool =
     Worker_pool.create ~registry:ctx.Executor.reg ~workers:config.workers ()
   in
-  ctx.Executor.schedule <-
-    (fun ~priority ~resources rid -> Worker_pool.schedule pool ~priority ~resources rid);
+  ctx.Executor.schedule <- Worker_pool.schedule pool;
   let t =
     { ctx; pool; adaptive = None; gate = None; compactions = 0; compacted_bytes = 0 }
   in

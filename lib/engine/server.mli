@@ -52,12 +52,12 @@ type config = Executor.config = {
           with [group_commit] their commits share one durability barrier
           (one fsync per batch instead of one per message) *)
   group_commit : bool;
-      (** issue durability barriers ({!Store.barrier}) at batch boundaries
-          and before every externalization (gateway transmission,
-          timer-armed retry). Meaningful with a [Wal.Sync_batch] store:
-          commits then defer their fsync to the next barrier, and the
-          engine guarantees no transmission precedes the barrier covering
-          the transaction that created the message. *)
+      (** issue a durability barrier ({!Store.barrier}) at each batch
+          boundary. Meaningful with a [Wal.Sync_batch] store, whose
+          commits defer their fsync to the next barrier. The barrier
+          before every externalization (gateway transmission, timer-armed
+          retry) is issued either way: no transmission precedes the
+          barrier covering the transaction that created the message. *)
   workers : int;
       (** worker domains draining the dispatcher per {!run} batch. 1 (the
           default) runs inline on the calling thread and is deterministic:
@@ -233,7 +233,7 @@ val batch_target : t -> int
 val set_fault : t -> Fault.t option -> unit
 (** Arm (or clear) deterministic fault injection: the engine consults the
     handle before every rule evaluation and pending-update application.
-    Injected exceptions must abort the transaction, release all locks,
+    Injected exceptions must abort the transaction, undo its changes,
     produce an error message (§3.6) and leave the engine running — the
     crash-recovery suite asserts exactly that. *)
 
@@ -253,7 +253,7 @@ type stats = {
   prefilter_skips : int;
   txn_aborts : int;
       (** transactions rolled back because an exception escaped — every one
-          of them released its locks and became an error message *)
+          of them was undone and became an error message *)
   transmit_retries : int;  (** transmission attempts beyond the first *)
   dead_letters : int;
       (** reliable messages given up on after the retry budget (or a
@@ -279,9 +279,9 @@ val worker_stats : t -> Worker_pool.worker_stats list
 
 val cache_sizes : t -> (string * int) list
 (** Current entry counts of the per-rid state: [message] (decoded
-    messages, each carrying its body and document node), [pending]
-    (schedule stamps awaiting dispatch) and [outbox] (untransmitted
-    gateway rids); the retention GC must shrink these with the store. *)
+    messages, each carrying its body and document node) and [outbox]
+    (untransmitted gateway rids); the retention GC must shrink these
+    with the store. *)
 
 val queue_contents : t -> string -> Demaq_mq.Message.t list
 

@@ -113,13 +113,12 @@ let workers t = t.workers
 let set_picker t picker = t.picker <- picker
 let locked t f = Mutex.protect t.mu f
 
-let schedule t ~priority ~resources rid =
+let schedule t ~priority ~resources ~stamp rid =
   locked t (fun () ->
-      Dispatch.schedule t.dsp ~priority ~resources rid;
+      Dispatch.schedule t.dsp ~priority ~resources ~stamp rid;
       Condition.broadcast t.cond)
 
 let pending t = locked t (fun () -> Dispatch.pending t.dsp)
-let pending_rids t = locked t (fun () -> Dispatch.pending_rids t.dsp)
 
 let worker_stats t =
   Array.to_list
@@ -139,15 +138,15 @@ let drain_inline t ~budget ~process =
   let continue_ = ref true in
   while !continue_ && !done_ < budget do
     match locked t (fun () -> Dispatch.next ?pick:t.picker t.dsp) with
-    | Dispatch.Ready rid ->
+    | Dispatch.Ready e ->
       let n =
-        match process rid with
+        match process e with
         | n -> n
-        | exception e ->
-          locked t (fun () -> Dispatch.complete t.dsp rid);
-          raise e
+        | exception exn ->
+          locked t (fun () -> Dispatch.complete t.dsp e);
+          raise exn
       in
-      locked t (fun () -> Dispatch.complete t.dsp rid);
+      locked t (fun () -> Dispatch.complete t.dsp e);
       if n > 0 then begin
         incr done_;
         messages := !messages + n;
@@ -183,9 +182,9 @@ let worker_loop t i ~process =
         end
       else
         match Dispatch.next t.dsp with
-        | Dispatch.Ready rid ->
+        | Dispatch.Ready e ->
           t.in_flight <- t.in_flight + 1;
-          `Run rid
+          `Run e
         | Dispatch.Busy | Dispatch.Empty ->
           if t.in_flight = 0 then `Stop
           else begin
@@ -200,18 +199,18 @@ let worker_loop t i ~process =
     Mutex.unlock t.mu;
     match action with
     | `Stop -> continue_ := false
-    | `Run rid ->
-      let result = match process rid with n -> Ok n | exception e -> Error e in
+    | `Run e ->
+      let result = match process e with n -> Ok n | exception exn -> Error exn in
       Mutex.lock t.mu;
       t.in_flight <- t.in_flight - 1;
-      Dispatch.complete t.dsp rid;
+      Dispatch.complete t.dsp e;
       (match result with
        | Ok n when n > 0 ->
          t.done_ <- t.done_ + 1;
          t.messages <- t.messages + n;
          ws.w_processed <- ws.w_processed + n
        | Ok _ -> ()
-       | Error e -> if t.failure = None then t.failure <- Some e);
+       | Error exn -> if t.failure = None then t.failure <- Some exn);
       Condition.broadcast t.cond;
       Mutex.unlock t.mu
   done

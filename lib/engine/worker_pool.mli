@@ -6,7 +6,8 @@
     the drain runs inline on the calling thread and is deterministic:
     message order matches the seed single-threaded scheduler exactly.
 
-    The [process] callback receives a rid, runs its transaction, and
+    The [process] callback receives the dispatch entry (rid, conflict
+    resources, schedule stamp), runs its transaction, and
     returns how many messages that transaction processed ([0] = skipped
     duplicate/collected rid, which does not count against the budget).
     An exception escaping
@@ -30,7 +31,8 @@ val set_picker : t -> (int -> int) option -> unit
     reproducible pseudo-random choice. Ignored by parallel drains (real
     domains race for real). *)
 
-val schedule : t -> priority:int -> resources:string list -> int -> unit
+val schedule :
+  t -> priority:int -> resources:string list -> stamp:int -> int -> unit
 (** Thread-safe; wakes blocked workers. Callable from inside [process]
     (messages enqueued by a transaction schedule their successors). *)
 
@@ -39,12 +41,11 @@ type drained = {
   messages : int;  (** messages those transactions processed *)
 }
 
-val drain : t -> budget:int -> process:(int -> int) -> drained
+val drain : t -> budget:int -> process:(Dispatch.entry -> int) -> drained
 (** Run until [budget] transactions have completed or no runnable work
     remains. Not itself reentrant — one drain at a time. *)
 
 val pending : t -> int
-val pending_rids : t -> int list
 
 type worker_stats = {
   mutable w_processed : int;

@@ -22,6 +22,14 @@ type result = {
   ok : bool;  (* no errors (warnings allowed) *)
 }
 
+let errors_to_string r =
+  String.concat "\n"
+    (List.filter_map
+       (fun d ->
+         if d.severity = Error then Some (Format.asprintf "%a" pp_diagnostic d)
+         else None)
+       r.diagnostics)
+
 (* Free variables of a rule body: referenced but never bound by a FLWOR
    or quantifier clause in scope. QML rules have no external variable
    environment, so any free variable is a guaranteed runtime error. *)

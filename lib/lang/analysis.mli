@@ -21,6 +21,9 @@ type result = {
   ok : bool;  (** no errors (warnings allowed) *)
 }
 
+val errors_to_string : result -> string
+(** The error diagnostics, one per line; warnings are left out. *)
+
 val analyze : Qdl.program -> result
 
 val free_variables : Demaq_xquery.Ast.expr -> string list

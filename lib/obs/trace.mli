@@ -28,7 +28,7 @@ type span = {
   sp_wait_ns : int;
       (** enqueue/schedule → dispatch queueing delay: how long the message
           sat runnable before a worker picked it up (0 when timing is off) *)
-  sp_lock_ns : int;  (** setup: fetch + lock acquisition + plan lookup *)
+  sp_lock_ns : int;  (** setup: fetch + plan lookup + prefilter *)
   sp_decode_ns : int;
       (** lazy payload decode within setup (sub-interval of [sp_lock_ns];
           0 when admission resolved from the synopsis without a tree) *)

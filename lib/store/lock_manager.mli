@@ -1,13 +1,15 @@
 (** A strict two-phase lock manager with hierarchical resource names.
 
-    The engine locks at two granularities, following §4.3 of the paper:
-    whole queues, or individual slices ("by locking just the affected
-    slices, full serializability of the individual message-processing
-    transactions can be guaranteed without locking whole queues").
+    A standalone model of §4.3's two lock granularities, measured by
+    bench B3: whole queues, or individual slices ("by locking just the
+    affected slices, full serializability of the individual
+    message-processing transactions can be guaranteed without locking
+    whole queues"). The engine does not use it; it isolates transactions
+    with the dispatcher's partition on queue and slice resources.
 
     The interface is non-blocking: {!acquire} either grants the lock or
-    reports the conflicting holders, and the caller (the engine's scheduler
-    or a benchmark driving simulated concurrency) decides whether to wait,
+    reports the conflicting holders, and the caller (a benchmark driving
+    simulated concurrency) decides whether to wait,
     retry, or abort. Wait-for edges registered via {!wait_on} feed the
     deadlock detector.
 

@@ -43,7 +43,6 @@ type t = {
   messages : message Rid_table.t;
   queues : (string, int Vec.t) Hashtbl.t;
   slice_lifetimes : (string * string, int) Hashtbl.t;
-  lock_mgr : Lock_manager.t;
   mutable next_rid : int;
   mutable low_rid : int;
       (* no rid below it is in [messages]: lowered by inserts, raised past
@@ -100,8 +99,6 @@ let store_payload t s =
     | Some heap -> Spilled (Heap_file.insert heap s, String.length s)
     | None -> Inline s
   else Inline s
-
-let locks t = t.lock_mgr
 
 let queue_vec t queue =
   match Hashtbl.find_opt t.queues queue with
@@ -391,7 +388,6 @@ let open_store config =
       messages = Rid_table.create ~dummy:no_message;
       queues = Hashtbl.create 16;
       slice_lifetimes = Hashtbl.create 64;
-      lock_mgr = Lock_manager.create ();
       next_rid = 1;
       low_rid = 1;
       live = 0;
@@ -418,6 +414,9 @@ let open_store config =
         | Wal.Commit { ops; _ } -> List.iter (apply_op t) ops
         | Wal.Checkpoint -> ())
     in
+    (* replay appends inserts in commit order; a queue is in rid
+       (arrival) order, as it was before the crash *)
+    Hashtbl.iter (fun _ v -> Vec.sort Int.compare v) t.queues;
     (* cut off any torn tail before reopening in append mode: records
        appended after surviving garbage would never replay *)
     (if Sys.file_exists (wal_path dir) then
@@ -452,8 +451,6 @@ let begin_txn t =
   let id = t.next_txn in
   t.next_txn <- id + 1;
   { id; store = t; ops = []; undo = []; on_commit = []; finished = false }
-
-let txn_id txn = txn.id
 
 let check_active txn =
   if txn.finished then invalid_arg "transaction already finished"
@@ -529,7 +526,6 @@ let commit txn =
      if t.config.sync <> Wal.Sync_never && Wal.pending_records wal = 0 then
        t.durable_txn <- txn.id
    | _ -> ());
-  Lock_manager.release_all t.lock_mgr ~txn:txn.id;
   List.iter (fun f -> f ()) (List.rev txn.on_commit)
 
 (* ---- group commit ---- *)
@@ -556,8 +552,7 @@ let wal_group_syncs t = wal_count Wal.group_syncs_performed t
 let abort txn =
   check_active txn;
   txn.finished <- true;
-  List.iter (fun undo -> undo ()) txn.undo;
-  Lock_manager.release_all txn.store.lock_mgr ~txn:txn.id
+  List.iter (fun undo -> undo ()) txn.undo
 
 (* ---- reads ---- *)
 

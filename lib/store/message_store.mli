@@ -18,7 +18,12 @@
 
     The [extra] field of a message is an opaque blob owned by the queue
     layer (it carries properties and slice memberships); the store never
-    interprets it. *)
+    interprets it.
+
+    The store takes no locks: isolation between concurrent transactions
+    is the engine dispatcher's partition on queue and slice resources
+    (§4.3 at slice granularity), so a transaction only buffers, applies
+    and undoes. *)
 
 type stored_payload =
   | Inline of string
@@ -66,14 +71,12 @@ val payload : t -> message -> string
     was spilled to the heap file. *)
 
 val close : t -> unit
-val locks : t -> Lock_manager.t
 
 (** {1 Transactions} *)
 
 type txn
 
 val begin_txn : t -> txn
-val txn_id : txn -> int
 
 val insert :
   ?on_undo:(int -> unit) ->
@@ -94,7 +97,7 @@ val delete : txn -> int -> unit
 
 val on_commit : txn -> (unit -> unit) -> unit
 (** [on_commit txn f] runs [f] right after [txn] commits, in registration
-    order, once its locks are released. An aborted transaction drops it. *)
+    order. An aborted transaction drops it. *)
 
 
 val commit : txn -> unit
@@ -118,7 +121,7 @@ val barrier : t -> bool
 
 val durable_upto : t -> int
 (** The highest transaction id known hardened on disk: every transaction
-    with [txn_id <= durable_upto] survives a crash. Always 0 for in-memory
+    with an id up to it survives a crash. Always 0 for in-memory
     or [Sync_never] stores. *)
 
 val unsynced_commits : t -> int

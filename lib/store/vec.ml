@@ -46,3 +46,14 @@ let filter_in_place p v =
     v.data.(i) <- v.dummy
   done;
   v.size <- !j
+
+let sort cmp v =
+  let i = ref 1 in
+  while !i < v.size && cmp v.data.(!i - 1) v.data.(!i) <= 0 do
+    incr i
+  done;
+  if !i < v.size then begin
+    let a = Array.sub v.data 0 v.size in
+    Array.stable_sort cmp a;
+    Array.blit a 0 v.data 0 v.size
+  end

@@ -1,7 +1,8 @@
 (** A minimal growable array (OCaml 5.1 predates [Dynarray]).
 
     Append-dominated usage: message queues only ever append rids;
-    {!filter_in_place} serves transaction undo and tombstone compaction. *)
+    {!filter_in_place} serves transaction undo and tombstone compaction,
+    {!sort} recovery. *)
 
 type 'a t
 
@@ -17,3 +18,6 @@ val iter : ('a -> unit) -> 'a t -> unit
 val fold : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 val to_list : 'a t -> 'a list
 val filter_in_place : ('a -> bool) -> 'a t -> unit
+
+val sort : ('a -> 'a -> int) -> 'a t -> unit
+(** Stable sort in place; an already sorted vector costs one O(n) scan. *)

@@ -2,14 +2,13 @@
    engine. The contract under test is the one §3.1/§3.6 imply together:
    whatever goes wrong while a message is processed — evaluator exceptions,
    failures while pending updates are applied, torn WAL tails, abrupt
-   restarts, partitioned endpoints — the transaction aborts cleanly, all
-   locks are released, the failure becomes an error message, and the engine
-   keeps running. *)
+   restarts, partitioned endpoints — the transaction aborts cleanly, no
+   conflict resource stays claimed, the failure becomes an error message,
+   and the engine keeps running. *)
 
 module Tree = Demaq.Xml.Tree
 module Store = Demaq.Store.Message_store
 module Wal = Demaq.Store.Wal
-module Lock = Demaq.Store.Lock_manager
 module Message = Demaq.Message
 module Net = Demaq.Network
 module S = Demaq.Server
@@ -32,7 +31,13 @@ let inject_ok ?props srv queue payload =
   | Ok m -> m
   | Error e -> Alcotest.failf "inject: %s" (Demaq.Mq.Queue_manager.error_to_string e)
 
-let active_locks srv = Lock.active_locks (Store.locks (S.store srv))
+(* No conflict resource stays claimed: nothing is pending, and a
+   follow-up message of [queue] (one no rule reacts to) is dispatched and
+   processed. *)
+let check_released srv queue =
+  check int_ "nothing pending" 0 (S.pending_messages srv);
+  ignore (inject_ok srv queue "<noop/>");
+  check bool_ "follow-up of the same queue processed" true (S.run srv >= 1)
 
 let fresh_dir tag =
   let dir =
@@ -55,9 +60,9 @@ create rule pong for in errorqueue errs
 
 let test_eval_fault_aborts () =
   (* An arbitrary (non-Eval_error) exception during rule evaluation must
-     abort the transaction, release every lock, surface as an evaluation
-     error message, and leave the engine able to process the next
-     message. *)
+     abort the transaction, leave no resource claimed, surface as an
+     evaluation error message, and leave the engine able to process the
+     next message. *)
   let srv = S.deploy ping_pong in
   let f = Fault.create () in
   Fault.fail_on_eval f 1;
@@ -67,7 +72,7 @@ let test_eval_fault_aborts () =
   ignore (S.run srv);
   check int_ "fault fired once" 1 (Fault.injected f);
   check bool_ "transaction aborted" true ((S.stats srv).S.txn_aborts >= 1);
-  check int_ "lock table empty" 0 (active_locks srv);
+  check_released srv "in";
   check int_ "failure became an error message" 1 (List.length (bodies srv "errs"));
   (* the faulted message produced nothing; the next one went through *)
   check bool_ "engine kept running" true (bodies srv "out" = [ "<pong>fine</pong>" ]);
@@ -97,7 +102,7 @@ let test_apply_fault_rolls_back () =
   check int_ "first enqueue rolled back with the second" 0
     (List.length (bodies srv "out"));
   check int_ "error routed" 1 (List.length (bodies srv "errs"));
-  check int_ "lock table empty" 0 (active_locks srv);
+  check_released srv "in";
   (* disarmed, the same input processes normally *)
   Fault.disarm f;
   ignore (inject_ok srv "in" "<ping/>");
@@ -106,8 +111,8 @@ let test_apply_fault_rolls_back () =
 
 let test_flaky_evaluator_drains () =
   (* Random evaluator failures under load: every abort routes an error and
-     nothing wedges — the agenda still drains and the lock table ends
-     empty. *)
+     nothing wedges — the agenda still drains and no resource stays
+     claimed. *)
   let srv = S.deploy ping_pong in
   let f = Fault.create ~seed:7 () in
   Fault.set_eval_failure_rate f 0.3;
@@ -123,7 +128,7 @@ let test_flaky_evaluator_drains () =
     (List.length (bodies srv "errs"));
   check int_ "survivors all produced output" (40 - Fault.injected f)
     (List.length (bodies srv "out"));
-  check int_ "lock table empty" 0 (active_locks srv);
+  check_released srv "in";
   check int_ "agenda drained" 0 (S.pending_messages srv)
 
 (* ---- transmission retry and dead-lettering ---- *)
@@ -225,7 +230,7 @@ let test_crash_restart_exactly_once () =
   ignore (S.run srv2);
   check bool_ "both pongs exactly once" true
     (List.sort compare (bodies srv2 "out") = [ "<pong>a</pong>"; "<pong>b</pong>" ]);
-  check int_ "lock table empty" 0 (active_locks srv2);
+  check_released srv2 "in";
   Store.close st2
 
 let test_torn_wal_tail () =
@@ -406,7 +411,7 @@ let test_group_commit_crash_restart_exactly_once () =
   ignore (S.run srv2);
   check bool_ "committed work exactly once, torn inject gone" true
     (List.sort compare (bodies srv2 "out") = [ "<pong>a</pong>"; "<pong>b</pong>" ]);
-  check int_ "lock table empty" 0 (active_locks srv2);
+  check_released srv2 "in";
   Store.close st2
 
 (* ---- multi-worker pool (PR 3) ----
@@ -445,7 +450,7 @@ let test_multi_worker_crash_restart_exactly_once () =
   in
   check bool_ "12 pongs exactly once, torn inject gone" true
     (List.sort compare (bodies srv2 "out") = expected);
-  check int_ "lock table empty" 0 (active_locks srv2);
+  check_released srv2 "in";
   check int_ "idle afterwards" 0 (S.run srv2);
   Store.close st2
 
@@ -475,7 +480,7 @@ let test_multi_worker_barrier_before_transmission () =
   ignore (S.run srv);
   check int_ "all deliveries arrived" 40 !received;
   check int_ "no delivery ever saw an unsynced commit" 0 !max_exposure;
-  check int_ "lock table empty" 0 (active_locks srv);
+  check_released srv "work";
   let per_worker = S.worker_stats srv in
   check int_ "stats row per worker" 4 (List.length per_worker);
   check int_ "worker counters account for all processed"
@@ -679,6 +684,31 @@ let test_wal_write_points () =
       ("batch", Wal.Sync_batch { max_records = 1000; max_bytes = 0 }, true);
     ]
 
+let test_no_transmission_before_barrier_default_config () =
+  (* The barrier before a transmission does not depend on group commit:
+     with [group_commit = false] on a [Sync_batch] store, commits still
+     wait for a barrier, so the pump must issue one before every
+     delivery. *)
+  let dir = fresh_dir "plain-barrier" in
+  let st = Store.open_store (batch_cfg dir) in
+  let net = Net.create () in
+  let received = ref 0 in
+  let max_exposure = ref 0 in
+  Net.register net ~name:"partner" ~handler:(fun ~sender:_ _ ->
+      incr received;
+      max_exposure := max !max_exposure (Store.unsynced_commits st);
+      []);
+  let config = { S.default_config with S.group_commit = false } in
+  let srv = S.deploy ~config ~store:st ~network:net gateway_program in
+  S.bind_gateway srv ~queue:"out" ~endpoint:"partner" ();
+  for i = 1 to 10 do
+    ignore (inject_ok srv "work" (Printf.sprintf "<order><id>%d</id></order>" i))
+  done;
+  ignore (S.run srv);
+  check int_ "all deliveries arrived" 10 !received;
+  check int_ "no delivery ever saw an unsynced commit" 0 !max_exposure;
+  Store.close st
+
 let suite =
   [
     ("eval fault aborts cleanly", `Quick, test_eval_fault_aborts);
@@ -707,4 +737,6 @@ let suite =
      test_torn_compaction_keeps_state);
     ("group commit: records reach the file at barriers", `Quick,
      test_wal_write_points);
+    ("no transmission before its barrier without group commit", `Quick,
+     test_no_transmission_before_barrier_default_config);
   ]

@@ -766,6 +766,36 @@ let test_node_identity_across_qs_calls () =
   check int_ "identity holds after crash-restart" 2 (List.length (bodies srv2 "same"));
   Store.close st2
 
+(* Queue wait runs from the schedule stamp the dispatch entry carries to
+   the dispatch: on a virtual clock, exactly the time advanced between
+   the inject and the run. *)
+let test_queue_wait_from_entry_stamp () =
+  let module Ts = Demaq.Obs.Time_source in
+  let module Metrics = Demaq.Obs.Metrics in
+  let ts = Ts.virtual_ ~start_ns:5_000_000 () in
+  let config = { S.default_config with S.trace_capacity = 16; metrics = true } in
+  let srv = S.deploy ~config ~time_source:ts ping_pong in
+  let m = inject_ok srv "in" "<ping>w</ping>" in
+  Ts.advance_ns ts 1_000_000;
+  ignore (S.run srv);
+  (match S.spans ~rid:m.Message.rid srv with
+   | [ sp ] -> check int_ "waited 1 ms" 1_000_000 sp.Demaq.Obs.Trace.sp_wait_ns
+   | spans -> Alcotest.failf "%d spans for the ping" (List.length spans));
+  let waits =
+    List.filter_map
+      (function
+        | Metrics.Histogram { name = "demaq_queue_wait_seconds{queue=\"in\"}"; count; _ }
+          ->
+          Some count
+        | _ -> None)
+      (Metrics.snapshot (S.registry srv))
+  in
+  check Alcotest.(list int) "one queue-wait observation for the queue" [ 1 ] waits
+
 let suite =
   suite
-  @ [ ("node identity across qs: calls", `Quick, test_node_identity_across_qs_calls) ]
+  @ [
+      ("node identity across qs: calls", `Quick, test_node_identity_across_qs_calls);
+      ("queue wait from the dispatch entry's stamp", `Quick,
+       test_queue_wait_from_entry_stamp);
+    ]

@@ -243,23 +243,38 @@ let test_concurrent_stress () =
 
 module Dispatch = Demaq.Engine.Dispatch
 
+(* The dispatcher's slots by rid, handing entries back by rid. *)
+type slot = Ready of int | Busy | Empty
+
+let next handed d =
+  match Dispatch.next d with
+  | Dispatch.Ready e ->
+    Hashtbl.replace handed e.Dispatch.rid e;
+    Ready e.Dispatch.rid
+  | Dispatch.Busy -> Busy
+  | Dispatch.Empty -> Empty
+
+let complete handed d rid = Dispatch.complete d (Hashtbl.find handed rid)
+
 let test_dispatch_footprint_disjoint () =
   let d = Dispatch.create () in
+  let handed = Hashtbl.create 4 in
+  let next = next handed and complete = complete handed in
   (* rids 1 and 3 write queue o1; rid 2 only writes o2 *)
-  Dispatch.schedule d ~priority:0 ~resources:[ "q:o1" ] 1;
-  Dispatch.schedule d ~priority:0 ~resources:[ "q:o2" ] 2;
-  Dispatch.schedule d ~priority:0 ~resources:[ "q:o1"; "q:o2" ] 3;
-  check bool_ "first out" true (Dispatch.next d = Dispatch.Ready 1);
+  Dispatch.schedule d ~priority:0 ~resources:[ "q:o1" ] ~stamp:(-1) 1;
+  Dispatch.schedule d ~priority:0 ~resources:[ "q:o2" ] ~stamp:(-1) 2;
+  Dispatch.schedule d ~priority:0 ~resources:[ "q:o1"; "q:o2" ] ~stamp:(-1) 3;
+  check bool_ "first out" true (next d = Ready 1);
   (* disjoint footprint: runs alongside rid 1 *)
-  check bool_ "disjoint runs concurrently" true (Dispatch.next d = Dispatch.Ready 2);
+  check bool_ "disjoint runs concurrently" true (next d = Ready 2);
   (* rid 3 overlaps both running rids: parked, not handed out *)
-  check bool_ "conflicting parked" true (Dispatch.next d = Dispatch.Busy);
-  Dispatch.complete d 1;
-  check bool_ "still blocked on rid 2" true (Dispatch.next d = Dispatch.Busy);
-  Dispatch.complete d 2;
-  check bool_ "revived once both free" true (Dispatch.next d = Dispatch.Ready 3);
-  Dispatch.complete d 3;
-  check bool_ "drained" true (Dispatch.next d = Dispatch.Empty)
+  check bool_ "conflicting parked" true (next d = Busy);
+  complete d 1;
+  check bool_ "still blocked on rid 2" true (next d = Busy);
+  complete d 2;
+  check bool_ "revived once both free" true (next d = Ready 3);
+  complete d 3;
+  check bool_ "drained" true (next d = Empty)
 
 let fp_resources = [| "q:a"; "q:b"; "s:sl/k1"; "s:sl/k2" |]
 
@@ -293,6 +308,7 @@ let disjoint a b = not (List.exists (fun r -> List.mem r b) a)
 let prop_dispatch_disjoint =
   QCheck.Test.make
     ~name:"dispatcher never runs overlapping footprints concurrently" ~count:300
+    ~long_factor:20
     (QCheck.make gen_dispatch_ops ~print:print_dispatch_ops)
     (fun ops ->
       let d = Dispatch.create () in
@@ -302,13 +318,19 @@ let prop_dispatch_disjoint =
       let next_rid = ref 0 in
       let take () =
         match Dispatch.next d with
-        | Dispatch.Ready rid ->
+        | Dispatch.Ready e ->
+          let rid = e.Dispatch.rid in
           let res = Hashtbl.find resources_of rid in
+          (* the entry hands back the resources and stamp it was
+             scheduled with *)
+          if e.Dispatch.resources <> res || e.Dispatch.stamp <> rid then
+            failwith (Printf.sprintf "rid %d handed out with other resources" rid);
           (* the invariant: a handed-out rid conflicts with nothing in flight *)
-          if not (List.for_all (fun (_, r) -> disjoint res r) !running) then
+          if not (List.for_all (fun (_, r) -> disjoint res r.Dispatch.resources) !running)
+          then
             failwith
               (Printf.sprintf "rid %d dispatched over a conflicting in-flight rid" rid);
-          running := (rid, res) :: !running;
+          running := (rid, e) :: !running;
           true
         | Dispatch.Busy ->
           if !running = [] then failwith "Busy with nothing in flight";
@@ -321,15 +343,16 @@ let prop_dispatch_disjoint =
             incr next_rid;
             let rid = !next_rid in
             Hashtbl.replace resources_of rid (fp_subset mask);
-            Dispatch.schedule d ~priority:prio ~resources:(fp_subset mask) rid;
+            Dispatch.schedule d ~priority:prio ~resources:(fp_subset mask) ~stamp:rid
+              rid;
             incr scheduled
           | `Next -> ignore (take ())
           | `Complete k ->
             (match !running with
              | [] -> ()
              | l ->
-               let rid, _ = List.nth l (k mod List.length l) in
-               Dispatch.complete d rid;
+               let rid, e = List.nth l (k mod List.length l) in
+               Dispatch.complete d e;
                running := List.filter (fun (r, _) -> r <> rid) l;
                incr finished))
         ops;
@@ -340,8 +363,8 @@ let prop_dispatch_disjoint =
         incr guard;
         if !guard > 10_000 then failwith "drain did not terminate";
         (match !running with
-         | (rid, _) :: rest ->
-           Dispatch.complete d rid;
+         | (_, e) :: rest ->
+           Dispatch.complete d e;
            running := rest;
            incr finished
          | [] -> ());

@@ -1062,11 +1062,44 @@ let prop_stats_counters =
       Store.close st;
       ok)
 
+(* Queue order is rid (arrival) order before a crash; the replay applies
+   inserts in commit order, and must give the same order back. *)
+let test_replay_keeps_queue_order () =
+  let dir = fresh_dir () in
+  let cfg =
+    Store.durable_config
+      ~sync:(Wal.Sync_batch { max_records = 10_000; max_bytes = 0 })
+      dir
+  in
+  let st = Store.open_store cfg in
+  let insert txn i =
+    ignore
+      (Store.insert txn ~queue:"q" ~payload:(Printf.sprintf "<m n='%d'/>" i)
+         ~extra:"" ~enqueued_at:1 ~durable:true)
+  in
+  let first = Store.begin_txn st in
+  insert first 0;
+  for i = 1 to 2_500 do
+    let txn = Store.begin_txn st in
+    insert txn i;
+    Store.commit txn
+  done;
+  Store.commit first;
+  let before = Store.queue_rids st "q" in
+  check int_ "lowest rid first" 1 (List.hd before);
+  Store.close st;
+  let st2 = Store.open_store cfg in
+  check Alcotest.(list int) "queue order survives the replay" before
+    (Store.queue_rids st2 "q");
+  Store.close st2
+
 let rid_table_suite =
   [
     ("replay over a snapshot holding its inserts: each message once", `Quick,
      test_replay_over_snapshot_once);
     QCheck_alcotest.to_alcotest prop_stats_counters;
+    ("replay keeps queue order when the lowest rid commits last", `Quick,
+     test_replay_keeps_queue_order);
   ]
 
 let suite = suite @ rid_table_suite
