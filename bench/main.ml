@@ -31,7 +31,7 @@ let quick = ref false
 let scale n = if !quick then max 1 (n / 5) else n
 
 (* Machine-readable results: benches push JSON objects here and --json
-   FILE writes them out (the PR trajectory data, e.g. BENCH_PR2.json). *)
+   FILE writes them out (the CI gate baseline, e.g. BENCH_PR10.json). *)
 let json_entries : string list ref = ref []
 let json_add entry = json_entries := !json_entries @ [ entry ]
 
@@ -1128,7 +1128,23 @@ let b15_program =
 
 (* Restart drain: enqueue durably, close, reopen — every message is then
    faulted back in from the store in the *stored* representation, which
-   is exactly where the text-vs-binary choice lives. *)
+   is exactly where the text-vs-binary choice lives. The engine always
+   writes binary XML, so the text backlog is the binary one copied into a
+   fresh store with each body re-serialized as XML text (the legacy
+   format that [Bxml.decode_any] still reads). *)
+let b15_text_copy ~sync ~src ~dir =
+  let st = Store.open_store (Store.durable_config ~sync dir) in
+  List.iter
+    (fun (m : Store.message) ->
+      let txn = Store.begin_txn st in
+      ignore
+        (Store.insert txn ~queue:m.Store.queue
+           ~payload:(Xml_serializer.to_string (Bxml.decode_any (Store.payload src m)))
+           ~extra:m.Store.extra ~enqueued_at:m.Store.enqueued_at ~durable:true);
+      Store.commit txn)
+    (Store.all_messages src);
+  Store.close st
+
 let b15_e2e_run ~messages ~format =
   let tag = match format with `Text -> "text" | `Binary -> "binary" in
   let dir = b15_dir ("e2e-" ^ tag) in
@@ -1137,8 +1153,9 @@ let b15_e2e_run ~messages ~format =
      difference under measurement *)
   let sync = Wal.Sync_never in
   let cfg = { S.default_config with S.batch_size = 256 } in
-  let store = Store.open_store (Store.durable_config ~sync dir) in
-  let srv = S.deploy ~config:cfg ~store ~payload_format:format b15_program in
+  let backlog_dir = match format with `Binary -> dir | `Text -> b15_dir "e2e-backlog" in
+  let store = Store.open_store (Store.durable_config ~sync backlog_dir) in
+  let srv = S.deploy ~config:cfg ~store b15_program in
   for i = 1 to messages do
     let extra = if i mod 32 = 0 then "<recall/>" else "" in
     let doc =
@@ -1146,10 +1163,11 @@ let b15_e2e_run ~messages ~format =
     in
     ignore (S.inject srv ~queue:"in" (Demaq.xml doc))
   done;
+  if format = `Text then b15_text_copy ~sync ~src:store ~dir;
   Store.close store;
   (* restart: recover the backlog from the WAL and drain it *)
   let store = Store.open_store (Store.durable_config ~sync dir) in
-  let srv = S.deploy ~config:cfg ~store ~payload_format:format b15_program in
+  let srv = S.deploy ~config:cfg ~store b15_program in
   Gc.full_major ();
   let t = secs (fun () -> ignore (S.run srv)) in
   let processed = (S.stats srv).S.processed in

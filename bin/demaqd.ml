@@ -191,6 +191,26 @@ let inject_stdin srv default_queue =
     done
   with End_of_file -> ()
 
+(* The startup run, trace and flow share: deploy [file] (on failure print
+   the analysis and exit 1), then hand [k] the node and its drain — feed
+   stdin, run to quiescence, and with [advance] > 0 advance the virtual
+   clock and run again; the drain returns the first run's processed
+   count. [k] calls it once, after any setup the node needs first. *)
+let with_node ?store ~config file default_queue advance k =
+  match S.deploy ?store ~config (read_file file) with
+  | exception S.Deployment_error msg ->
+    Printf.eprintf "deployment failed:\n%s\n" msg;
+    1
+  | srv ->
+    k srv (fun () ->
+        inject_stdin srv default_queue;
+        let processed = S.run srv in
+        if advance > 0 then begin
+          S.advance_time srv advance;
+          ignore (S.run srv)
+        end;
+        processed)
+
 (* ---- run ---- *)
 
 let run_cmd file default_queue store_dir show_stats stats_json gc_at_end advance
@@ -232,11 +252,7 @@ let run_cmd file default_queue store_dir show_stats stats_json gc_at_end advance
       metrics = metrics_port <> None || ingress_port <> None || adaptive;
     }
   in
-  match S.deploy ~config ~store (read_file file) with
-  | exception S.Deployment_error msg ->
-    Printf.eprintf "deployment failed:\n%s\n" msg;
-    1
-  | srv -> (
+  with_node ~store ~config file default_queue advance (fun srv drain ->
     if adaptive then begin
       let ctl = S.enable_adaptive srv in
       Printf.eprintf "adaptive: group-commit controller armed (batch %d..%d)\n%!"
@@ -279,12 +295,7 @@ let run_cmd file default_queue store_dir show_stats stats_json gc_at_end advance
         Printf.eprintf "ingress: http://127.0.0.1:%d/enqueue/<queue>\n%!"
           (Http.port server))
       ingress;
-    inject_stdin srv default_queue;
-    let processed = S.run srv in
-    if advance > 0 then begin
-      S.advance_time srv advance;
-      ignore (S.run srv)
-    end;
+    let processed = drain () in
     if ingress <> None then
       serve_loop srv ~seconds:serve_for ~tick_every
         ~maintenance:(fun () ->
@@ -328,20 +339,10 @@ let trace_cmd file default_queue capacity advance filter_queue filter_rid
   let config =
     { S.default_config with S.trace_capacity = max 1 capacity; metrics = true }
   in
-  match S.deploy ~config (read_file file) with
-  | exception S.Deployment_error msg ->
-    Printf.eprintf "deployment failed:\n%s\n" msg;
-    1
-  | srv ->
-    inject_stdin srv default_queue;
-    ignore (S.run srv);
-    if advance > 0 then begin
-      S.advance_time srv advance;
-      ignore (S.run srv)
-    end;
-    print_string
-      (S.spans_jsonl ?queue:filter_queue ?rid:filter_rid srv);
-    0
+  with_node ~config file default_queue advance (fun srv drain ->
+      ignore (drain ());
+      print_string (S.spans_jsonl ?queue:filter_queue ?rid:filter_rid srv);
+      0)
 
 (* ---- flow: render one causal cascade as an ASCII tree ---- *)
 
@@ -359,17 +360,8 @@ let flow_cmd file default_queue id store_dir advance log_level =
   let config =
     { S.default_config with S.trace_capacity = 4096; metrics = true }
   in
-  match S.deploy ~config ~store (read_file file) with
-  | exception S.Deployment_error msg ->
-    Printf.eprintf "deployment failed:\n%s\n" msg;
-    1
-  | srv ->
-    inject_stdin srv default_queue;
-    ignore (S.run srv);
-    if advance > 0 then begin
-      S.advance_time srv advance;
-      ignore (S.run srv)
-    end;
+  with_node ~store ~config file default_queue advance (fun srv drain ->
+    ignore (drain ());
     let rc =
       match id with
       | None ->
@@ -407,7 +399,7 @@ let flow_cmd file default_queue id store_dir advance log_level =
             0))
     in
     Store.close store;
-    rc
+    rc)
 
 (* ---- query ---- *)
 

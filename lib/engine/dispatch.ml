@@ -1,15 +1,22 @@
-(* The queue-partitioned dispatcher.
+(* The message scheduler (§4.4.2) and queue-partitioned dispatcher.
+
+   The paper's scheduler "maintains a list of all unprocessed messages and
+   chooses the next message to be handled, considering both their temporal
+   ordering and the priority of the containing queues": here a binary heap
+   ordered by (queue priority descending, arrival sequence ascending), so
+   higher-priority messages overtake older lower-priority ones and FIFO
+   holds within a priority level.
 
    Gray's "Queues Are Databases" runs a pool of servers draining one queue
    set in parallel; what keeps that sound in Demaq is a partitioning rule
-   layered over the priority scheduler (§4.4.2): two messages that could
+   layered over that order: two messages that could
    conflict — same queue, or overlapping slices under slice-granularity
    locking — must never run concurrently, and within a queue the arrival
    order must survive parallel execution.
 
    Each scheduled entry carries its conflict resources (queue name plus
    slice memberships, computed by the executor) and its schedule stamp.
-   [next] pops the scheduler heap; an entry whose resources are all free
+   [next] pops the heap; an entry whose resources are all free
    starts running, claims them and is handed out, an entry blocked on an
    in-flight resource is parked on that resource. [complete] takes the
    handed-out entry back, releases its resources and re-pushes every
@@ -27,7 +34,7 @@
    The dispatcher is NOT internally synchronized: the worker pool
    serializes all access under its own monitor mutex. *)
 
-type entry = Scheduler.entry = {
+type entry = {
   rid : int;
   priority : int;
   seq : int;
@@ -38,23 +45,32 @@ type entry = Scheduler.entry = {
 type slot = Ready of entry | Busy | Empty
 
 type t = {
-  sched : Scheduler.t;
+  heap : entry Heap.t;
+  mutable next_seq : int;  (* arrival sequence of the next scheduled entry *)
   parked : (string, entry Queue.t) Hashtbl.t;
       (* busy resource -> entries waiting for it, in pop (priority) order *)
   in_flight : (string, unit) Hashtbl.t;  (* resources of running messages *)
   mutable parked_count : int;
 }
 
+let compare_entries a b =
+  (* higher priority first, then earlier arrival *)
+  let c = compare b.priority a.priority in
+  if c <> 0 then c else compare a.seq b.seq
+
 let create () =
   {
-    sched = Scheduler.create ();
+    heap = Heap.create compare_entries;
+    next_seq = 0;
     parked = Hashtbl.create 16;
     in_flight = Hashtbl.create 16;
     parked_count = 0;
   }
 
 let schedule t ~priority ~resources ~stamp rid =
-  Scheduler.push t.sched (Scheduler.entry t.sched ~priority ~resources ~stamp rid)
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  Heap.push t.heap { rid; priority; seq; resources; stamp }
 
 let park t e busy =
   let q =
@@ -76,7 +92,7 @@ let busy_resource t e =
   List.find_opt (fun r -> Hashtbl.mem t.in_flight r) e.resources
 
 let rec next_fifo t =
-  match Scheduler.pop_entry t.sched with
+  match Heap.pop t.heap with
   | None -> if t.parked_count > 0 then Busy else Empty
   | Some e -> (
     match busy_resource t e with
@@ -95,7 +111,7 @@ let rec next_fifo t =
    per successful choice with the candidate count; the schedule replays
    bit-identically when [f] is a seeded generator. *)
 let rec next_picked t f =
-  match Scheduler.pop_entry t.sched with
+  match Heap.pop t.heap with
   | None -> if t.parked_count > 0 then Busy else Empty
   | Some first ->
     let prio = first.priority in
@@ -120,9 +136,9 @@ let rec next_picked t f =
     in
     classify first;
     let rec drain () =
-      match Scheduler.peek_entry t.sched with
+      match Heap.peek t.heap with
       | Some e when e.priority = prio ->
-        ignore (Scheduler.pop_entry t.sched);
+        ignore (Heap.pop t.heap);
         classify e;
         drain ()
       | _ -> ()
@@ -137,8 +153,8 @@ let rec next_picked t f =
      | cands ->
        let n = !n_candidates in
        let k = (((f n) mod n) + n) mod n in
-       List.iteri (fun i e -> if i <> k then Scheduler.push t.sched e) cands;
-       List.iter (Scheduler.push t.sched) !deferred;
+       List.iteri (fun i e -> if i <> k then Heap.push t.heap e) cands;
+       List.iter (Heap.push t.heap) !deferred;
        claim t (List.nth cands k))
 
 let next ?pick t =
@@ -156,10 +172,10 @@ let complete t e =
           (fun e ->
             t.parked_count <- t.parked_count - 1;
             (* original seq: overtakes anything that arrived later *)
-            Scheduler.push t.sched e)
+            Heap.push t.heap e)
           q)
     e.resources
 
-let pending t = Scheduler.length t.sched + t.parked_count
-let queued t = Scheduler.length t.sched
+let pending t = Heap.length t.heap + t.parked_count
+let queued t = Heap.length t.heap
 let parked t = t.parked_count

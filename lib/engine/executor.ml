@@ -34,8 +34,9 @@
    - Statistics live in a sharded [Demaq_obs.Metrics] registry: workers
      mutate their own shard without synchronization, reads aggregate.
      Lifecycle spans go to a bounded [Demaq_obs.Trace] ring with its own
-     mutex. Lock order: state_mu -> (span-ring mutex | wal mutex | pool
-     monitor); never the reverse. *)
+     mutex. Lock order: state_mu -> (span-ring mutex | wal mutex | the
+     monitor of [pool], the worker pool this context owns); never the
+     reverse. *)
 
 module Tree = Demaq_xml.Tree
 module Value = Demaq_xquery.Value
@@ -125,9 +126,7 @@ type t = {
   outbox : (string, int Queue.t) Hashtbl.t;
       (* untransmitted rids per outgoing gateway queue, so the pump never
          rescans whole queues *)
-  mutable schedule :
-    priority:int -> resources:string list -> stamp:int -> int -> unit;
-      (* set by the composition root to the worker pool's scheduler *)
+  pool : Worker_pool.t;  (* the worker domains and the dispatcher they drain *)
   mutable batch_target : int;
       (* group-commit batch the coordinator drains per barrier; fixed at
          cfg.batch_size unless the adaptive controller is steering it *)
@@ -223,7 +222,7 @@ let create ~cfg ~qm ~st ~net ~compiled ~clk () =
     bindings = Hashtbl.create 8;
     interfaces = Hashtbl.create 4;
     outbox = Hashtbl.create 8;
-    schedule = (fun ~priority:_ ~resources:_ ~stamp:_ _ -> ());
+    pool = Worker_pool.create ~registry:reg ~workers:cfg.workers ();
     batch_target = max 1 cfg.batch_size;
     reg;
     met = make_metrics reg;
@@ -570,7 +569,8 @@ let schedule_message t ~priority (m : Message.t) =
     if Metrics.timing_on t.reg || Trace.enabled t.spans then Metrics.now t.reg
     else -1
   in
-  t.schedule ~priority ~resources:(resources_for t m) ~stamp m.Message.rid
+  Worker_pool.schedule t.pool ~priority ~resources:(resources_for t m) ~stamp
+    m.Message.rid
 
 (* ---- inert messages ---- *)
 

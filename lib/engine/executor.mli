@@ -24,8 +24,10 @@
     - Statistics live in a sharded {!Demaq_obs.Metrics} registry (shard 0
       is the coordinator domain; the worker pool binds worker [i] to
       shard [i+1]); lifecycle spans in a bounded {!Demaq_obs.Trace} ring.
-    - Lock order: [state_mu] before the span-ring/WAL/pool-monitor
-      mutexes, never the reverse. *)
+    - Lock order: [state_mu] before the span-ring mutex, the WAL mutex
+      and the monitor of [pool] (the worker pool, whose dispatcher
+      {!schedule_message} pushes into under [state_mu]), never the
+      reverse. *)
 
 module Tree = Demaq_xml.Tree
 module Value = Demaq_xquery.Value
@@ -108,10 +110,10 @@ type t = {
   bindings : (string, gateway_binding) Hashtbl.t;
   interfaces : (string, Wsdl.t) Hashtbl.t;
   outbox : (string, int Queue.t) Hashtbl.t;
-  mutable schedule :
-    priority:int -> resources:string list -> stamp:int -> int -> unit;
-      (** the worker pool's {!Worker_pool.schedule}; [stamp] is the clock
-          at schedule time, [-1] when nothing reads queue-wait timings *)
+  pool : Worker_pool.t;
+      (** the worker domains and the dispatcher they drain, sized by
+          [cfg.workers]; {!schedule_message} schedules into it, the
+          composition root drains it *)
   mutable batch_target : int;
       (** group-commit batch the coordinator drains per barrier; fixed at
           [cfg.batch_size] unless the adaptive controller is steering it *)
@@ -185,10 +187,10 @@ val resources_for : t -> Message.t -> string list
     declared queue). *)
 
 val schedule_message : t -> priority:int -> Message.t -> unit
-(** Route through the [schedule] hook (the worker pool) at the priority
-    of the message's queue, with its {!resources_for} and, when timing or
-    tracing is on, a schedule stamp. Safe under the lock: the hook only
-    takes the pool monitor. *)
+(** {!Worker_pool.schedule} into [pool] at the priority of the message's
+    queue, with its {!resources_for} and, when timing or tracing is on, a
+    schedule stamp. Safe under the lock: it only takes the pool
+    monitor. *)
 
 val raise_error :
   t ->

@@ -1,7 +1,7 @@
 (** A binary min-heap over an explicit ordering.
 
-    Backs the message scheduler and the echo-queue timer wheel. Push and
-    pop are O(log n); peek is O(1). *)
+    Backs the dispatcher's message order and the echo-queue timer wheel.
+    Push and pop are O(log n); peek is O(1). *)
 
 type 'a t
 

@@ -1,14 +1,14 @@
 (* The Demaq server, as a composition root: parse/analyze/compile the
-   program, wire config -> store -> executor -> dispatcher -> worker pool,
-   and drive the batched run loop. The actual machinery lives in the
-   layers it composes:
+   program, wire config -> store -> executor (which owns the worker pool
+   and its dispatcher), and drive the batched run loop. The actual
+   machinery lives in the layers it composes:
 
    - Executor: the single-message transaction (§3.1) and all shared
      engine state;
    - Externalizer: gateway pump, timers, retries (barrier before every
      transmission);
-   - Dispatch: queue-partitioned scheduling (conflict-free parallelism,
-     per-queue order);
+   - Dispatch: the priority scheduler (§4.4.2), partitioned on conflict
+     resources (conflict-free parallelism, per-queue order);
    - Worker_pool: N domains draining the dispatcher; [workers = 1] is the
      deterministic mode whose observable behaviour matches the seed
      single-threaded engine. *)
@@ -104,7 +104,6 @@ type adaptive = {
 
 type t = {
   ctx : Executor.t;
-  pool : Worker_pool.t;
   mutable adaptive : adaptive option;
   mutable gate : Gate.t option;
   mutable compactions : int;
@@ -133,11 +132,11 @@ let admission_stats t = Executor.admission_stats t.ctx
 let pump_gateways t = Externalizer.pump_gateways t.ctx
 let advance_time t ticks = Externalizer.advance_time t.ctx ticks
 let gc t = Executor.run_gc t.ctx
-let pending_messages t = Worker_pool.pending t.pool
+let pending_messages t = Worker_pool.pending t.ctx.Executor.pool
 let queue_contents t name = Qm.queue_messages t.ctx.Executor.qm name
-let worker_stats t = Worker_pool.worker_stats t.pool
-let workers t = Worker_pool.workers t.pool
-let set_picker t picker = Worker_pool.set_picker t.pool picker
+let worker_stats t = Worker_pool.worker_stats t.ctx.Executor.pool
+let workers t = Worker_pool.workers t.ctx.Executor.pool
+let set_picker t picker = Worker_pool.set_picker t.ctx.Executor.pool picker
 let timers_pending t = Timer_wheel.pending t.ctx.Executor.timers
 let next_timer_due t = Timer_wheel.next_due t.ctx.Executor.timers
 
@@ -152,7 +151,7 @@ let process t (e : Dispatch.entry) =
 let step t =
   let picked = ref Idle in
   ignore
-    (Worker_pool.drain t.pool ~budget:1
+    (Worker_pool.drain t.ctx.Executor.pool ~budget:1
        ~process:(fun e ->
          let m = Executor.message t.ctx e.Dispatch.rid in
          let n = process t e in
@@ -177,7 +176,7 @@ let run ?(max_steps = max_int) t =
     let batch_size = max 1 t.ctx.Executor.batch_target in
     let budget = min batch_size (max_steps - !steps) in
     let d =
-      Worker_pool.drain t.pool ~budget ~process:(process t)
+      Worker_pool.drain t.ctx.Executor.pool ~budget ~process:(process t)
     in
     steps := !steps + d.Worker_pool.transactions;
     processed := !processed + d.Worker_pool.messages;
@@ -252,7 +251,7 @@ let admission t ~queue =
   | None -> Gate.Admit
   | Some g ->
     Gate.decide g
-      ~pending:(Worker_pool.pending t.pool)
+      ~pending:(Worker_pool.pending t.ctx.Executor.pool)
       ~unsynced_bytes:(Store.unsynced_bytes t.ctx.Executor.st)
       ~priority:(Executor.queue_priority t.ctx queue)
 
@@ -499,7 +498,7 @@ let build_commit =
   | _ -> "unknown"
 
 let deploy ?(config = default_config) ?time_source ?store:st ?network:net
-    ?payload_format program_text =
+    program_text =
   let program =
     try Qdl.parse_program program_text
     with Qdl.Qdl_error msg -> raise (Deployment_error msg)
@@ -515,7 +514,7 @@ let deploy ?(config = default_config) ?time_source ?store:st ?network:net
     raise (Deployment_error (Analysis.errors_to_string analysis));
   let st = match st with Some s -> s | None -> Store.open_store Store.default_config in
   let clk = Clock.create ?time_source () in
-  let qm = Qm.create ~clock:(fun () -> Clock.now clk) ?payload_format st in
+  let qm = Qm.create ~clock:(fun () -> Clock.now clk) st in
   List.iter (Qm.add_queue qm) (Qdl.queues program);
   List.iter (Qm.add_property qm) (Qdl.properties program);
   List.iter (Qm.add_slicing qm) (Qdl.slicings program);
@@ -540,12 +539,9 @@ let deploy ?(config = default_config) ?time_source ?store:st ?network:net
   Metrics.gauge_fn reg "demaq_uptime_seconds"
     ~help:"Seconds since this node deployed (virtual under simulation)"
     (fun () -> float_of_int (Metrics.now reg - started_ns) *. 1e-9);
-  let pool =
-    Worker_pool.create ~registry:ctx.Executor.reg ~workers:config.workers ()
-  in
-  ctx.Executor.schedule <- Worker_pool.schedule pool;
+  Worker_pool.instrument ctx.Executor.pool reg;
   let t =
-    { ctx; pool; adaptive = None; gate = None; compactions = 0; compacted_bytes = 0 }
+    { ctx; adaptive = None; gate = None; compactions = 0; compacted_bytes = 0 }
   in
   Metrics.counter_fn reg "demaq_store_compactions_total"
     ~help:"Background WAL/snapshot compactions performed" (fun () ->

@@ -86,7 +86,6 @@ val deploy :
   ?time_source:Demaq_obs.Time_source.t ->
   ?store:Store.t ->
   ?network:Demaq_net.Network.t ->
-  ?payload_format:[ `Binary | `Text ] ->
   string ->
   t
 (** Parse, analyze and compile the program text, register all definitions,
@@ -94,8 +93,8 @@ val deploy :
     messages are rescheduled; pending echo timeouts are re-registered).
     [time_source] (default real time) is linked to the engine clock and
     becomes the registry/span clock — pass a virtual source to run the
-    whole node on simulated time. [payload_format] selects the stored
-    payload representation (default compact binary; reads accept both).
+    whole node on simulated time. Payloads are stored as compact binary
+    XML; reads also accept legacy text payloads.
     @raise Deployment_error when parsing or semantic analysis fails. *)
 
 val queue_manager : t -> Demaq_mq.Queue_manager.t

@@ -49,7 +49,7 @@ type t = {
   dsp : Dispatch.t;
   workers : int;
   wstats : worker_stats array;
-  registry : Metrics.registry option;
+  registry : Metrics.registry;
       (* worker i records into shard i+1; shard 0 stays the coordinator's *)
   (* per-drain monitor state, guarded by [mu] *)
   mutable in_flight : int;
@@ -61,53 +61,49 @@ type t = {
       (* simulation hook: seeded candidate chooser for inline drains *)
 }
 
-let create ?registry ~workers () =
+let create ~registry ~workers () =
   let workers = max 1 (min workers 64) in
-  let t =
-    {
-      mu = Mutex.create ();
-      cond = Condition.create ();
-      dsp = Dispatch.create ();
-      workers;
-      wstats =
-        Array.init workers (fun _ -> { w_processed = 0; w_idle = 0; w_drains = 0 });
-      registry;
-      in_flight = 0;
-      done_ = 0;
-      messages = 0;
-      budget = 0;
-      failure = None;
-      picker = None;
-    }
-  in
-  (match registry with
-   | None -> ()
-   | Some reg ->
-     (* dispatcher depth is the engine's backlog signal; parked counts how
-        much of it is blocked on conflicts rather than waiting for a slot *)
-     Metrics.gauge_fn reg "demaq_dispatch_queued"
-       ~help:"Messages in the dispatcher priority heap" (fun () ->
-         float_of_int (Mutex.protect t.mu (fun () -> Dispatch.queued t.dsp)));
-     Metrics.gauge_fn reg "demaq_dispatch_parked"
-       ~help:"Messages parked on an in-flight conflict resource" (fun () ->
-         float_of_int (Mutex.protect t.mu (fun () -> Dispatch.parked t.dsp)));
-     Array.iteri
-       (fun i w ->
-         let name fam = Printf.sprintf "%s{worker=\"%d\"}" fam i in
-         Metrics.counter_fn reg
-           (name "demaq_worker_processed_total")
-           ~help:"Messages processed per worker slot" (fun () ->
-             float_of_int w.w_processed);
-         Metrics.counter_fn reg
-           (name "demaq_worker_idle_total")
-           ~help:"Times a worker blocked waiting for compatible work"
-           (fun () -> float_of_int w.w_idle);
-         Metrics.counter_fn reg
-           (name "demaq_worker_drains_total")
-           ~help:"Drain calls a worker participated in" (fun () ->
-             float_of_int w.w_drains))
-       t.wstats);
-  t
+  {
+    mu = Mutex.create ();
+    cond = Condition.create ();
+    dsp = Dispatch.create ();
+    workers;
+    wstats =
+      Array.init workers (fun _ -> { w_processed = 0; w_idle = 0; w_drains = 0 });
+    registry;
+    in_flight = 0;
+    done_ = 0;
+    messages = 0;
+    budget = 0;
+    failure = None;
+    picker = None;
+  }
+
+let instrument t reg =
+  (* dispatcher depth is the engine's backlog signal; parked counts how
+     much of it is blocked on conflicts rather than waiting for a slot *)
+  Metrics.gauge_fn reg "demaq_dispatch_queued"
+    ~help:"Messages in the dispatcher priority heap" (fun () ->
+      float_of_int (Mutex.protect t.mu (fun () -> Dispatch.queued t.dsp)));
+  Metrics.gauge_fn reg "demaq_dispatch_parked"
+    ~help:"Messages parked on an in-flight conflict resource" (fun () ->
+      float_of_int (Mutex.protect t.mu (fun () -> Dispatch.parked t.dsp)));
+  Array.iteri
+    (fun i w ->
+      let name fam = Printf.sprintf "%s{worker=\"%d\"}" fam i in
+      Metrics.counter_fn reg
+        (name "demaq_worker_processed_total")
+        ~help:"Messages processed per worker slot" (fun () ->
+          float_of_int w.w_processed);
+      Metrics.counter_fn reg
+        (name "demaq_worker_idle_total")
+        ~help:"Times a worker blocked waiting for compatible work"
+        (fun () -> float_of_int w.w_idle);
+      Metrics.counter_fn reg
+        (name "demaq_worker_drains_total")
+        ~help:"Drain calls a worker participated in" (fun () ->
+          float_of_int w.w_drains))
+    t.wstats
 
 let workers t = t.workers
 let set_picker t picker = t.picker <- picker
@@ -163,7 +159,7 @@ let drain_inline t ~budget ~process =
 let worker_loop t i ~process =
   (* route this domain's metric recordings to its own shard; the
      coordinator (and inline drains) keep shard 0 *)
-  Option.iter (fun reg -> Metrics.bind_shard reg (i + 1)) t.registry;
+  Metrics.bind_shard t.registry (i + 1);
   let ws = t.wstats.(i) in
   ws.w_drains <- ws.w_drains + 1;
   let continue_ = ref true in

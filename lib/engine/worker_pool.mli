@@ -16,11 +16,14 @@
 
 type t
 
-val create : ?registry:Demaq_obs.Metrics.registry -> workers:int -> unit -> t
-(** [workers] is clamped to [1 .. 64]. With [registry], worker domain [i]
-    binds metrics shard [i+1] at the start of each drain, and the pool
-    registers dispatcher depth/parked gauges plus per-worker
-    processed/idle/drain counters (labelled [worker="i"]). *)
+val create : registry:Demaq_obs.Metrics.registry -> workers:int -> unit -> t
+(** [workers] is clamped to [1 .. 64]. Worker domain [i] binds shard
+    [i+1] of [registry] at the start of each parallel drain. *)
+
+val instrument : t -> Demaq_obs.Metrics.registry -> unit
+(** Register the dispatcher depth/parked gauges and the per-worker
+    processed/idle/drain counters (labelled [worker="i"]) on the
+    registry. *)
 
 val workers : t -> int
 

@@ -19,7 +19,6 @@ type provenance = {
 }
 
 let no_provenance = { p_flow = ""; p_parent = -1; p_cause = "" }
-let is_root p = p.p_parent < 0
 
 type t = {
   rid : int;

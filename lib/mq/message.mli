@@ -28,9 +28,6 @@ type provenance = {
 val no_provenance : provenance
 (** [{p_flow = ""; p_parent = -1; p_cause = ""}] — untraced / legacy. *)
 
-val is_root : provenance -> bool
-(** No parent rid, i.e. the message entered from outside the cascade. *)
-
 type t = {
   rid : int;
   queue : string;

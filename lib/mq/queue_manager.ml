@@ -1,6 +1,5 @@
 module Tree = Demaq_xml.Tree
 module Schema = Demaq_xml.Schema
-module Serializer = Demaq_xml.Serializer
 module Value = Demaq_xquery.Value
 module Eval = Demaq_xquery.Eval
 module Context = Demaq_xquery.Context
@@ -36,7 +35,6 @@ type t = {
   cache : Message.t Rid_table.t;  (* rid -> decoded message *)
   unenqueue : int -> unit;  (* [Store.insert]'s undo: [forget] the rid *)
   clock : unit -> int;
-  encode_payload : Tree.tree -> string;  (* stored representation *)
   mutable gc_cursor : int;
       (* next rid the incremental GC scan examines; wraps to 0 at the end
          of the store so every message is eventually revisited *)
@@ -78,8 +76,6 @@ let find_slicing t name =
   List.find_opt (fun s -> s.Defs.sname = name) t.slicings
 
 let queue_defs t = Hashtbl.fold (fun _ d acc -> d :: acc) t.queues []
-let slicing_defs t = t.slicings
-let property_defs t = t.properties
 
 let set_collection t name docs = Hashtbl.replace t.collections name docs
 let collection t name = Option.value ~default:[] (Hashtbl.find_opt t.collections name)
@@ -304,7 +300,7 @@ let admit t txn ?rule ?trigger ?(provenance = Message.no_provenance)
       | exception Queue_error e -> Error e
       | props ->
         let memberships = memberships_of t props in
-        let serialized = t.encode_payload payload in
+        let serialized = Demaq_xml.Bxml.encode payload in
         let extra = Message.encode_extra ~provenance ~props ~memberships () in
         let enqueued_at =
           match List.assoc_opt Defs.Sysprop.timestamp props with
@@ -411,18 +407,8 @@ let rebuild_indexes t =
         m.Message.memberships)
     (all_messages t)
 
-let index_stats t =
-  Hashtbl.fold
-    (fun name idx acc -> (name, Btree.cardinal idx, Btree.height idx) :: acc)
-    t.indexes []
-
-let create ?clock ?(payload_format = `Binary) store =
+let create ?clock store =
   let clock = match clock with Some c -> c | None -> default_clock () in
-  let encode_payload =
-    match payload_format with
-    | `Binary -> Demaq_xml.Bxml.encode
-    | `Text -> fun tree -> Serializer.to_string tree
-  in
   let cache = Rid_table.create ~dummy:no_message and indexes = Hashtbl.create 8 in
   let t =
     {
@@ -437,7 +423,6 @@ let create ?clock ?(payload_format = `Binary) store =
       unenqueue =
         (fun rid -> Option.iter (forget ~cache ~indexes) (Rid_table.find_opt cache rid));
       clock;
-      encode_payload;
       gc_cursor = 0;
     }
   in

@@ -23,14 +23,11 @@ exception Queue_error of error
 
 type t
 
-val create :
-  ?clock:(unit -> int) -> ?payload_format:[ `Binary | `Text ] -> Store.t -> t
+val create : ?clock:(unit -> int) -> Store.t -> t
 (** [clock] supplies the virtual time tick used for the system timestamp
-    property (defaults to a counter incremented per enqueue).
-    [payload_format] selects the stored payload representation: compact
-    binary {!Demaq_xml.Bxml} (the default) or legacy XML text (kept for
-    benchmarking the two paths against each other; reads accept both
-    formats regardless). *)
+    property (defaults to a counter incremented per enqueue). Payloads are
+    stored as compact binary {!Demaq_xml.Bxml}; reads also accept legacy
+    XML text ({!Demaq_xml.Bxml.decode_any}). *)
 
 val store : t -> Store.t
 
@@ -48,8 +45,6 @@ val is_echo : t -> string -> bool
 
 val find_slicing : t -> string -> Defs.slicing_def option
 val queue_defs : t -> Defs.queue_def list
-val slicing_defs : t -> Defs.slicing_def list
-val property_defs : t -> Defs.property_def list
 
 val set_collection : t -> string -> Tree.tree list -> unit
 (** Master data exposed to rules via [fn:collection] (§3.5.2). *)
@@ -159,5 +154,3 @@ val rebuild_indexes : t -> unit
 (** Rebuild all slice indexes from the store (after recovery: index data is
     derived, §4.1). Called automatically by {!create}. *)
 
-val index_stats : t -> (string * int * int) list
-(** Per slicing: (name, distinct keys, B-tree height). *)

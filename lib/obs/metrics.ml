@@ -105,8 +105,6 @@ let create ?(timing = true) ?(time_source = Time_source.real) ?(shards = 2) ()
 let set_timing reg on = reg.timing <- on
 let timing_on reg = reg.timing
 let time_source reg = reg.ts
-let shard_count reg = Array.length reg.shards
-
 (* ---- the domain -> shard binding ---- *)
 
 let binding : (int * int) ref Domain.DLS.key =
@@ -329,9 +327,6 @@ type sample =
       sum : float;
       count : int;
     }
-
-let sample_name = function
-  | Counter { name; _ } | Gauge { name; _ } | Histogram { name; _ } -> name
 
 let snapshot reg =
   let n_counters, n_histograms, gauges, counter_fns =

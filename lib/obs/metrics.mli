@@ -26,7 +26,6 @@ val set_timing : registry -> bool -> unit
     Counters are unaffected and always record. *)
 
 val timing_on : registry -> bool
-val shard_count : registry -> int
 
 val time_source : registry -> Time_source.t
 (** The clock this registry reads. *)
@@ -134,7 +133,6 @@ type sample =
       count : int;
     }
 
-val sample_name : sample -> string
 val snapshot : registry -> sample list
 (** Aggregate every metric across shards and sample every gauge_fn /
     counter_fn. *)

@@ -22,7 +22,6 @@ let rec monotonic_now_ns () =
 
 let real = Real
 let virtual_ ?(start_ns = 0) () = Virtual (Atomic.make start_ns)
-let is_virtual = function Real -> false | Virtual _ -> true
 
 let now_ns = function
   | Real -> monotonic_now_ns ()

@@ -23,8 +23,6 @@ val real : t
 val virtual_ : ?start_ns:int -> unit -> t
 (** A fresh virtual source, starting at [start_ns] (default 0). *)
 
-val is_virtual : t -> bool
-
 val now_ns : t -> int
 (** Current time in nanoseconds. Monotonic for both implementations. *)
 

@@ -476,8 +476,6 @@ let parse_many ?(preserve_space = false) src =
   go ();
   List.rev !docs
 
-let parse_document ?preserve_space src = Tree.doc (parse ?preserve_space src)
-
 let parse_result ?preserve_space src =
   match parse ?preserve_space src with
   | t -> Ok t

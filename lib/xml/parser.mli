@@ -24,9 +24,6 @@ val parse_many : ?preserve_space:bool -> string -> Tree.tree list
 
     @raise Parse_error on malformed input. *)
 
-val parse_document : ?preserve_space:bool -> string -> Tree.document
-(** Like {!parse} but wraps the result as a fresh {!Tree.document}. *)
-
 val parse_result : ?preserve_space:bool -> string -> (Tree.tree, string) result
 (** Exception-free variant of {!parse}; the error string includes the
     position. *)

@@ -14,7 +14,6 @@ module Smap = Map.Make (String)
 type t = content Smap.t
 
 let empty = Smap.empty
-let declare t name content = Smap.add name content t
 let declared t name = Smap.find_opt name t
 
 (* ---- textual syntax ---- *)

@@ -42,9 +42,6 @@ val empty : t
 val parse : string -> (t, string) result
 (** Parse the textual syntax above. *)
 
-val declare : t -> string -> content -> t
-(** Programmatic declaration: [declare s name content]. *)
-
 val declared : t -> string -> content option
 
 val validate : t -> Tree.tree -> (unit, string) result

@@ -76,7 +76,6 @@ let doc_of_forest roots = { id = Atomic.fetch_and_add doc_counter 1; roots }
 
 let doc t = doc_of_forest [ t ]
 let doc_id d = d.id
-let doc_roots d = d.roots
 
 let document_element d =
   List.find_opt (function Element _ -> true | _ -> false) d.roots

@@ -57,7 +57,6 @@ val doc : tree -> document
 
 val doc_of_forest : tree list -> document
 val doc_id : document -> int
-val doc_roots : document -> tree list
 val root_node : document -> node
 (** The document node itself. *)
 

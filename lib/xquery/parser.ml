@@ -4,8 +4,6 @@ type state = { src : string; mutable pos : int }
 
 let state_of_string src = { src; pos = 0 }
 let state_pos st = st.pos
-let set_pos st p = st.pos <- p
-
 let fail st fmt =
   Format.kasprintf (fun msg -> raise (Syntax_error { pos = st.pos; msg })) fmt
 
@@ -1020,11 +1018,6 @@ let read_int st =
   match advance st with
   | Tint i -> i
   | _ -> fail st "expected an integer"
-
-let read_string_literal st =
-  match advance st with
-  | Tstring s -> s
-  | _ -> fail st "expected a string literal"
 
 let read_braced_raw st =
   skip_ws st;

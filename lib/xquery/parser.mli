@@ -25,7 +25,6 @@ type state
 
 val state_of_string : string -> state
 val state_pos : state -> int
-val set_pos : state -> int -> unit
 val parse_expr_single : state -> Ast.expr
 (** Parse one [ExprSingle] (no top-level comma) and stop. *)
 
@@ -50,7 +49,6 @@ val accept_punct : state -> string -> bool
 (** Consume the given punctuation token (e.g. [","]) if it is next. *)
 
 val read_int : state -> int
-val read_string_literal : state -> string
 val read_braced_raw : state -> string
 (** Consume a brace-delimited raw block ["{ ... }"] (nesting respected) and
     return its contents verbatim; used for inline schema definitions. *)

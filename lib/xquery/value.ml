@@ -41,7 +41,6 @@ let string_of_atomic = function
     else Printf.sprintf "%.12g" f
   | String s | Untyped s -> s
 
-let atomic_of_bool b = Boolean b
 
 let number_of_atomic = function
   | Boolean b -> if b then 1.0 else 0.0

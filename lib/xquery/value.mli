@@ -33,7 +33,6 @@ val cast : atomic_type -> atomic -> (atomic, string) result
 (** {1 Conversions} *)
 
 val string_of_atomic : atomic -> string
-val atomic_of_bool : bool -> atomic
 
 val number_of_atomic : atomic -> float
 (** XPath [number()]: booleans map to 0/1, non-numeric strings to [nan]. *)

@@ -1,4 +1,6 @@
-(* Tests for the lock manager: compatibility, upgrades, deadlock detection. *)
+(* Tests for the lock manager (compatibility, upgrades, deadlock
+   detection) and for the dispatcher (conflict partitioning, priority then
+   arrival order). *)
 
 module Lock = Demaq.Store.Lock_manager
 
@@ -239,7 +241,8 @@ let test_concurrent_stress () =
    whose conflict resource sets overlap must never both be in flight.
    Pinned regression first, then a qcheck model over arbitrary
    schedule/next/complete interleavings with footprint-style resource
-   sets (queue and slice strings, including the empty set). *)
+   sets (queue and slice strings, including the empty set), and last the
+   scheduling order itself (§4.4.2). *)
 
 module Dispatch = Demaq.Engine.Dispatch
 
@@ -304,6 +307,33 @@ let print_dispatch_ops ops =
        ops)
 
 let disjoint a b = not (List.exists (fun r -> List.mem r b) a)
+
+let prop_scheduler_order =
+  (* higher priority first; FIFO within a priority *)
+  QCheck.Test.make ~name:"scheduler: priority then arrival order" ~count:200
+    QCheck.(list (pair (int_bound 3) small_nat))
+    (fun entries ->
+      let d = Dispatch.create () in
+      List.iteri
+        (fun i (prio, _) -> Dispatch.schedule d ~priority:prio ~resources:[] ~stamp:(-1) i)
+        entries;
+      let rec drain acc =
+        match Dispatch.next d with
+        | Dispatch.Ready e ->
+          Dispatch.complete d e;
+          drain (e.Dispatch.rid :: acc)
+        | Dispatch.Busy -> failwith "Busy with nothing in flight"
+        | Dispatch.Empty -> List.rev acc
+      in
+      let order = drain [] in
+      (* reference: stable sort of indices by descending priority *)
+      let expected =
+        List.map snd
+          (List.stable_sort
+             (fun (p1, _) (p2, _) -> compare p2 p1)
+             (List.mapi (fun i (prio, _) -> (prio, i)) entries))
+      in
+      order = expected)
 
 let prop_dispatch_disjoint =
   QCheck.Test.make
@@ -390,4 +420,5 @@ let suite =
     ("dispatcher: footprint disjointness (pinned)", `Quick,
      test_dispatch_footprint_disjoint);
     QCheck_alcotest.to_alcotest prop_dispatch_disjoint;
+    QCheck_alcotest.to_alcotest prop_scheduler_order;
   ]

@@ -1,11 +1,10 @@
-(* Robustness: crash-point recovery matrix, scheduler ordering properties,
-   heap invariants, and parser fuzz safety (malformed input must fail with
+(* Robustness: crash-point recovery matrix, heap invariants, and parser
+   fuzz safety (malformed input must fail with
    the documented exception, never crash or loop). *)
 
 module Store = Demaq.Store.Message_store
 module Wal = Demaq.Store.Wal
 module Heap = Demaq.Engine.Heap
-module Scheduler = Demaq.Engine.Scheduler
 module Xml_parser = Demaq.Xml.Parser
 module Xq_parser = Demaq.Xquery.Parser
 module Qdl = Demaq.Lang.Qdl
@@ -100,7 +99,7 @@ let test_crash_during_checkpoint_tmp () =
   check int_ "recovered from log despite garbage slots" 1 (Store.queue_length st "q");
   Store.close st
 
-(* ---- heap and scheduler ordering ---- *)
+(* ---- heap ordering ---- *)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in nondecreasing order" ~count:200
@@ -112,28 +111,6 @@ let prop_heap_sorts =
         match Heap.pop h with Some x -> drain (x :: acc) | None -> List.rev acc
       in
       drain [] = List.sort compare xs)
-
-let prop_scheduler_order =
-  (* higher priority first; FIFO within a priority *)
-  QCheck.Test.make ~name:"scheduler: priority then arrival order" ~count:200
-    QCheck.(list (pair (int_bound 3) small_nat))
-    (fun entries ->
-      let sched = Scheduler.create () in
-      List.iteri (fun i (prio, _) -> Scheduler.add sched ~priority:prio i) entries;
-      let rec drain acc =
-        match Scheduler.pop sched with
-        | Some rid -> drain (rid :: acc)
-        | None -> List.rev acc
-      in
-      let order = drain [] in
-      (* reference: stable sort of indices by descending priority *)
-      let expected =
-        List.map snd
-          (List.stable_sort
-             (fun (p1, _) (p2, _) -> compare p2 p1)
-             (List.mapi (fun i (prio, _) -> (prio, i)) entries))
-      in
-      order = expected)
 
 (* ---- parser fuzz safety ---- *)
 
@@ -198,7 +175,6 @@ let suite =
     ("crash-point matrix", `Quick, test_crash_point_matrix);
     ("crash during checkpoint", `Quick, test_crash_during_checkpoint_tmp);
     QCheck_alcotest.to_alcotest prop_heap_sorts;
-    QCheck_alcotest.to_alcotest prop_scheduler_order;
     QCheck_alcotest.to_alcotest prop_xml_fuzz;
     QCheck_alcotest.to_alcotest prop_xquery_fuzz;
     QCheck_alcotest.to_alcotest prop_qdl_fuzz;
