@@ -358,12 +358,14 @@ let derived_prov ~cause (m : Message.t) =
 let error_prov ?rule (m : Message.t) =
   derived_prov ~cause:(Option.value ~default:"error" rule) m
 
+let observe_flow t ~rid ~queue ~tick (prov : Message.provenance) =
+  if prov.Message.p_flow <> "" then
+    Flow.observe t.flows ~rid ~queue ~flow:prov.Message.p_flow
+      ~parent:prov.Message.p_parent ~cause:prov.Message.p_cause ~tick
+
 let note_flow t (m : Message.t) =
-  if m.Message.prov.Message.p_flow <> "" then
-    Flow.observe t.flows ~rid:m.Message.rid ~queue:m.Message.queue
-      ~flow:m.Message.prov.Message.p_flow
-      ~parent:m.Message.prov.Message.p_parent
-      ~cause:m.Message.prov.Message.p_cause ~tick:m.Message.enqueued_at
+  observe_flow t ~rid:m.Message.rid ~queue:m.Message.queue
+    ~tick:m.Message.enqueued_at m.Message.prov
 
 (* Per-queue wait histograms are registered on first use; the registry
    has bounded histogram capacity, so past [max_wait_hists] distinct
@@ -704,12 +706,17 @@ and enqueue_internal t txn ?rule ?rule_error_queue ?(trigger = None) ?provenance
 (* What every admitted message goes through: flow edge, dispatch (or,
    for an inert message, processing inside this transaction), gateway
    outbox, and the echo timer of an echo-queue message. [qdef] is the
-   definition [Qm.admit] resolved for the message's queue. *)
+   definition [Qm.admit] resolved for the message's queue. Only a
+   dispatched message is cached: its own transaction will read it back,
+   while an inert one leaves nothing behind but its store record. *)
 and admitted_unlocked t txn ?rule (qdef : Defs.queue_def) (m : Message.t) =
   Metrics.incr t.met.m_messages_created;
   note_flow t m;
   if inert t qdef.Defs.kind m then process_inline t txn m
-  else schedule_message t ~priority:qdef.Defs.priority m;
+  else begin
+    Qm.cache t.qm m;
+    schedule_message t ~priority:qdef.Defs.priority m
+  end;
   note_outgoing t qdef m;
   if qdef.Defs.kind = Defs.Echo then register_echo_timer t txn ?rule m
 

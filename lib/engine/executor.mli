@@ -7,7 +7,7 @@
     no rule can react to (an inert message: a basic or incoming-gateway
     queue with no plan, in no slicing with one) is not dispatched; the
     transaction that creates it marks it processed, and it is counted at
-    that transaction's commit. The shared
+    that transaction's commit, and leaves no cached record behind. The shared
     engine context {!t} is exposed transparently so the externalizer and
     the composition root can reach its components; the locking contract
     is part of the interface:
@@ -20,7 +20,10 @@
       callbacks re-acquiring it per call.
     - Per-message state (body, document node) lives on the queue
       manager's cached {!Demaq_mq.Message.t}, is forced only under
-      [state_mu], and leaves with the record at retention GC.
+      [state_mu], and leaves with the record at retention GC. A message
+      is cached when it is scheduled, or when a read (a qs:queue() or
+      qs:slice() call, a gateway or timer lookup) builds it from the
+      store; an inert message is not cached by its creation.
     - Statistics live in a sharded {!Demaq_obs.Metrics} registry (shard 0
       is the coordinator domain; the worker pool binds worker [i] to
       shard [i+1]); lifecycle spans in a bounded {!Demaq_obs.Trace} ring.
@@ -221,8 +224,8 @@ val enqueue_internal :
   origin_queue:string ->
   unit ->
   unit
-(** Enqueue + schedule (or, for an inert message, processing inside
-    [txn]) + echo-timer registration. Assumes the lock.
+(** Enqueue + cache and schedule (or, for an inert message, processing
+    inside [txn], uncached) + echo-timer registration. Assumes the lock.
     Without an explicit [provenance] the child's causal edge derives from
     [trigger]: inherit its flow id, parent = trigger rid, cause = [rule]. *)
 
@@ -246,7 +249,12 @@ val error_prov : ?rule:string -> Message.t -> Message.provenance
 
 val note_flow : t -> Message.t -> unit
 (** Report a traced message's provenance edge to the flow store. Assumes
-    the lock; called by the enqueue paths, exposed for recovery replay. *)
+    the lock; called by the enqueue paths. *)
+
+val observe_flow :
+  t -> rid:int -> queue:string -> tick:int -> Message.provenance -> unit
+(** {!note_flow} from a record's parts, for recovery replay from store
+    records. Assumes the lock. *)
 
 val register_echo_timer : t -> Store.txn -> ?rule:string -> Message.t -> unit
 (** Assumes the lock. *)

@@ -362,16 +362,19 @@ let flow_id_of_rid t rid =
   | Some f -> Some f
   | None ->
     Executor.locked t.ctx (fun () ->
-        match Qm.get t.ctx.Executor.qm rid with
-        | Some m when m.Message.prov.Message.p_flow <> "" ->
-          Some m.Message.prov.Message.p_flow
-        | _ -> None)
+        match Store.get t.ctx.Executor.st rid with
+        | Some sm -> (
+          match Message.decode_extra sm.Store.extra with
+          | _, _, prov when prov.Message.p_flow <> "" -> Some prov.Message.p_flow
+          | _ -> None)
+        | None -> None)
 
 (* A flow's nodes, merged so trees render across crash-restart: durable
-   provenance (on every live message — survives everything) over the bounded
-   flow store's edges (adds messages the GC already collected), each
-   node joined with its span while the span ring still holds it. The
-   records are fresh: the flow store keeps no spans. *)
+   provenance (in every live store record — survives everything) over the
+   bounded flow store's edges (adds messages the GC already collected),
+   each node joined with its span while the span ring still holds it. The
+   records are fresh: the flow store keeps no spans, and the store records
+   are read without building or caching a message. *)
 let flow_nodes t flow_id =
   let ctx = t.ctx in
   let by_rid = Hashtbl.create 32 in
@@ -379,20 +382,20 @@ let flow_nodes t flow_id =
     (fun (n : Flow.node) -> Hashtbl.replace by_rid n.Flow.n_rid n)
     (Flow.nodes ctx.Executor.flows flow_id);
   Executor.locked ctx (fun () ->
-      List.iter
-        (fun (m : Message.t) ->
-          let prov = m.Message.prov in
+      Store.fold_messages ctx.Executor.st
+        (fun () (sm : Store.message) ->
+          let _, _, prov = Message.decode_extra sm.Store.extra in
           if prov.Message.p_flow = flow_id then
-            Hashtbl.replace by_rid m.Message.rid
+            Hashtbl.replace by_rid sm.Store.rid
               {
-                Flow.n_rid = m.Message.rid;
-                n_queue = m.Message.queue;
+                Flow.n_rid = sm.Store.rid;
+                n_queue = sm.Store.queue;
                 n_flow = flow_id;
                 n_parent = prov.Message.p_parent;
                 n_cause = prov.Message.p_cause;
                 n_span = None;
               })
-        (Qm.all_messages ctx.Executor.qm));
+        ());
   let spans = Hashtbl.create 32 in
   List.iter
     (fun (sp : Obs_trace.span) ->
@@ -556,8 +559,11 @@ let deploy ?(config = default_config) ?time_source ?store:st ?network:net
   Executor.locked ctx (fun () ->
       List.iter
         (fun (qdef : Defs.queue_def) ->
-          List.iter (Executor.note_outgoing ctx qdef)
-            (Qm.queue_messages qm qdef.Defs.qname))
+          if qdef.Defs.kind = Defs.Outgoing_gateway then
+            let outbox = Executor.outbox_for ctx qdef.Defs.qname in
+            List.iter
+              (fun rid -> Queue.push rid outbox)
+              (Store.queue_rids st qdef.Defs.qname))
         (Qm.queue_defs qm));
   let unprocessed = Qm.unprocessed qm in
   (* Resume at the MAXIMUM stored timestamp in one step: list order is
@@ -578,7 +584,13 @@ let deploy ?(config = default_config) ?time_source ?store:st ?network:net
     unprocessed;
   (* Refill the flow store from durable provenance so /flows and the flow
      trees pick up where the crashed process left off (spans are gone —
-     those hops render without timings — but the causal edges survive). *)
+     those hops render without timings — but the causal edges survive).
+     Read from the store records: recovery caches only what it schedules. *)
   Executor.locked ctx (fun () ->
-      List.iter (Executor.note_flow ctx) (Qm.all_messages qm));
+      Store.fold_messages st
+        (fun () (sm : Store.message) ->
+          let _, _, prov = Message.decode_extra sm.Store.extra in
+          Executor.observe_flow ctx ~rid:sm.Store.rid ~queue:sm.Store.queue
+            ~tick:sm.Store.enqueued_at prov)
+        ());
   t

@@ -280,7 +280,11 @@ val cache_sizes : t -> (string * int) list
 (** Current entry counts of the per-rid state: [message] (decoded
     messages, each carrying its body and document node) and [outbox]
     (untransmitted gateway rids); the retention GC must shrink these
-    with the store. *)
+    with the store. [message] counts the messages the engine scheduled
+    and those a read (qs:queue(), qs:slice(), {!queue_contents}, gateway
+    and timer lookups) built from the store; an inert message processed
+    by its creating transaction is not counted, nor is anything recovery,
+    retention GC or the flow reads looked at. *)
 
 val queue_contents : t -> string -> Demaq_mq.Message.t list
 
@@ -328,12 +332,13 @@ val flow_store : t -> Demaq_obs.Flow.t
 
 val flow_id_of_rid : t -> int -> string option
 (** The flow a message belongs to, from the in-memory index or its
-    durable provenance. *)
+    durable provenance (read from the store record; nothing is cached). *)
 
 val flow_nodes : t -> string -> Demaq_obs.Flow.node list
 (** All known nodes of a flow, rid order, spans joined where the ring
-    still holds them; [[]] for an unknown flow. One store scan per call:
-    renderers ({!Demaq_obs.Flow.render_ascii}, [render_json]) take the
+    still holds them; [[]] for an unknown flow. One store scan per call,
+    reading each record's provenance without building or caching a
+    message: renderers ({!Demaq_obs.Flow.render_ascii}, [render_json]) take the
     result. *)
 
 val flow_ascii : t -> string -> string

@@ -71,8 +71,14 @@ let get_atomic r =
   | 'u' -> Value.Untyped (Codec.get_string r)
   | c -> raise (Codec.Decode_error (Printf.sprintf "bad atomic tag %C" c))
 
+(* Per-domain scratch for [encode_extra]: cleared, never shrunk below
+   [scratch_keep], so a typical blob costs one copy and no regrowth. *)
+let scratch_keep = 4096
+let scratch_key = Domain.DLS.new_key (fun () -> Buffer.create 256)
+
 let encode_extra ?(provenance = no_provenance) ~props ~memberships () =
-  let buf = Buffer.create 128 in
+  let buf = Domain.DLS.get scratch_key in
+  Buffer.clear buf;
   Codec.put_list buf
     (fun buf (name, a) ->
       Codec.put_string buf name;
@@ -89,7 +95,16 @@ let encode_extra ?(provenance = no_provenance) ~props ~memberships () =
   Codec.put_string buf provenance.p_flow;
   Codec.put_int buf provenance.p_parent;
   Codec.put_string buf provenance.p_cause;
-  Buffer.contents buf
+  let blob = Buffer.contents buf in
+  if Buffer.length buf > scratch_keep then Buffer.reset buf;
+  blob
+
+let get_memberships r =
+  Codec.get_list r (fun r ->
+      let m_slicing = Codec.get_string r in
+      let m_key = Codec.get_string r in
+      let m_lifetime = Codec.get_int r in
+      { m_slicing; m_key; m_lifetime })
 
 let decode_extra extra =
   let r = Codec.reader extra in
@@ -99,13 +114,7 @@ let decode_extra extra =
         let a = get_atomic r in
         (name, a))
   in
-  let memberships =
-    Codec.get_list r (fun r ->
-        let m_slicing = Codec.get_string r in
-        let m_key = Codec.get_string r in
-        let m_lifetime = Codec.get_int r in
-        { m_slicing; m_key; m_lifetime })
-  in
+  let memberships = get_memberships r in
   let provenance =
     if Codec.at_end r then no_provenance
     else
@@ -115,6 +124,20 @@ let decode_extra extra =
       { p_flow; p_parent; p_cause }
   in
   (props, memberships, provenance)
+
+(* The memberships alone, stepping over the properties without building
+   them: what retention GC and index rebuilds read from a store record. *)
+let memberships_of_extra extra =
+  let r = Codec.reader extra in
+  for _ = 1 to Codec.get_int r do
+    Codec.skip_string r;
+    match Codec.get_char r with
+    | 'b' -> ignore (Codec.get_bool r)
+    | 'i' -> ignore (Codec.get_int r)
+    | 'd' | 's' | 'u' -> Codec.skip_string r
+    | c -> raise (Codec.Decode_error (Printf.sprintf "bad atomic tag %C" c))
+  done;
+  get_memberships r
 
 let of_store store (sm : Demaq_store.Message_store.message) =
   let props, memberships, prov = decode_extra sm.extra in

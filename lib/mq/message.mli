@@ -82,11 +82,16 @@ val encode_extra :
   string
 (** [provenance] defaults to {!no_provenance}. The provenance triple is
     appended after the membership list, so blobs written by older builds
-    decode to {!no_provenance} rather than failing. *)
+    decode to {!no_provenance} rather than failing. The blob is built in
+    a per-domain scratch buffer, so encoding allocates only the result. *)
 
 val decode_extra :
   string ->
   (string * Demaq_xquery.Value.atomic) list * membership list * provenance
+
+val memberships_of_extra : string -> membership list
+(** The memberships of an [extra] blob, stepping over its properties
+    without decoding them. *)
 
 val of_store : Demaq_store.Message_store.t -> Demaq_store.Message_store.message -> t
 (** Decode a store record (spilled bodies are faulted in lazily through

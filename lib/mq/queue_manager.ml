@@ -32,8 +32,9 @@ type t = {
   mutable slicings : Defs.slicing_def list;
   indexes : (string, int Btree.t) Hashtbl.t;  (* slicing -> key -> rids *)
   collections : (string, Tree.tree list) Hashtbl.t;
-  cache : Message.t Rid_table.t;  (* rid -> decoded message *)
-  unenqueue : int -> unit;  (* [Store.insert]'s undo: [forget] the rid *)
+  cache : Message.t Rid_table.t;
+      (* rid -> decoded message: the messages the engine scheduled, and
+         those a read built from their store record *)
   clock : unit -> int;
   mutable gc_cursor : int;
       (* next rid the incremental GC scan examines; wraps to 0 at the end
@@ -98,16 +99,19 @@ let no_message =
     processed = false;
   }
 
-(* Drop a message's cache entry and its slice-index postings: when the
-   GC collects it, and when the transaction that enqueued it aborts. *)
-let forget ~cache ~indexes (m : Message.t) =
-  Rid_table.remove cache m.Message.rid;
+(* Drop a message's cache entry, if it has one, and its slice-index
+   postings, named by its memberships: when the GC collects it, and when
+   the transaction that inserted it aborts. *)
+let forget t rid memberships =
+  Rid_table.remove t.cache rid;
   List.iter
     (fun mem ->
-      match Hashtbl.find_opt indexes mem.Message.m_slicing with
-      | Some idx -> Btree.remove idx mem.Message.m_key (fun rid -> rid = m.Message.rid)
+      match Hashtbl.find_opt t.indexes mem.Message.m_slicing with
+      | Some idx -> Btree.remove idx mem.Message.m_key (fun r -> r = rid)
       | None -> ())
-    m.Message.memberships
+    memberships
+
+let cache t (m : Message.t) = Rid_table.set t.cache m.Message.rid m
 
 let of_store_cached t (sm : Store.message) =
   let m =
@@ -129,7 +133,6 @@ let of_store_cached t (sm : Store.message) =
 let get t rid =
   Option.map (of_store_cached t) (Store.get t.store rid)
 
-let all_messages t = List.map (of_store_cached t) (Store.all_messages t.store)
 let cache_size t = Rid_table.length t.cache
 
 let queue_messages t queue =
@@ -142,10 +145,11 @@ let unprocessed t = List.map (of_store_cached t) (Store.unprocessed t.store)
 
 (* ---- slices ---- *)
 
-let membership_current t (m : Message.t) (mem : Message.membership) =
-  ignore m;
+let current t (mem : Message.membership) =
   mem.Message.m_lifetime
   = Store.slice_lifetime t.store ~slicing:mem.Message.m_slicing ~key:mem.Message.m_key
+
+let membership_current t (_ : Message.t) mem = current t mem
 
 let message_in_slice t slicing key (m : Message.t) =
   List.exists
@@ -309,8 +313,9 @@ let admit t txn ?rule ?trigger ?(provenance = Message.no_provenance)
         in
         let durable = qdef.mode = Defs.Persistent in
         let rid =
-          Store.insert ~on_undo:t.unenqueue txn ~queue ~payload:serialized ~extra
-            ~enqueued_at ~durable
+          Store.insert
+            ~on_undo:(fun rid -> forget t rid memberships)
+            txn ~queue ~payload:serialized ~extra ~enqueued_at ~durable
         in
         List.iter
           (fun mem ->
@@ -330,11 +335,14 @@ let admit t txn ?rule ?trigger ?(provenance = Message.no_provenance)
             processed = false;
           }
         in
-        Rid_table.set t.cache rid m;
         Ok (qdef, m)))
 
 let enqueue t txn ?rule ?trigger ?provenance ?explicit ~queue ~payload () =
-  Result.map snd (admit t txn ?rule ?trigger ?provenance ?explicit ~queue ~payload ())
+  match admit t txn ?rule ?trigger ?provenance ?explicit ~queue ~payload () with
+  | Ok (_, m) ->
+    cache t m;
+    Ok m
+  | Error _ as e -> e
 
 (* ---- updates ---- *)
 
@@ -344,9 +352,20 @@ let reset_slice _t txn ~slicing ~key = Store.slice_reset txn ~slicing ~key
 
 (* ---- retention GC (§2.3.3) ---- *)
 
+let in_no_current_slice t memberships =
+  List.for_all (fun mem -> not (current t mem)) memberships
+
 let deletable t (m : Message.t) =
-  m.Message.processed
-  && List.for_all (fun mem -> not (membership_current t m mem)) m.Message.memberships
+  m.Message.processed && in_no_current_slice t m.Message.memberships
+
+(* The record's (rid, memberships) when the GC may collect it, judged
+   from the record alone: the store's [processed] flag, then the blob's
+   memberships, so no [Message.t] is built for an uncached message. *)
+let candidate t (sm : Store.message) =
+  if not sm.processed then None
+  else
+    let memberships = Message.memberships_of_extra sm.extra in
+    if in_no_current_slice t memberships then Some (sm.rid, memberships) else None
 
 (* Tombstone a batch of deletable messages in one transaction, evicting
    their cache entries and index postings. Returns the reclaimed rids. *)
@@ -355,22 +374,27 @@ let delete_batch t doomed =
   else begin
     let txn = Store.begin_txn t.store in
     List.iter
-      (fun (m : Message.t) ->
-        Store.delete txn m.Message.rid;
-        forget ~cache:t.cache ~indexes:t.indexes m)
+      (fun (rid, memberships) ->
+        Store.delete txn rid;
+        forget t rid memberships)
       doomed;
     Store.commit txn;
-    List.map (fun (m : Message.t) -> m.Message.rid) doomed
+    List.map fst doomed
   end
 
-let gc_collect t = delete_batch t (List.filter (deletable t) (all_messages t))
+let gc_collect t =
+  delete_batch t
+    (List.rev
+       (Store.fold_messages t.store
+          (fun acc sm -> match candidate t sm with Some d -> d :: acc | None -> acc)
+          []))
 
 let gc t = List.length (gc_collect t)
 
 (* Incremental GC: examine at most [budget] live messages per call,
    walking the rid range from a cursor. The budget bounds both the walk and
-   the expensive part — decoding each candidate and checking its slice
-   memberships for currency — so a maintenance tick costs O(budget) (plus
+   the expensive part — reading each candidate's memberships and checking
+   them for currency — so a maintenance tick costs O(budget) (plus
    the tombstones and dropped rids it steps over), not O(store). A short
    window (the walk reached the end of the range) ends the sweep and wraps
    the cursor to the lowest rid still present, never to 0: compaction
@@ -385,31 +409,30 @@ let gc_step t ~budget =
       else if rid >= limit then (acc, Store.low_rid t.store)
       else
         match Store.get t.store rid with
-        | Some sm -> walk (sm :: acc) (n + 1) (rid + 1)
+        | Some sm ->
+          let acc = match candidate t sm with Some d -> d :: acc | None -> acc in
+          walk acc (n + 1) (rid + 1)
         | None -> walk acc n (rid + 1)
     in
-    let window, cursor = walk [] 0 (max t.gc_cursor (Store.low_rid t.store)) in
+    let doomed, cursor = walk [] 0 (max t.gc_cursor (Store.low_rid t.store)) in
     t.gc_cursor <- cursor;
-    delete_batch t
-      (List.filter (deletable t) (List.rev_map (of_store_cached t) window))
+    delete_batch t (List.rev doomed)
   end
 
 let gc_cursor t = t.gc_cursor
 
 let rebuild_indexes t =
   Hashtbl.iter (fun _ idx -> Btree.clear idx) t.indexes;
-  List.iter
-    (fun (m : Message.t) ->
+  Store.fold_messages t.store
+    (fun () (sm : Store.message) ->
       List.iter
         (fun mem ->
-          Btree.add (index_for t mem.Message.m_slicing) mem.Message.m_key
-            m.Message.rid)
-        m.Message.memberships)
-    (all_messages t)
+          Btree.add (index_for t mem.Message.m_slicing) mem.Message.m_key sm.rid)
+        (Message.memberships_of_extra sm.extra))
+    ()
 
 let create ?clock store =
   let clock = match clock with Some c -> c | None -> default_clock () in
-  let cache = Rid_table.create ~dummy:no_message and indexes = Hashtbl.create 8 in
   let t =
     {
       store;
@@ -417,11 +440,9 @@ let create ?clock store =
       echo_queues = [];
       properties = [];
       slicings = [];
-      indexes;
+      indexes = Hashtbl.create 8;
       collections = Hashtbl.create 8;
-      cache;
-      unenqueue =
-        (fun rid -> Option.iter (forget ~cache ~indexes) (Rid_table.find_opt cache rid));
+      cache = Rid_table.create ~dummy:no_message;
       clock;
       gc_cursor = 0;
     }

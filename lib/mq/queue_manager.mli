@@ -70,9 +70,9 @@ val enqueue :
     lifetimes, and inserts the message. Durable iff the queue is
     persistent and the store is durable. [provenance] (default
     {!Message.no_provenance}) is persisted in the extra blob alongside the
-    properties, so causal flow edges survive crash-restart. If the
-    transaction aborts, the cache entry and slice-index postings it added
-    are removed again. *)
+    properties, so causal flow edges survive crash-restart. The message
+    is {!admit}ted, then {!cache}d. If the transaction aborts, its cache
+    entry and slice-index postings are removed again. *)
 
 val admit :
   t ->
@@ -85,8 +85,19 @@ val admit :
   payload:Tree.tree ->
   unit ->
   (Defs.queue_def * Message.t, error) result
-(** {!enqueue}, also returning the definition of the queue it resolved,
-    so the caller need not look the queue up again. *)
+(** {!enqueue} without the cache entry, also returning the definition of
+    the queue it resolved, so the caller need not look the queue up again.
+    The returned record holds the payload tree; once the caller drops it,
+    only the store record and the slice-index postings remain, and a later
+    read ({!get}, {!queue_messages}, {!slice_messages}) builds and caches a
+    record from the store. If the transaction aborts, the postings are
+    removed through the memberships computed here, and a cache entry a
+    read made in the meantime goes with them. *)
+
+val cache : t -> Message.t -> unit
+(** Keep the record as the rid's cache entry, so reads return it (with
+    its payload tree) instead of building one from the store. The
+    executor caches the messages it schedules. *)
 
 (** {1 Reads} *)
 
@@ -94,12 +105,12 @@ val get : t -> int -> Message.t option
 val queue_messages : t -> string -> Message.t list
 (** Live messages of the queue, arrival order. *)
 
-val all_messages : t -> Message.t list
-(** Every live message, in increasing rid order. *)
-
 val cache_size : t -> int
-(** Decoded messages currently cached; collected messages leave it,
-    and so do messages whose creating transaction aborted. The cache is a
+(** Decoded messages currently cached: the {!cache}d ones and those a
+    read built from the store (reads cache what they build, so node
+    identity is stable across reads). Collected messages leave it, and so
+    do messages whose creating transaction aborted. Retention GC, index
+    rebuilds and {!admit} add nothing. The cache is a
     {!Demaq_store.Rid_table}: it holds a page of slots per page-aligned
     rid range with at least one cached message. *)
 
@@ -137,20 +148,24 @@ val gc : t -> int
 val gc_collect : t -> int list
 (** Like {!gc} but returns the rids of the collected messages. Everything
     derived from a message lives on its cached {!Message.t}, so nothing
-    else needs purging. *)
+    else needs purging. An uncached message is judged from its store
+    record's [processed] flag and blob memberships; no {!Message.t} is
+    built for it. *)
 
 val gc_step : t -> budget:int -> int list
 (** Incremental {!gc_collect}: examine at most [budget] messages, resuming
     at an internal rid cursor that wraps at the end of the store, and
     collect the deletable ones among them. A maintenance tick costs
     O(budget) deletability checks instead of O(store); repeated calls
-    eventually revisit every message. Returns the collected rids. *)
+    eventually revisit every message. Like {!gc_collect}, it neither
+    builds nor caches records. Returns the collected rids. *)
 
 val gc_cursor : t -> int
 (** The rid where the next {!gc_step} window starts. After a wrap it is
     {!Store.low_rid}: rids dropped by compaction are never walked again. *)
 
 val rebuild_indexes : t -> unit
-(** Rebuild all slice indexes from the store (after recovery: index data is
-    derived, §4.1). Called automatically by {!create}. *)
+(** Rebuild all slice indexes from the store's records (after recovery:
+    index data is derived, §4.1), without filling the cache. Called
+    automatically by {!create}. *)
 

@@ -399,13 +399,19 @@ let fmt_float v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.9g" v
 
-let labeled name label_kv =
-  match String.index_opt name '{' with
-  | Some i ->
-    (* splice into the existing label set *)
-    String.sub name 0 i ^ "{" ^ label_kv ^ ","
-    ^ String.sub name (i + 1) (String.length name - i - 1)
-  | None -> name ^ "{" ^ label_kv ^ "}"
+(* The series [family ^ suffix] of a registered name, its labels kept:
+   ("x{q=\"a\"}", "_sum") gives "x_sum{q=\"a\"}". [label_kv], when
+   given, is spliced in front of the existing labels. *)
+let series ?label_kv name suffix =
+  let fam = family name in
+  let labels =
+    if String.length fam = String.length name then ""
+    else String.sub name (String.length fam + 1) (String.length name - String.length fam - 2)
+  in
+  match label_kv, labels with
+  | None, "" -> fam ^ suffix
+  | None, l | Some l, "" -> fam ^ suffix ^ "{" ^ l ^ "}"
+  | Some kv, l -> fam ^ suffix ^ "{" ^ kv ^ "," ^ l ^ "}"
 
 let render_sample buf seen sample =
   let header name kind help =
@@ -429,13 +435,14 @@ let render_sample buf seen sample =
       (fun (le, cumulative) ->
         Buffer.add_string buf
           (Printf.sprintf "%s %d\n"
-             (labeled (name ^ "_bucket") (Printf.sprintf "le=\"%s\"" (fmt_float le)))
+             (series name "_bucket"
+                ~label_kv:(Printf.sprintf "le=\"%s\"" (fmt_float le)))
              cumulative))
       buckets;
     Buffer.add_string buf
-      (Printf.sprintf "%s %d\n" (labeled (name ^ "_bucket") "le=\"+Inf\"") count);
-    Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" name (fmt_float sum));
-    Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name count)
+      (Printf.sprintf "%s %d\n" (series name "_bucket" ~label_kv:"le=\"+Inf\"") count);
+    Buffer.add_string buf (Printf.sprintf "%s %s\n" (series name "_sum") (fmt_float sum));
+    Buffer.add_string buf (Printf.sprintf "%s %d\n" (series name "_count") count)
 
 let render reg =
   let buf = Buffer.create 4096 in

@@ -47,6 +47,11 @@ let get_string r =
   r.pos <- r.pos + n;
   s
 
+let skip_string r =
+  let n = get_int r in
+  if n < 0 || n > r.limit - r.pos then raise (Decode_error "truncated string");
+  r.pos <- r.pos + n
+
 let get_char r =
   if r.pos >= r.limit then raise (Decode_error "truncated char");
   let c = r.src.[r.pos] in

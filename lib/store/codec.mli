@@ -25,6 +25,9 @@ val reader : ?pos:int -> ?len:int -> string -> reader
 
 val get_int : reader -> int
 val get_string : reader -> string
+val skip_string : reader -> unit
+(** Steps over a length-prefixed string without copying it. *)
+
 val get_char : reader -> char
 val get_bool : reader -> bool
 val get_list : reader -> (reader -> 'a) -> 'a list

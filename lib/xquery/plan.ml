@@ -78,22 +78,27 @@ let of_rules rules =
 
 let eval ~admitted ~before ~emit env t =
   let binds = Array.of_list t.p_bindings in
-  let b_memo = Array.make (Array.length binds) None in
+  (* each binding's state: 0 not yet evaluated, 1 bound into [shared],
+     2 failed. A value is bound once per plan instance, not once per rule
+     that needs it. Rules see bindings they do not reference, but the
+     compiler hoists nothing from a plan whose rules name a variable of
+     the reserved prefix, so no rule can observe them. *)
+  let b_state = Array.make (Array.length binds) 0 in
+  let shared = ref env in
   let g_memo = Array.make (max 1 t.p_n_guards) None in
-  (* Evaluate binding [i] (memoized) given an env that already holds every
-     binding it references. *)
-  let force_binding env i =
-    match b_memo.(i) with
-    | Some r -> r
-    | None ->
+  (* Evaluate binding [i] (memoized) in [shared], which already holds
+     every binding it references: [g_bindings] is ascending and
+     transitively closed, so they were forced first. *)
+  let bound i =
+    if b_state.(i) = 0 then begin
       let name, expr = binds.(i) in
-      let r =
-        match Eval.eval env expr with
-        | v -> Ok (name, v)
-        | exception Context.Eval_error d -> Error d
-      in
-      b_memo.(i) <- Some r;
-      r
+      match Eval.eval !shared expr with
+      | v ->
+        shared := Context.bind !shared name v;
+        b_state.(i) <- 1
+      | exception Context.Eval_error _ -> b_state.(i) <- 2
+    end;
+    b_state.(i) = 1
   in
   let run_body g env body =
     match Eval.eval_with_updates env body with
@@ -104,24 +109,13 @@ let eval ~admitted ~before ~emit env t =
     (fun idx g ->
       if admitted idx g then begin
         before g;
-        let env_r =
-          List.fold_left
-            (fun env_r i ->
-              match env_r with
-              | Error _ as e -> e
-              | Ok env -> (
-                match force_binding env i with
-                | Ok (name, v) -> Ok (Context.bind env name v)
-                | Error _ as e -> e))
-            (Ok env) g.g_bindings
-        in
-        match env_r with
-        | Error _ ->
+        if not (List.for_all bound g.g_bindings) then
           (* a hoisted expression this rule depends on failed: replay the
              rule's original body so the error surfaces exactly where (and
              with the description) per-rule evaluation would produce it *)
           run_body g env g.g_fallback
-        | Ok env -> (
+        else begin
+          let env = !shared in
           let branch =
             match g.g_guard with
             | None -> Ok g.g_then
@@ -145,6 +139,7 @@ let eval ~admitted ~before ~emit env t =
           in
           match branch with
           | Ok body -> run_body g env body
-          | Error _ -> run_body g env g.g_fallback)
+          | Error _ -> run_body g env g.g_fallback
+        end
       end)
     t.p_guarded

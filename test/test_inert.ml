@@ -240,6 +240,121 @@ let test_gc_every_on_ingress () =
   check int_ "nothing was dispatched" 0 (S.run srv);
   check int_ "processed by ingress" 4 (S.stats srv).S.processed
 
+(* ---- what an inert message leaves behind: its store record ---- *)
+
+module Qm = Demaq.Mq.Queue_manager
+
+let message_cache srv = List.assoc "message" (S.cache_sizes srv)
+
+(* Only the dispatched roots are cached; their five inert children are
+   not (a cache of every created message would hold 6N). *)
+let test_cache_holds_roots_only () =
+  let config = { S.default_config with S.gc_every = 0 } in
+  let srv = S.deploy ~config fanout_program in
+  let n = 10 in
+  for i = 1 to n do
+    ignore (inject_ok srv "orders" (Printf.sprintf "<order><id>%d</id></order>" i))
+  done;
+  check int_ "drained" (6 * n) (S.run srv);
+  check int_ "every message stored" (6 * n)
+    (Store.stats (S.store srv)).Store.live_messages;
+  let cached = message_cache srv in
+  check bool_ (Printf.sprintf "%d cached <= %d roots" cached n) true (cached <= n)
+
+let unplanned_slice_program = {|
+create queue in kind basic mode persistent
+create queue parts kind basic mode persistent
+create property key as xs:string fixed
+  queue parts value //k
+create slicing bykey on key
+create rule split for in
+  if (//ping) then (do enqueue <part><k>a</k></part> into parts,
+                    do enqueue <part><k>b</k></part> into parts)
+|}
+
+(* [parts] joins a slicing no rule reads, so its messages are inert and
+   never cached. When the transaction that inserted one aborts, its
+   slice-index posting must still go: the undo names it from the
+   memberships admission computed, not from a cache entry. *)
+let test_abort_drops_uncached_postings () =
+  let srv = S.deploy unplanned_slice_program in
+  let qm = S.queue_manager srv in
+  let f = Fault.create () in
+  Fault.fail_on_apply f 2;
+  S.set_fault srv (Some f);
+  let root = inject_ok srv "in" "<ping/>" in
+  ignore (S.run srv);
+  check int_ "the fault fired" 1 (Fault.injected f);
+  check int_ "no part survives" 0 (Store.queue_length (S.store srv) "parts");
+  check (Alcotest.list Alcotest.string) "no slice-index posting" []
+    (Qm.slice_keys qm ~slicing:"bykey");
+  check int_ "only the root is cached" 1 (Qm.cache_size qm);
+  check bool_ "and it is the root" true (Qm.get qm root.Message.rid <> None)
+
+let kept_program = unplanned_slice_program ^ {|
+create queue log kind basic mode persistent
+create rule note for in
+  if (//ping) then do enqueue <seen/> into log
+|}
+
+(* After a restart every message is processed and none is cached. The
+   maintenance tick's GC judges each from its store record: it collects
+   the roots and their [log] children, keeps the parts (their slice was
+   never reset), and builds a record for none of them. *)
+let test_maintain_collects_uncached () =
+  let dir = fresh_dir "maintain" in
+  let cfg = Store.durable_config ~sync:Wal.Sync_always dir in
+  let st = Store.open_store cfg in
+  let config = { S.default_config with S.gc_every = 0 } in
+  let srv = S.deploy ~config ~store:st kept_program in
+  for _ = 1 to 4 do
+    ignore (inject_ok srv "in" "<ping/>")
+  done;
+  check int_ "drained" 16 (S.run srv);
+  let st2 = Fault.crash_restart cfg st in
+  let srv2 = S.deploy ~config ~store:st2 kept_program in
+  check int_ "recovery cached nothing" 0 (message_cache srv2);
+  let collected = ref 0 in
+  for _ = 1 to 8 do
+    collected := !collected + fst (S.maintain ~gc_budget:5 srv2);
+    check int_ "the tick cached nothing" 0 (message_cache srv2)
+  done;
+  check int_ "roots and logs collected" 8 !collected;
+  check int_ "the parts stay" 8 (Store.stats st2).Store.live_messages;
+  Store.close st2
+
+let reread_program = {|
+create queue orders kind basic mode persistent
+create queue billing kind basic mode persistent
+create queue probe kind basic mode persistent
+create queue out kind basic mode persistent
+create rule bill for orders
+  if (//order) then do enqueue <invoice>{string(//order/id)}</invoice> into billing
+create rule look for probe
+  if (//go) then
+    do enqueue <same>{count(qs:queue("billing") intersect qs:queue("billing"))}</same> into out
+|}
+
+(* Billing's messages are inert and were never cached: the first
+   qs:queue() call builds them from the store, and the second must see
+   the very same nodes. *)
+let test_queue_reads_share_nodes () =
+  let srv = S.deploy reread_program in
+  for i = 1 to 3 do
+    ignore (inject_ok srv "orders" (Printf.sprintf "<order><id>%d</id></order>" i))
+  done;
+  ignore (S.run srv);
+  let before = message_cache srv in
+  ignore (inject_ok srv "probe" "<go/>");
+  ignore (S.run srv);
+  let after = message_cache srv in
+  (match S.queue_contents srv "out" with
+   | [ m ] ->
+     check Alcotest.string "one node set" "<same>3</same>"
+       (Demaq.xml_to_string (Message.body m))
+   | l -> Alcotest.failf "%d messages in out" (List.length l));
+  check int_ "the probe and billing's three cached" (before + 4) after
+
 let suite =
   [
     ("replay after the root's commit", `Quick, test_replay_after_root_commit);
@@ -250,4 +365,9 @@ let suite =
     ("aborted creator leaves no count or span", `Quick, test_abort_leaves_no_inline_count);
     ("gc_every fires when crossed", `Quick, test_gc_every_crossed);
     ("gc_every fires on ingress alone", `Quick, test_gc_every_on_ingress);
+    ("cache holds the dispatched roots only", `Quick, test_cache_holds_roots_only);
+    ("abort drops an uncached message's postings", `Quick,
+     test_abort_drops_uncached_postings);
+    ("maintain collects uncached messages", `Quick, test_maintain_collects_uncached);
+    ("qs:queue reads share nodes", `Quick, test_queue_reads_share_nodes);
   ]

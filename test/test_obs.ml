@@ -449,7 +449,7 @@ let test_flow_metrics_exposition () =
   (* queue-wait histograms: per-queue series, with HELP/TYPE on the
      label-free family name *)
   check bool_ "wait histogram present" true
-    (contains ex "demaq_queue_wait_seconds{queue=");
+    (contains ex "demaq_queue_wait_seconds_count{queue=");
   check bool_ "wait family typed" true
     (contains ex "# TYPE demaq_queue_wait_seconds histogram");
   (* span-ring drop accounting: 5 pings -> 10 spans, capacity 2 *)
@@ -464,6 +464,48 @@ let test_flow_metrics_exposition () =
   let js = S.stats_json srv in
   check bool_ "drops in stats json" true
     (contains js "\"demaq_trace_dropped_total\":8")
+
+(* Every sample line of the exposition is "<name>[{labels}] <value>":
+   the metric name, suffix included, comes before the label set. A
+   labelled histogram used to expose "x{le=..,queue=..}_bucket". *)
+let test_exposition_names_before_labels () =
+  let config = { S.default_config with S.trace_capacity = 4; metrics = true } in
+  let srv = S.deploy ~config obs_program in
+  for i = 1 to 16 do
+    ignore (inject_ok srv "in" (Printf.sprintf "<ping>%d</ping>" i))
+  done;
+  ignore (S.run srv);
+  let ex = S.exposition srv in
+  let name_ok n =
+    n <> ""
+    && String.for_all
+         (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true | _ -> false)
+         n
+    && not (match n.[0] with '0' .. '9' -> true | _ -> false)
+  in
+  let well_formed l =
+    match String.index_opt l '{', String.index_opt l ' ' with
+    | Some i, Some sp when i < sp -> (
+      name_ok (String.sub l 0 i)
+      &&
+      match String.rindex_opt l '}' with
+      | Some j -> j + 1 < String.length l && l.[j + 1] = ' '
+      | None -> false)
+    | _, Some sp -> name_ok (String.sub l 0 sp)
+    | _, None -> false
+  in
+  let samples =
+    List.filter
+      (fun l -> l <> "" && l.[0] <> '#')
+      (String.split_on_char '\n' ex)
+  in
+  List.iter (fun l -> check bool_ l true (well_formed l)) samples;
+  check bool_ "a labelled histogram bucket" true
+    (List.exists
+       (fun l -> contains l "demaq_queue_wait_seconds_bucket{le=")
+       samples);
+  check bool_ "its sum keeps the labels" true
+    (contains ex "demaq_queue_wait_seconds_sum{queue=\"in\"} ")
 
 (* ---- flow store: trees, bounds, critical path ---- *)
 
@@ -659,4 +701,6 @@ let suite =
     Alcotest.test_case "http endpoint" `Quick test_http_endpoint;
     Alcotest.test_case "ring bounds span retention" `Quick
       test_ring_bounds_span_retention;
+    Alcotest.test_case "exposition names metrics before labels" `Quick
+      test_exposition_names_before_labels;
   ]
