@@ -18,14 +18,14 @@ module Value = Demaq.Value
 module Store = Demaq.Store.Message_store
 module Wal = Demaq.Store.Wal
 module Btree = Demaq.Store.Btree
-module Lock = Demaq.Store.Lock_manager
+module Lock = Demaq_baselines.Lock_manager
 module Defs = Demaq.Mq.Defs
 module Qm = Demaq.Mq.Queue_manager
 module Message = Demaq.Message
 module Xq = Demaq.Xquery.Parser
 module Net = Demaq.Network
 module S = Demaq.Server
-module Ctx = Demaq.Baseline.Context_engine
+module Ctx = Demaq_baselines.Context_engine
 
 let quick = ref false
 let scale n = if !quick then max 1 (n / 5) else n
@@ -341,13 +341,20 @@ let b5_program = {|
   create rule fwd for in if (//m) then do enqueue <ack/> into out
 |}
 
-let b5_run ~messages ~gc_every =
-  let cfg = { S.default_config with S.gc_every } in
-  let srv = S.deploy ~config:cfg b5_program in
+(* [eager] drives the node one transaction at a time and runs a full GC
+   after each; otherwise it drains, then collects once. *)
+let b5_run ~messages ~eager =
+  let srv = S.deploy b5_program in
   for i = 1 to messages do
     ignore (S.inject srv ~queue:"in" (Demaq.xml (Printf.sprintf "<m n='%d'/>" i)))
   done;
-  let t = secs (fun () -> ignore (S.run srv)) in
+  let rec step () =
+    if S.run ~max_steps:1 srv > 0 then begin
+      ignore (S.gc srv);
+      step ()
+    end
+  in
+  let t = secs (fun () -> if eager then step () else ignore (S.run srv)) in
   let t_gc = secs (fun () -> ignore (S.gc srv)) in
   (t, t_gc)
 
@@ -359,8 +366,8 @@ let b5 () =
       ("deferred gc ms", 14); ("speedup", 8) ];
   List.iter
     (fun messages ->
-      let t_eager, _ = b5_run ~messages ~gc_every:1 in
-      let t_def, t_def_gc = b5_run ~messages ~gc_every:0 in
+      let t_eager, _ = b5_run ~messages ~eager:true in
+      let t_def, t_def_gc = b5_run ~messages ~eager:false in
       row
         [
           cell 9 "%d" messages;
@@ -371,9 +378,9 @@ let b5 () =
         ])
     [ scale 200; scale 800; scale 2000 ];
   register_bechamel "B5/eager-gc-100msgs" (fun () ->
-      ignore (b5_run ~messages:100 ~gc_every:1));
+      ignore (b5_run ~messages:100 ~eager:true));
   register_bechamel "B5/deferred-gc-100msgs" (fun () ->
-      ignore (b5_run ~messages:100 ~gc_every:0))
+      ignore (b5_run ~messages:100 ~eager:false))
 
 (* ------------------------------------------------------------------ *)
 (* B6: append-only logging without deletion records (§4.1)             *)
@@ -1269,10 +1276,8 @@ let b16_program rules =
   Buffer.contents buf
 
 let b16_run ~rules ~messages ~merged =
-  let cfg =
-    { S.default_config with S.reference_plans = not merged; S.workers = 1 }
-  in
-  let srv = S.deploy ~config:cfg (b16_program rules) in
+  let cfg = { S.default_config with S.workers = 1 } in
+  let srv = S.deploy ~config:cfg ~reference:(not merged) (b16_program rules) in
   for i = 1 to messages do
     ignore (S.inject srv ~queue:"in" (Demaq.xml (order_payload "k" i)))
   done;
@@ -1536,8 +1541,7 @@ let a4_program rules =
              i i i))
 
 let a4_run ~rules ~messages ~use_prefilter =
-  let cfg = { S.default_config with S.reference_plans = not use_prefilter } in
-  let srv = S.deploy ~config:cfg (a4_program rules) in
+  let srv = S.deploy ~reference:(not use_prefilter) (a4_program rules) in
   for i = 1 to messages do
     ignore
       (S.inject srv ~queue:"in"

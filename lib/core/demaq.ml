@@ -22,11 +22,11 @@
 
     The submodules expose each subsystem: [Xml] (data model, parser,
     serializer, schema), [Xquery] (the rule expression language), [Store]
-    (WAL, B-tree, locks, recoverable message store), [Mq] (queues,
-    properties, slicings, retention), [Net] (simulated transports), [Lang]
-    (QDL/QML front-end and rule compiler), [Engine] (scheduler, timers,
-    server), [Baseline] (comparison engines for the benchmarks) and [Sim]
-    (the deterministic simulation harness). *)
+    (WAL, B-tree, recoverable message store), [Mq] (queues, properties,
+    slicings, retention), [Net] (simulated transports), [Lang] (QDL/QML
+    front-end and rule compiler), [Engine] (scheduler, timers, server),
+    [Obs] (metrics, spans, flows) and [Sim] (the deterministic simulation
+    harness). *)
 
 module Xml = Demaq_xml
 module Xquery = Demaq_xquery
@@ -36,7 +36,6 @@ module Net = Demaq_net
 module Lang = Demaq_lang
 module Engine = Demaq_engine
 module Obs = Demaq_obs
-module Baseline = Demaq_baseline
 module Sim = Demaq_sim
 
 (** {1 Shortcuts for the common types} *)

@@ -59,7 +59,8 @@ let evolve (ctx : Executor.t) src =
                 | Qdl.Create_rule _ | Qdl.Drop_rule _ -> ())
               additions;
             ctx.Executor.compiled <-
-              Compiler.compile ~reference:ctx.Executor.cfg.Executor.reference_plans
+              Compiler.compile
+                ~reference:(Compiler.reference ctx.Executor.compiled)
                 combined;
             Ok ())
     end

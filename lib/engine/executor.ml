@@ -61,19 +61,13 @@ let log = Logs.Src.create "demaq.executor" ~doc:"Demaq executor"
 module Log = (val Logs.src_log log : Logs.LOG)
 
 type config = {
-  reference_plans : bool;
-      (* compile the per-rule reference plan shape; read at deploy and
-         evolution only, never while executing *)
   footprint_dispatch : bool;
       (* partition dispatch on the compiled rules' static conflict
          footprints instead of whole queues: same-queue messages whose
          admitted rules touch disjoint resources run concurrently *)
   trace_capacity : int;
-  gc_every : int;
   system_error_queue : string option;
   node_name : string;
-  transmit_retries : int;
-  retry_backoff : int;
   batch_size : int;
   group_commit : bool;
   workers : int;
@@ -145,7 +139,6 @@ type t = {
   mutable inline_processed : int;
       (* inert messages processed by their creating transaction, counted
          at its commit; under [state_mu] *)
-  gc_next : int Atomic.t;  (* processed count at which [gc_every] next fires *)
 }
 
 let make_metrics reg =
@@ -232,7 +225,6 @@ let create ~cfg ~qm ~st ~net ~compiled ~clk () =
     wait_hists = Hashtbl.create 8;
     fault = None;
     inline_processed = 0;
-    gc_next = Atomic.make cfg.gc_every;
   }
 
 let locked t f = Mutex.protect t.state_mu f
@@ -284,28 +276,7 @@ let counted_gc t n =
 
 let run_gc t = locked t (fun () -> counted_gc t (Qm.gc t.qm))
 
-(* [gc_every]: collect each time the processed count has reached the next
-   multiple since the last collection. Inline processing advances the
-   count by more than one per transaction, so a [mod] test could step
-   over a multiple; the compare-and-set lets one worker fire per multiple. *)
-let gc_due t =
-  let every = t.cfg.gc_every in
-  every > 0
-  &&
-  let next = Atomic.get t.gc_next in
-  let n = Metrics.value t.met.m_processed in
-  n >= next && Atomic.compare_and_set t.gc_next next (((n / every) + 1) * every)
-
-(* Checked after every transaction that can process messages — dispatched
-   ones and self-locking ones (ingress, replies, echo timers, error
-   routing) alike, since each may admit inert messages. Needs [state_mu]
-   free. *)
-let collect_if_due t = if gc_due t then ignore (run_gc t)
-
-let with_txn t f =
-  let v = locked t (fun () -> in_txn t f) in
-  collect_if_due t;
-  v
+let with_txn t f = locked t (fun () -> in_txn t f)
 
 let exn_description = function
   | Fault.Injected msg -> msg
@@ -762,31 +733,23 @@ let inject_unlocked t ~props ~provenance ~queue payload =
   | exception Qm.Queue_error e -> Error e
 
 let inject t ?(props = []) ?flow ?(origin = "ingress") ~queue payload =
-  let r =
-    locked t (fun () ->
-        inject_unlocked t ~props
-          ~provenance:(root_prov t ?flow ~origin ())
-          ~queue payload)
-  in
-  collect_if_due t;
-  r
+  locked t (fun () ->
+      inject_unlocked t ~props
+        ~provenance:(root_prov t ?flow ~origin ())
+        ~queue payload)
 
 (* Batch ingress: admit a whole batch under one lock acquisition, so the
    gateway path amortizes locking and encoder scratch warm-up across the
    batch instead of paying them per document. Each document is its own
    cascade root: without an adopted [flow] each mints its own flow id. *)
 let inject_many t ?(props = []) ?flow ?(origin = "ingress") ~queue payloads =
-  let r =
-    locked t (fun () ->
-        List.map
-          (fun payload ->
-            inject_unlocked t ~props
-              ~provenance:(root_prov t ?flow ~origin ())
-              ~queue payload)
-          payloads)
-  in
-  collect_if_due t;
-  r
+  locked t (fun () ->
+      List.map
+        (fun payload ->
+          inject_unlocked t ~props
+            ~provenance:(root_prov t ?flow ~origin ())
+            ~queue payload)
+        payloads)
 
 let admission_stats t =
   ( Metrics.value t.met.m_admission_scans,
@@ -1130,5 +1093,4 @@ let process t ~stamp rid =
           sp_actions = !actions;
           sp_outcome = !outcome;
         };
-    collect_if_due t;
     1 + !inline

@@ -47,22 +47,14 @@ module Trace = Demaq_obs.Trace
 module Flow = Demaq_obs.Flow
 
 type config = {
-  reference_plans : bool;
-      (** compile the per-rule reference plan shape
-          ([Compiler.compile ~reference:true]); read only when a program
-          is compiled (deploy, evolution) — the executor itself always
-          runs whatever plan it was given *)
   footprint_dispatch : bool;
       (** partition dispatch on the compiled rules' static conflict
           footprints instead of whole queues: same-queue messages whose
           admitted rules touch disjoint resources run concurrently, at
           the cost of per-queue arrival order between them *)
   trace_capacity : int;
-  gc_every : int;
   system_error_queue : string option;
   node_name : string;
-  transmit_retries : int;
-  retry_backoff : int;
   batch_size : int;
   group_commit : bool;
   workers : int;
@@ -132,7 +124,6 @@ type t = {
   mutable inline_processed : int;
       (** inert messages processed by their creating transaction, counted
           at its commit; under [state_mu] *)
-  gc_next : int Atomic.t;  (** processed count at which [gc_every] next fires *)
 }
 
 val create :
@@ -159,14 +150,8 @@ val in_txn : t -> (Store.txn -> 'a) -> 'a
 (** Commit on return, abort + harden + re-raise on exception. Assumes the
     lock. *)
 
-val collect_if_due : t -> unit
-(** Run the retention GC if the processed count has reached the next
-    multiple of [gc_every] (no-op when it is 0). Called after every
-    transaction that can process messages; needs the lock free. *)
-
 val with_txn : t -> (Store.txn -> 'a) -> 'a
-(** {!locked} + {!in_txn}, then {!collect_if_due}: inert messages the
-    transaction admitted count as processed. *)
+(** {!locked} + {!in_txn}. *)
 
 val exn_description : exn -> string
 val set_collection : t -> string -> Tree.tree list -> unit

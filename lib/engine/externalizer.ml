@@ -81,10 +81,12 @@ let interface_check t (m : Message.t) (qdef : Defs.queue_def) =
            "message <%s> is not an input of port %s (expected one of: %s)" root
            port.Wsdl.port_name (Wsdl.expected_inputs port))
 
-(* Bounded exponential backoff before retrying the transmission whose
-   [attempt]th try just failed. *)
-let backoff_delay (t : E.t) attempt =
-  t.E.cfg.E.retry_backoff * (1 lsl min (attempt - 1) 16)
+(* A failed reliable transmission gets [transmit_retries] retries beyond
+   its first attempt, re-armed through the timer wheel; retry [n] waits
+   [2^(n-1)] virtual-clock ticks. *)
+let transmit_retries = 3
+
+let backoff_delay attempt = 1 lsl (attempt - 1)
 
 (* A failure is worth retrying when the condition is plausibly transient: a
    partitioned endpoint can reconnect and a timed-out wire can clear, but
@@ -115,8 +117,7 @@ let transmit (t : E.t) ?(attempt = 1) (m : Message.t) (qdef : Defs.queue_def) =
               ?rule_error_queue
               ~provenance:(E.error_prov ?rule:creating_rule m)
               ~source_queue:m.Message.queue
-              ~initial_message:(Message.body m) ()));
-    E.collect_if_due t
+              ~initial_message:(Message.body m) ()))
   in
   match
     match interface_check t m qdef with
@@ -169,16 +170,16 @@ let transmit (t : E.t) ?(attempt = 1) (m : Message.t) (qdef : Defs.queue_def) =
      | None -> ())
   | Network.Lost -> ()  (* best-effort send; nobody to tell *)
   | Network.Failed failure ->
-    if reliable && retryable_failure failure && attempt <= t.E.cfg.E.transmit_retries
+    if reliable && retryable_failure failure && attempt <= transmit_retries
     then begin
       (* re-arm through the timer wheel; the message stays unsent and
          unforfeited until the retry budget is spent *)
-      let due = Clock.now t.E.clk + backoff_delay t attempt in
+      let due = Clock.now t.E.clk + backoff_delay attempt in
       Log.debug (fun f ->
           f "transmission of #%d failed (%s); retry %d/%d at t=%d"
             m.Message.rid
             (Network.failure_to_string failure)
-            attempt t.E.cfg.E.transmit_retries due);
+            attempt transmit_retries due);
       E.locked t (fun () ->
           Timer_wheel.schedule_retransmit t.E.timers ~due ~rid:m.Message.rid
             ~attempt:(attempt + 1))

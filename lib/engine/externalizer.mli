@@ -12,6 +12,12 @@
 module Defs = Demaq_mq.Defs
 module Message = Demaq_mq.Message
 
+val transmit_retries : int
+(** Retries granted to a failed reliable transmission beyond its first
+    attempt before the message is dead-lettered to its error queue chain.
+    Retries are re-armed through the timer wheel with exponential backoff:
+    retry [n] waits [2^(n-1)] virtual-clock ticks. *)
+
 val transmit :
   Executor.t -> ?attempt:int -> Message.t -> Defs.queue_def -> unit
 (** One delivery attempt for a message of an outgoing gateway queue:

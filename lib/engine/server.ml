@@ -30,14 +30,10 @@ let log = Logs.Src.create "demaq.server" ~doc:"Demaq server"
 module Log = (val Logs.src_log log : Logs.LOG)
 
 type config = Executor.config = {
-  reference_plans : bool;
   footprint_dispatch : bool;
   trace_capacity : int;
-  gc_every : int;
   system_error_queue : string option;
   node_name : string;
-  transmit_retries : int;
-  retry_backoff : int;
   batch_size : int;
   group_commit : bool;
   workers : int;
@@ -57,16 +53,10 @@ let default_workers =
 
 let default_config =
   {
-    (* the optimized guarded plan; the reference shape is the per-rule
-       baseline (benchmark B16 measures the gap) *)
-    reference_plans = false;
     footprint_dispatch = false;
     trace_capacity = 0;
-    gc_every = 0;
     system_error_queue = None;
     node_name = "demaq-node";
-    transmit_retries = 3;
-    retry_backoff = 1;
     batch_size = 1;
     group_commit = false;
     workers = default_workers;
@@ -441,8 +431,8 @@ let stats_json t =
       | Metrics.Counter { name; value; _ } | Metrics.Gauge { name; value; _ } ->
         field name (num value)
       | Metrics.Histogram { name; sum; count; _ } ->
-        field (name ^ "_count") (string_of_int count);
-        field (name ^ "_sum") (num sum))
+        field (Metrics.series name "_count") (string_of_int count);
+        field (Metrics.series name "_sum") (num sum))
     (Metrics.snapshot (registry t));
   let s = stats t in
   field "batch_fill" (num s.batch_fill);
@@ -500,8 +490,8 @@ let build_commit =
   | Some c when c <> "" -> c
   | _ -> "unknown"
 
-let deploy ?(config = default_config) ?time_source ?store:st ?network:net
-    program_text =
+let deploy ?(config = default_config) ?(reference = false) ?time_source
+    ?store:st ?network:net program_text =
   let program =
     try Qdl.parse_program program_text
     with Qdl.Qdl_error msg -> raise (Deployment_error msg)
@@ -522,7 +512,7 @@ let deploy ?(config = default_config) ?time_source ?store:st ?network:net
   List.iter (Qm.add_property qm) (Qdl.properties program);
   List.iter (Qm.add_slicing qm) (Qdl.slicings program);
   Qm.rebuild_indexes qm;
-  let compiled = Compiler.compile ~reference:config.reference_plans program in
+  let compiled = Compiler.compile ~reference program in
   let net = match net with Some n -> n | None -> Network.create () in
   let ctx = Executor.create ~cfg:config ~qm ~st ~net ~compiled ~clk () in
   Store.instrument st ctx.Executor.reg;

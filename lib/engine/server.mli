@@ -11,15 +11,6 @@ module Value := Demaq_xquery.Value
 module Store := Demaq_store.Message_store
 
 type config = Executor.config = {
-  reference_plans : bool;
-      (** compile each queue's rules into the reference plan shape
-          instead of the optimized guarded plan (§4.4.1): one unguarded
-          entry per rule, nothing pruned, hoisted or shared, no condition
-          pre-filtering — per-rule interpretation in declaration order.
-          Off by default; the baseline of benchmarks B16 and A4 and the
-          oracle the plan tests compare against. Either way the executor
-          runs the one compiled plan; only {!deploy} and {!evolve} read
-          this. *)
   footprint_dispatch : bool;
       (** partition dispatch on the compiled rules' static conflict
           footprints instead of whole queues: same-queue messages whose
@@ -31,22 +22,9 @@ type config = Executor.config = {
           inspection ({!spans}; §2.3.3 names "tracing system behavior"
           as a retention concern); 0 disables. The span ring is the only
           place spans are kept, so this bounds span memory. *)
-  gc_every : int;
-      (** run the retention GC each time the processed count reaches a
-          further multiple of N (a transaction that also processes inert
-          messages can step over one; it still fires once); 0 disables automatic GC ("physical cleanup is decoupled from
-          message processing", §2.3.3) *)
   system_error_queue : string option;
       (** last-resort error queue (§3.6 "system level") *)
   node_name : string;  (** this node's transport address *)
-  transmit_retries : int;
-      (** retries (beyond the first attempt) granted to a failed reliable
-          transmission before the message is dead-lettered to its error
-          queue chain; retries are re-armed through the timer wheel with
-          bounded exponential backoff *)
-  retry_backoff : int;
-      (** base backoff in virtual-clock ticks; the delay before retry [n]
-          is [retry_backoff * 2^(n-1)] *)
   batch_size : int;
       (** messages drained back to back per {!run} cycle before the pump;
           with [group_commit] their commits share one durability barrier
@@ -83,6 +61,7 @@ exception Deployment_error of string
 
 val deploy :
   ?config:config ->
+  ?reference:bool ->
   ?time_source:Demaq_obs.Time_source.t ->
   ?store:Store.t ->
   ?network:Demaq_net.Network.t ->
@@ -95,6 +74,13 @@ val deploy :
     becomes the registry/span clock — pass a virtual source to run the
     whole node on simulated time. Payloads are stored as compact binary
     XML; reads also accept legacy text payloads.
+
+    [reference] (default [false]) compiles each queue's rules into the
+    reference plan shape instead of the optimized guarded plan (§4.4.1):
+    one unguarded entry per rule, nothing pruned, hoisted or shared, no
+    condition pre-filtering. It is the baseline of benchmarks B16 and A4
+    and the oracle the plan tests compare against; {!evolve} recompiles
+    in the shape the node was deployed with.
     @raise Deployment_error when parsing or semantic analysis fails. *)
 
 val queue_manager : t -> Demaq_mq.Queue_manager.t
@@ -237,7 +223,10 @@ val set_fault : t -> Fault.t option -> unit
     crash-recovery suite asserts exactly that. *)
 
 val gc : t -> int
-(** Run the retention garbage collector (§2.3.3); returns collected count. *)
+(** Run the retention garbage collector (§2.3.3) over the whole store;
+    returns collected count. The node never calls it on its own: "physical
+    cleanup is decoupled from message processing", and its only automatic
+    path is the budgeted step of {!maintain}. *)
 
 (** {1 Introspection} *)
 

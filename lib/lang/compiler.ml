@@ -92,6 +92,7 @@ type plan = {
 type t = {
   plans : (string, plan) Hashtbl.t;  (* by target *)
   program : Qdl.program;
+  reference : bool;  (* compiled in the reference shape *)
   all_queue_resources : string list;
       (* "q:" per declared queue: the ⊤ footprint expands to these *)
 }
@@ -634,12 +635,14 @@ let compile ?(reference = false) (program : Qdl.program) : t =
   {
     plans;
     program;
+    reference;
     all_queue_resources =
       List.sort_uniq compare (List.map (fun q -> "q:" ^ q.Defs.qname) queues);
   }
 
 let plan_for t target = Hashtbl.find_opt t.plans target
 let source_program t = t.program
+let reference t = t.reference
 let all_queue_resources t = t.all_queue_resources
 
 let plans t =

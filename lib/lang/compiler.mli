@@ -92,6 +92,10 @@ val source_program : t -> Qdl.program
 (** The program the plans were compiled from (used by runtime
     evolution). *)
 
+val reference : t -> bool
+(** Whether {!compile} built the reference shape; runtime evolution
+    recompiles in the same shape. *)
+
 val all_queue_resources : t -> string list
 (** One ["q:" ^ name] resource per declared queue: what a ⊤ footprint
     expands to under footprint dispatch. *)

@@ -139,3 +139,9 @@ val snapshot : registry -> sample list
 
 val render : registry -> string
 (** Prometheus text exposition (format 0.0.4) of {!snapshot}. *)
+
+val series : ?label_kv:string -> string -> string -> string
+(** [series name suffix] is the series [family ^ suffix] of a registered
+    name, its labels kept: [series "x{q=\"a\"}" "_sum"] is
+    ["x_sum{q=\"a\"}"]. [label_kv], when given, is spliced in front of
+    the existing labels. *)

@@ -58,8 +58,6 @@ let sim_config =
     S.batch_size = 4;
     group_commit = true;
     workers = 1;
-    transmit_retries = 3;
-    retry_backoff = 1;
   }
 
 (* ---- small helpers ---- *)

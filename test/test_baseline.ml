@@ -2,7 +2,7 @@
    comparison system, §2.1 of the paper). *)
 
 module Tree = Demaq.Xml.Tree
-module Ctx = Demaq.Baseline.Context_engine
+module Ctx = Demaq_baselines.Context_engine
 
 let check = Alcotest.check
 let bool_ = Alcotest.bool

@@ -186,7 +186,7 @@ let test_dead_letter_after_exhaustion () =
   done;
   check int_ "never delivered" 0 !received;
   check int_ "dead-lettered once" 1 (S.stats srv).S.dead_letters;
-  check int_ "retry budget spent" (S.config srv).S.transmit_retries
+  check int_ "retry budget spent" Demaq.Engine.Externalizer.transmit_retries
     (S.stats srv).S.transmit_retries;
   check int_ "one error message" 1 (List.length (bodies srv "errs"));
   (* the engine is still alive for ordinary traffic *)

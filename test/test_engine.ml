@@ -478,9 +478,8 @@ let test_recovery_echo_timer () =
 
 let test_merged_plans_equivalent () =
   let run reference =
-    let cfg = { S.default_config with S.reference_plans = reference } in
     let srv =
-      S.deploy ~config:cfg
+      S.deploy ~reference
         {|create queue a kind basic mode persistent
           create queue b kind basic mode persistent
           create rule r1 for a if (//m) then do enqueue <x1/> into b
@@ -492,18 +491,21 @@ let test_merged_plans_equivalent () =
   in
   check bool_ "merged = per-rule output" true (run false = run true)
 
-let test_gc_every () =
-  let cfg = { S.default_config with S.gc_every = 1 } in
+(* Processing never collects (§2.3.3: cleanup is decoupled from it); the
+   node's automatic path is the budgeted GC step of the maintenance tick. *)
+let test_maintain_gc () =
   let srv =
-    S.deploy ~config:cfg
+    S.deploy
       {|create queue a kind basic mode persistent
         create rule noop for a if (//never) then do enqueue <x/> into a|}
   in
   ignore (inject_ok srv "a" "<m/>");
   ignore (inject_ok srv "a" "<m/>");
   ignore (S.run srv);
-  (* messages are unsliced and processed: automatic GC collected them *)
-  check bool_ "auto gc ran" true ((S.stats srv).S.gc_collected >= 1)
+  check int_ "processing collected nothing" 0 (S.stats srv).S.gc_collected;
+  (* messages are unsliced and processed: the maintenance tick collects them *)
+  check int_ "maintain collected both" 2 (fst (S.maintain ~gc_budget:8 srv));
+  check int_ "counted" 2 (S.stats srv).S.gc_collected
 
 let test_deployment_errors () =
   (match S.deploy "create queue q kind bogus mode persistent" with
@@ -554,7 +556,7 @@ let suite =
     ("recovery resumes processing", `Quick, test_recovery_resumes_processing);
     ("recovery re-registers echo timers", `Quick, test_recovery_echo_timer);
     ("merged plans equivalent", `Quick, test_merged_plans_equivalent);
-    ("automatic gc", `Quick, test_gc_every);
+    ("automatic gc", `Quick, test_maintain_gc);
     ("deployment errors", `Quick, test_deployment_errors);
     ("plan explain", `Quick, test_explain_available);
   ]
@@ -638,8 +640,7 @@ let suite =
 let test_merged_plans_with_slicing_program () =
   (* the full slicing program behaves identically under merged plans *)
   let run reference =
-    let cfg = { S.default_config with S.reference_plans = reference } in
-    let srv = S.deploy ~config:cfg slicing_program in
+    let srv = S.deploy ~reference slicing_program in
     ignore (inject_ok srv "q1" "<left><k>m</k></left>");
     ignore (inject_ok srv "q2" "<right><k>m</k></right>");
     ignore (S.run srv);

@@ -256,6 +256,21 @@ let test_distributed_pipeline_three_nodes () =
   check bool_ "value flowed through both hops" true
     (bodies sink "final" = [ "<v>41</v>" ])
 
+(* A node deployed in the reference plan shape is recompiled in it: the
+   evolved rule's condition is evaluated, never pre-filtered away. *)
+let test_evolve_keeps_reference () =
+  let skips ~reference =
+    let srv = S.deploy ~reference base_program in
+    evolve_ok srv
+      {|create rule other for in if (//zzz) then do enqueue <z/> into out|};
+    ignore (inject_ok srv "in" "<m>1</m>");
+    ignore (S.run srv);
+    check int_ "one output" 1 (List.length (bodies srv "out"));
+    (S.stats srv).S.prefilter_skips
+  in
+  check int_ "the optimized plan pre-filters" 1 (skips ~reference:false);
+  check int_ "the reference plan does not" 0 (skips ~reference:true)
+
 let suite =
   [
     ("add a rule at runtime (§5)", `Quick, test_add_rule);
@@ -271,4 +286,5 @@ let suite =
     ("two nodes via gateway pairs (§2.1.2)", `Quick, test_two_nodes);
     ("expose validations", `Quick, test_expose_validations);
     ("three-node pipeline", `Quick, test_distributed_pipeline_three_nodes);
+    ("evolution keeps the reference plan shape", `Quick, test_evolve_keeps_reference);
   ]

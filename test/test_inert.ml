@@ -3,7 +3,7 @@
    is processed by the transaction that creates it instead of a dispatch
    of its own. The tests pin what that must not change: recovery, torn
    logs, echo timers, gateway transmission, slice rules, aborts and the
-   [gc_every] trigger. *)
+   retention GC. *)
 
 module Store = Demaq.Store.Message_store
 module Wal = Demaq.Store.Wal
@@ -216,30 +216,6 @@ let test_abort_leaves_no_inline_count () =
       (match sp.Trace.sp_outcome with Trace.Aborted _ -> true | Trace.Committed -> false)
   | l -> Alcotest.failf "%d spans" (List.length l)
 
-(* One root processes six messages; a [gc_every] of 4 is crossed, never
-   hit exactly, and must still collect. *)
-let test_gc_every_crossed () =
-  let config = { S.default_config with S.gc_every = 4 } in
-  let srv = S.deploy ~config fanout_program in
-  ignore (inject_ok srv "orders" "<order><id>9</id></order>");
-  check int_ "six processed" 6 (S.run srv);
-  check int_ "the cascade was collected" 6 (S.stats srv).S.gc_collected
-
-(* Ingress alone can cross a [gc_every] multiple: inert messages admitted
-   by [inject] and [inject_batch] are processed by the injecting caller, with
-   no drain to check the trigger afterwards. *)
-let test_gc_every_on_ingress () =
-  let config = { S.default_config with S.gc_every = 2 } in
-  let srv = S.deploy ~config "create queue sink kind basic mode persistent" in
-  ignore (inject_ok srv "sink" "<a/>");
-  check int_ "one processed, not yet due" 0 (S.stats srv).S.gc_collected;
-  ignore (inject_ok srv "sink" "<b/>");
-  check int_ "collected at the second injection" 2 (S.stats srv).S.gc_collected;
-  ignore (S.inject_batch srv ~queue:"sink" [ Demaq.xml "<c/>"; Demaq.xml "<d/>" ]);
-  check int_ "collected after the batch" 4 (S.stats srv).S.gc_collected;
-  check int_ "nothing was dispatched" 0 (S.run srv);
-  check int_ "processed by ingress" 4 (S.stats srv).S.processed
-
 (* ---- what an inert message leaves behind: its store record ---- *)
 
 module Qm = Demaq.Mq.Queue_manager
@@ -249,8 +225,7 @@ let message_cache srv = List.assoc "message" (S.cache_sizes srv)
 (* Only the dispatched roots are cached; their five inert children are
    not (a cache of every created message would hold 6N). *)
 let test_cache_holds_roots_only () =
-  let config = { S.default_config with S.gc_every = 0 } in
-  let srv = S.deploy ~config fanout_program in
+  let srv = S.deploy fanout_program in
   let n = 10 in
   for i = 1 to n do
     ignore (inject_ok srv "orders" (Printf.sprintf "<order><id>%d</id></order>" i))
@@ -305,14 +280,13 @@ let test_maintain_collects_uncached () =
   let dir = fresh_dir "maintain" in
   let cfg = Store.durable_config ~sync:Wal.Sync_always dir in
   let st = Store.open_store cfg in
-  let config = { S.default_config with S.gc_every = 0 } in
-  let srv = S.deploy ~config ~store:st kept_program in
+  let srv = S.deploy ~store:st kept_program in
   for _ = 1 to 4 do
     ignore (inject_ok srv "in" "<ping/>")
   done;
   check int_ "drained" 16 (S.run srv);
   let st2 = Fault.crash_restart cfg st in
-  let srv2 = S.deploy ~config ~store:st2 kept_program in
+  let srv2 = S.deploy ~store:st2 kept_program in
   check int_ "recovery cached nothing" 0 (message_cache srv2);
   let collected = ref 0 in
   for _ = 1 to 8 do
@@ -355,6 +329,15 @@ let test_queue_reads_share_nodes () =
    | l -> Alcotest.failf "%d messages in out" (List.length l));
   check int_ "the probe and billing's three cached" (before + 4) after
 
+(* Inert messages admitted by [inject] and [inject_batch] are processed
+   by the injecting caller: nothing is left to dispatch. *)
+let test_ingress_processes_inert () =
+  let srv = S.deploy "create queue sink kind basic mode persistent" in
+  ignore (inject_ok srv "sink" "<a/>");
+  ignore (S.inject_batch srv ~queue:"sink" [ Demaq.xml "<b/>"; Demaq.xml "<c/>" ]);
+  check int_ "nothing was dispatched" 0 (S.run srv);
+  check int_ "processed by ingress" 3 (S.stats srv).S.processed
+
 let suite =
   [
     ("replay after the root's commit", `Quick, test_replay_after_root_commit);
@@ -363,11 +346,10 @@ let suite =
     ("gateway children transmitted once", `Quick, test_gateway_children_transmitted_once);
     ("slice plan makes a queue not inert", `Quick, test_slice_plan_not_inert);
     ("aborted creator leaves no count or span", `Quick, test_abort_leaves_no_inline_count);
-    ("gc_every fires when crossed", `Quick, test_gc_every_crossed);
-    ("gc_every fires on ingress alone", `Quick, test_gc_every_on_ingress);
     ("cache holds the dispatched roots only", `Quick, test_cache_holds_roots_only);
     ("abort drops an uncached message's postings", `Quick,
      test_abort_drops_uncached_postings);
     ("maintain collects uncached messages", `Quick, test_maintain_collects_uncached);
     ("qs:queue reads share nodes", `Quick, test_queue_reads_share_nodes);
+    ("ingress processes inert messages", `Quick, test_ingress_processes_inert);
   ]

@@ -2,7 +2,7 @@
    detection) and for the dispatcher (conflict partitioning, priority then
    arrival order). *)
 
-module Lock = Demaq.Store.Lock_manager
+module Lock = Demaq_baselines.Lock_manager
 
 let check = Alcotest.check
 let bool_ = Alcotest.bool

@@ -672,6 +672,22 @@ let test_ring_bounds_span_retention () =
   check int_ "spans held = trace_capacity" 2 (List.length timed);
   check bool_ "second read agrees" true (read () = (count, timed))
 
+(* /stats.json keys a labelled histogram's totals the way /metrics names
+   them: the suffix on the family, the labels after it. *)
+let test_stats_json_labelled_histogram_keys () =
+  let config = { S.default_config with S.metrics = true } in
+  let srv = S.deploy ~config obs_program in
+  for i = 1 to 16 do
+    ignore (inject_ok srv "in" (Printf.sprintf "<ping>%d</ping>" i))
+  done;
+  ignore (S.run srv);
+  let js = S.stats_json srv in
+  check bool_ "count key" true
+    (contains js {|"demaq_queue_wait_seconds_count{queue=\"in\"}":|});
+  check bool_ "sum key" true
+    (contains js {|"demaq_queue_wait_seconds_sum{queue=\"in\"}":|});
+  check bool_ "no suffix after the labels" false (contains js {|}_count"|})
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
@@ -703,4 +719,6 @@ let suite =
       test_ring_bounds_span_retention;
     Alcotest.test_case "exposition names metrics before labels" `Quick
       test_exposition_names_before_labels;
+    Alcotest.test_case "stats json names histogram totals like /metrics" `Quick
+      test_stats_json_labelled_histogram_keys;
   ]

@@ -176,7 +176,7 @@ let test_footprints () =
    it), else branches and rule-level error queues.
 
    Two properties. The engine-level one runs the same message sequence
-   through two engines differing only in [reference_plans]; every queue's
+   through two engines differing only in [S.deploy ~reference]; every queue's
    serialized contents and the error/evaluation counters must agree. The
    plan-level one compares [Plan_ir.eval] with a per-rule interpreter
    that lives here, independent of the plan IR. *)
@@ -233,8 +233,8 @@ create queue errs kind basic mode persistent
   Buffer.contents buf
 
 let observe ~reference program msgs =
-  let config = { S.default_config with S.reference_plans = reference; S.workers = 1 } in
-  let srv = S.deploy ~config program in
+  let config = { S.default_config with S.workers = 1 } in
+  let srv = S.deploy ~config ~reference program in
   List.iter
     (fun p ->
       match S.inject srv ~queue:"q" (Demaq.xml payloads.(p mod Array.length payloads)) with

@@ -78,8 +78,7 @@ let broker_program =
 
 (* the reference plan shape carries no pre-filter requirements *)
 let run_broker ~use_prefilter =
-  let cfg = { S.default_config with S.reference_plans = not use_prefilter } in
-  let srv = S.deploy ~config:cfg broker_program in
+  let srv = S.deploy ~reference:(not use_prefilter) broker_program in
   for i = 0 to 19 do
     ignore
       (S.inject srv ~queue:"in"

@@ -410,7 +410,7 @@ let test_reliable_retries_exhausted () =
     S.advance_time w.srv 10;
     ignore (S.run w.srv)
   done;
-  let retries = (S.config w.srv).S.transmit_retries in
+  let retries = Demaq.Engine.Externalizer.transmit_retries in
   check int_ "engine-level retries used" (5 * (retries + 1)) (Net.stats w.net).Net.attempts;
   check bool_ "timeout surfaced as error" true ((S.stats w.srv).S.errors_raised >= 1);
   check int_ "dead-lettered" 1 (S.stats w.srv).S.dead_letters;
