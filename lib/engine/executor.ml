@@ -379,13 +379,16 @@ let register_interface t ~file text =
 
 (* Forcing a body that is still raw bytes is the decode the streaming
    admission path exists to avoid; route every force through here so the
-   avoided/performed ratio is observable. Locally enqueued messages are
-   born with a forced body and never count. *)
+   avoided/performed ratio is observable. Messages admitted from a tree
+   (ingress, error messages) are born with a forced body and never count;
+   a rule-created message carries only its bytes and counts when first
+   read. *)
+let count_decode t (m : Message.t) =
+  Metrics.incr t.met.m_trees_materialized;
+  Metrics.add t.met.m_decoded_bytes (String.length (Message.raw m))
+
 let force_body_unlocked t (m : Message.t) =
-  if not (Message.body_forced m) then begin
-    Metrics.incr t.met.m_trees_materialized;
-    Metrics.add t.met.m_decoded_bytes (String.length (Message.raw m))
-  end;
+  if not (Message.body_forced m) then count_decode t m;
   Message.body m
 
 (* Rules see messages as document nodes (§3.4: qs:message() "returns the
@@ -644,7 +647,7 @@ let rec raise_error t txn ~kind ~description ?rule ?rule_error_queue
       Errors.to_xml ~kind ~description ?rule ~queue:source_queue ?initial_message ()
     in
     enqueue_internal t txn ?rule ?provenance ~trigger:None ~explicit:[]
-      ~queue:error_queue ~payload ~origin_queue:source_queue ()
+      ~queue:error_queue ~payload:(Qm.Tree payload) ~origin_queue:source_queue ()
 
 (* Enqueue + schedule + echo-timer registration; failures are routed as
    errors themselves (bounded by the loop protection above). The child's
@@ -661,7 +664,12 @@ and enqueue_internal t txn ?rule ?rule_error_queue ?(trigger = None) ?provenance
     | None, None -> Message.no_provenance
   in
   match Qm.admit t.qm txn ?rule ?trigger ~provenance ~explicit ~queue ~payload () with
-  | Ok (qdef, m) -> admitted_unlocked t txn ?rule qdef m
+  | Ok (qdef, m) ->
+    (* a schema check or a property expression read the bytes' tree *)
+    (match payload with
+     | Qm.Bxml _ when Message.body_forced m -> count_decode t m
+     | _ -> ());
+    admitted_unlocked t txn ?rule qdef m
   | Error e ->
     let kind =
       match e with
@@ -672,7 +680,9 @@ and enqueue_internal t txn ?rule ?rule_error_queue ?(trigger = None) ?provenance
     let provenance = Option.map (error_prov ?rule) trigger in
     raise_error t txn ~kind ~description:(Qm.error_to_string e) ?rule
       ?rule_error_queue ?provenance ~source_queue:origin_queue
-      ~initial_message:payload ()
+      ~initial_message:
+        (match payload with Qm.Tree tree -> tree | Qm.Bxml bytes -> Demaq_xml.Bxml.decode bytes)
+      ()
 
 (* What every admitted message goes through: flow edge, dispatch (or,
    for an inert message, processing inside this transaction), gateway
@@ -723,7 +733,9 @@ and register_echo_timer t txn ?rule (m : Message.t) =
 let inject_unlocked t ~props ~provenance ~queue payload =
   match
     in_txn t (fun txn ->
-        match Qm.admit t.qm txn ~provenance ~explicit:props ~queue ~payload () with
+        match
+          Qm.admit t.qm txn ~provenance ~explicit:props ~queue ~payload:(Qm.Tree payload) ()
+        with
         | Ok (qdef, m) ->
           admitted_unlocked t txn qdef m;
           m
@@ -812,7 +824,7 @@ let apply_updates t txn blamed (m : Message.t) tagged =
       match update with
       | Update.Enqueue { payload; queue; props } ->
         enqueue_internal t txn ~rule:at.at_rule ?rule_error_queue:at.at_error_queue
-          ~trigger:(Some m) ~explicit:props ~queue ~payload
+          ~trigger:(Some m) ~explicit:props ~queue ~payload:(Qm.Bxml payload)
           ~origin_queue:m.Message.queue ()
       | Update.Reset { slicing; key } -> (
         let resolved =
@@ -886,14 +898,7 @@ let prepare t ~acts ~now ~stamp rid =
       Metrics.observe (wait_hist_for t m.Message.queue) wait_ns;
     let txn = Store.begin_txn t.st in
     let pws = plan_works_for t m in
-    let needs_names =
-      List.exists
-        (fun pw ->
-          List.exists
-            (fun (g : Plan_ir.guarded) -> g.Plan_ir.g_requirements <> [])
-            pw.pw_plan.Plan_ir.p_guarded)
-        pws
-    in
+    let needs_names = List.exists (fun pw -> pw.pw_plan.Plan_ir.p_filtered) pws in
     let message_names =
       if needs_names then
         Some

@@ -205,7 +205,7 @@ val enqueue_internal :
   ?provenance:Message.provenance ->
   explicit:(string * Value.atomic) list ->
   queue:string ->
-  payload:Tree.tree ->
+  payload:Qm.payload ->
   origin_queue:string ->
   unit ->
   unit

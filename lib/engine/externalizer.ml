@@ -235,7 +235,7 @@ let fire_echo (t : E.t) ~rid ~target =
           E.enqueue_internal t txn ~trigger:(Some echo_msg)
             ~provenance:(E.derived_prov ~cause:"timer" echo_msg)
             ~explicit:[] ~queue:target
-            ~payload:(Message.body echo_msg)
+            ~payload:(Qm.Tree (Message.body echo_msg))
             ~origin_queue:echo_msg.Message.queue ();
           Qm.mark_processed t.E.qm txn echo_msg)
     with e ->

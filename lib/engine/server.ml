@@ -421,22 +421,18 @@ let stats_json t =
     Buffer.add_string buf
       (Printf.sprintf "\"%s\":%s" (Obs_trace.json_escape name) v)
   in
-  let num v =
-    if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-    else Printf.sprintf "%.9g" v
-  in
   List.iter
     (fun sample ->
       match sample with
       | Metrics.Counter { name; value; _ } | Metrics.Gauge { name; value; _ } ->
-        field name (num value)
+        field name (Metrics.fmt_float value)
       | Metrics.Histogram { name; sum; count; _ } ->
         field (Metrics.series name "_count") (string_of_int count);
-        field (Metrics.series name "_sum") (num sum))
+        field (Metrics.series name "_sum") (Metrics.fmt_float sum))
     (Metrics.snapshot (registry t));
   let s = stats t in
-  field "batch_fill" (num s.batch_fill);
-  field "syncs_per_message" (num s.syncs_per_message);
+  field "batch_fill" (Metrics.fmt_float s.batch_fill);
+  field "syncs_per_message" (Metrics.fmt_float s.syncs_per_message);
   Buffer.add_char buf '}';
   Buffer.contents buf
 

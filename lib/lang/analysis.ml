@@ -77,7 +77,7 @@ let free_variables body =
     | Ast.Neg e | Ast.Computed_text e | Ast.Cast (e, _, _) | Ast.Instance_of (e, _)
     | Ast.Treat_as (e, _) ->
       go bound acc e
-    | Ast.Direct_elem d ->
+    | Ast.Direct_elem d | Ast.Template { t_source = d; _ } ->
       let acc =
         List.fold_left
           (fun acc (_, pieces) ->

@@ -195,8 +195,8 @@ let contains_constructor e =
       acc
       ||
       match e with
-      | Ast.Direct_elem _ | Ast.Computed_elem _ | Ast.Computed_attr _
-      | Ast.Computed_text _ ->
+      | Ast.Direct_elem _ | Ast.Template _ | Ast.Computed_elem _
+      | Ast.Computed_attr _ | Ast.Computed_text _ ->
         true
       | _ -> false)
     false e
@@ -230,7 +230,7 @@ let rec scope_fold f acc e =
     go acc a
   | Ast.Path (a, _) -> go acc a  (* the right side runs in a new focus *)
   | Ast.Filter (p, _) -> go acc p  (* predicates run in a new focus *)
-  | Ast.Direct_elem d ->
+  | Ast.Direct_elem d | Ast.Template { t_source = d; _ } ->
     let acc =
       List.fold_left
         (fun acc (_, pieces) ->
@@ -273,25 +273,8 @@ let rec scope_replace cand name e =
     | Ast.Computed_text a -> Ast.Computed_text (r a)
     | Ast.Path (a, b) -> Ast.Path (r a, b)
     | Ast.Filter (p, preds) -> Ast.Filter (r p, preds)
-    | Ast.Direct_elem d ->
-      Ast.Direct_elem
-        { d with
-          Ast.dattrs =
-            List.map
-              (fun (n, pieces) ->
-                ( n,
-                  List.map
-                    (function
-                      | Ast.A_text _ as t -> t
-                      | Ast.A_expr e -> Ast.A_expr (r e))
-                    pieces ))
-              d.Ast.dattrs;
-          dcontent =
-            List.map
-              (function
-                | Ast.C_text _ as t -> t
-                | Ast.C_expr e -> Ast.C_expr (r e))
-              d.Ast.dcontent }
+    | Ast.Direct_elem d -> Ast.Direct_elem (Ast.map_direct r d)
+    | Ast.Template t -> Ast.Template (Ast.lower_template (Ast.map_direct r t.t_source))
     | Ast.Enqueue { payload; queue; props } ->
       Ast.Enqueue
         { payload = r payload;
@@ -552,7 +535,7 @@ let build_exec ~on_slicing rules =
         })
       decomposed
   in
-  { Plan_ir.p_bindings = bindings; p_guarded = guarded; p_n_guards = !next_id }
+  Plan_ir.make ~bindings ~n_guards:!next_id guarded
 
 (* Pass 5 over the rules [exec] runs: footprints, the cached dispatch
    template and its union. *)
@@ -689,7 +672,7 @@ let explain t =
         (match List.length p.pruned with
          | 0 -> ""
          | n -> Printf.sprintf ", %d pruned" n);
-      List.iter
+      Array.iter
         (fun (name, expr) ->
           pr "  binding $%s := %s\n" name (Demaq_xquery.Pp.to_string expr))
         p.exec.Demaq_xquery.Plan.p_bindings;

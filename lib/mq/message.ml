@@ -44,23 +44,25 @@ let key_string (a : Value.atomic) = Value.string_of_atomic a
 
 (* ---- extra-blob codec ---- *)
 
-let put_atomic buf (a : Value.atomic) =
+module W = Codec.Writer
+
+let put_atomic w (a : Value.atomic) =
   match a with
   | Value.Boolean b ->
-    Buffer.add_char buf 'b';
-    Codec.put_bool buf b
+    W.char w 'b';
+    W.bool w b
   | Value.Integer i ->
-    Buffer.add_char buf 'i';
-    Codec.put_int buf i
+    W.char w 'i';
+    W.int w i
   | Value.Decimal f ->
-    Buffer.add_char buf 'd';
-    Codec.put_string buf (Printf.sprintf "%h" f)
+    W.char w 'd';
+    W.string w (Printf.sprintf "%h" f)
   | Value.String s ->
-    Buffer.add_char buf 's';
-    Codec.put_string buf s
+    W.char w 's';
+    W.string w s
   | Value.Untyped s ->
-    Buffer.add_char buf 'u';
-    Codec.put_string buf s
+    W.char w 'u';
+    W.string w s
 
 let get_atomic r =
   match Codec.get_char r with
@@ -74,29 +76,29 @@ let get_atomic r =
 (* Per-domain scratch for [encode_extra]: cleared, never shrunk below
    [scratch_keep], so a typical blob costs one copy and no regrowth. *)
 let scratch_keep = 4096
-let scratch_key = Domain.DLS.new_key (fun () -> Buffer.create 256)
+let scratch_key = Domain.DLS.new_key (fun () -> W.create 256)
 
 let encode_extra ?(provenance = no_provenance) ~props ~memberships () =
-  let buf = Domain.DLS.get scratch_key in
-  Buffer.clear buf;
-  Codec.put_list buf
-    (fun buf (name, a) ->
-      Codec.put_string buf name;
-      put_atomic buf a)
+  let w = Domain.DLS.get scratch_key in
+  W.clear w;
+  W.list w
+    (fun w (name, a) ->
+      W.string w name;
+      put_atomic w a)
     props;
-  Codec.put_list buf
-    (fun buf m ->
-      Codec.put_string buf m.m_slicing;
-      Codec.put_string buf m.m_key;
-      Codec.put_int buf m.m_lifetime)
+  W.list w
+    (fun w m ->
+      W.string w m.m_slicing;
+      W.string w m.m_key;
+      W.int w m.m_lifetime)
     memberships;
   (* provenance rides at the tail so blobs written before flow tracing
      landed still decode: [decode_extra] probes [at_end] *)
-  Codec.put_string buf provenance.p_flow;
-  Codec.put_int buf provenance.p_parent;
-  Codec.put_string buf provenance.p_cause;
-  let blob = Buffer.contents buf in
-  if Buffer.length buf > scratch_keep then Buffer.reset buf;
+  W.string w provenance.p_flow;
+  W.int w provenance.p_parent;
+  W.string w provenance.p_cause;
+  let blob = W.contents w in
+  W.shrink w ~keep:scratch_keep;
   blob
 
 let get_memberships r =

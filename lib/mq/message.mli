@@ -63,7 +63,9 @@ val raw : t -> string
 val body_forced : t -> bool
 (** Whether {!body} has already been materialized — the observability
     seam that lets the engine count admission scans that avoided a
-    decode. *)
+    decode, and the decodes it performed. A message admitted from a tree
+    is born forced; one read from the store, or created by a rule's
+    [do enqueue] (bXML bytes), is not. *)
 
 val property : t -> string -> Demaq_xquery.Value.atomic option
 

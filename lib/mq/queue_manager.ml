@@ -193,10 +193,10 @@ let slice_keys t ~slicing =
 
 (* ---- property computation (§2.2) ---- *)
 
-let eval_property_expr t pname expr payload =
+let eval_property_expr t pname expr body =
   let env = Demaq_xquery.Context.make () in
   let env =
-    { env with Context.item = Some (Value.Node (Eval.node_of_tree payload)) }
+    { env with Context.item = Some (Value.Node (Eval.node_of_tree (Lazy.force body))) }
   in
   ignore t;
   match Eval.eval env expr with
@@ -210,7 +210,7 @@ let cast_property pname ptype a =
   | Ok a -> a
   | Error reason -> raise (Queue_error (Property_error { property = pname; reason }))
 
-let compute_properties t ~rule ~trigger ~explicit ~queue ~payload =
+let compute_properties t ~rule ~trigger ~explicit ~queue ~body =
   let defined = ref [] in
   (* Declared properties, in declaration order. *)
   List.iter
@@ -232,7 +232,7 @@ let compute_properties t ~rule ~trigger ~explicit ~queue ~payload =
           | None, Some v -> Some v
           | None, None -> (
             match Defs.property_expr_for p queue with
-            | Some expr -> eval_property_expr t p.pname expr payload
+            | Some expr -> eval_property_expr t p.pname expr body
             | None -> None)
         in
         match value with
@@ -284,27 +284,40 @@ let memberships_of t props =
           })
     t.slicings
 
+type payload = Tree of Tree.tree | Bxml of string
+
 let admit t txn ?rule ?trigger ?(provenance = Message.no_provenance)
     ?(explicit = []) ~queue ~payload () =
   match find_queue t queue with
   | None -> Error (Unknown_queue queue)
   | Some qdef -> (
+    (* bXML bytes are decoded only if a schema check or a property
+       expression reads the tree; the message keeps the decode *)
+    let body =
+      match payload with
+      | Tree tree -> Lazy.from_val tree
+      | Bxml bytes -> lazy (Demaq_xml.Bxml.decode bytes)
+    in
     match
       (match qdef.schema with
        | Some schema ->
          (* The queue schema also restricts the message root to a declared
             element: an entirely undeclared document does not "conform to
             the schema" (§2.1.1). *)
-         Schema.root_allowed schema (Schema.declared_names schema) payload
+         Schema.root_allowed schema (Schema.declared_names schema) (Lazy.force body)
        | None -> Ok ())
     with
     | Error reason -> Error (Schema_violation { queue; reason })
     | Ok () -> (
-      match compute_properties t ~rule ~trigger ~explicit ~queue ~payload with
+      match compute_properties t ~rule ~trigger ~explicit ~queue ~body with
       | exception Queue_error e -> Error e
       | props ->
         let memberships = memberships_of t props in
-        let serialized = Demaq_xml.Bxml.encode payload in
+        let serialized =
+          match payload with
+          | Tree tree -> Demaq_xml.Bxml.encode tree
+          | Bxml bytes -> bytes
+        in
         let extra = Message.encode_extra ~provenance ~props ~memberships () in
         let enqueued_at =
           match List.assoc_opt Defs.Sysprop.timestamp props with
@@ -326,8 +339,8 @@ let admit t txn ?rule ?trigger ?(provenance = Message.no_provenance)
             Message.rid;
             queue;
             raw = Lazy.from_val serialized;
-            body = Lazy.from_val payload;
-            doc = lazy (Tree.root_node (Tree.doc payload));
+            body;
+            doc = lazy (Tree.root_node (Tree.doc (Lazy.force body)));
             props;
             memberships;
             prov = provenance;
@@ -338,7 +351,7 @@ let admit t txn ?rule ?trigger ?(provenance = Message.no_provenance)
         Ok (qdef, m)))
 
 let enqueue t txn ?rule ?trigger ?provenance ?explicit ~queue ~payload () =
-  match admit t txn ?rule ?trigger ?provenance ?explicit ~queue ~payload () with
+  match admit t txn ?rule ?trigger ?provenance ?explicit ~queue ~payload:(Tree payload) () with
   | Ok (_, m) ->
     cache t m;
     Ok m

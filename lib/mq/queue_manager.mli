@@ -74,6 +74,13 @@ val enqueue :
     is {!admit}ted, then {!cache}d. If the transaction aborts, its cache
     entry and slice-index postings are removed again. *)
 
+(** A message body as admission receives it. *)
+type payload =
+  | Tree of Tree.tree  (** parsed or built; encoded at admission *)
+  | Bxml of string
+      (** already encoded (a rule's [do enqueue]): stored as it is, and
+          decoded only when something reads the tree *)
+
 val admit :
   t ->
   Store.txn ->
@@ -82,12 +89,14 @@ val admit :
   ?provenance:Message.provenance ->
   ?explicit:(string * Value.atomic) list ->
   queue:string ->
-  payload:Tree.tree ->
+  payload:payload ->
   unit ->
   (Defs.queue_def * Message.t, error) result
 (** {!enqueue} without the cache entry, also returning the definition of
     the queue it resolved, so the caller need not look the queue up again.
-    The returned record holds the payload tree; once the caller drops it,
+    The returned record holds the payload: the tree it was given, or the
+    bytes with a lazy decode (forced here only by a schema check or a
+    property expression, see {!Message.body_forced}); once the caller drops it,
     only the store record and the slice-index postings remain, and a later
     read ({!get}, {!queue_messages}, {!slice_messages}) builds and caches a
     record from the store. If the transaction aborts, the postings are

@@ -140,6 +140,11 @@ val snapshot : registry -> sample list
 val render : registry -> string
 (** Prometheus text exposition (format 0.0.4) of {!snapshot}. *)
 
+val fmt_float : float -> string
+(** How {!render} writes a sample value: an integral value below [1e15]
+    without a fraction ([%.0f]), anything else as [%.9g]. [/stats.json]
+    formats its numbers with it too. *)
+
 val series : ?label_kv:string -> string -> string -> string
 (** [series name suffix] is the series [family ^ suffix] of a registered
     name, its labels kept: [series "x{q=\"a\"}" "_sum"] is

@@ -1,18 +1,8 @@
 (* Binary record (de)serialization helpers used by the WAL and snapshots.
    Integers are fixed 8-byte little-endian; strings are length-prefixed. *)
 
-(* The bytes of [Bytes.set_int64_le (Int64.of_int i)] without the
-   scratch [Bytes]: [asr] sign-extends, so byte 7 carries the sign bit
-   the 63-bit int lacks. *)
-let put_int buf i =
-  Buffer.add_char buf (Char.unsafe_chr (i land 0xFF));
-  Buffer.add_char buf (Char.unsafe_chr ((i asr 8) land 0xFF));
-  Buffer.add_char buf (Char.unsafe_chr ((i asr 16) land 0xFF));
-  Buffer.add_char buf (Char.unsafe_chr ((i asr 24) land 0xFF));
-  Buffer.add_char buf (Char.unsafe_chr ((i asr 32) land 0xFF));
-  Buffer.add_char buf (Char.unsafe_chr ((i asr 40) land 0xFF));
-  Buffer.add_char buf (Char.unsafe_chr ((i asr 48) land 0xFF));
-  Buffer.add_char buf (Char.unsafe_chr ((i asr 56) land 0xFF))
+(* Encoding into a [Buffer.t]: one [add_int64_le] per integer. *)
+let put_int buf i = Buffer.add_int64_le buf (Int64.of_int i)
 
 let put_string buf s =
   put_int buf (String.length s);
@@ -23,6 +13,59 @@ let put_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
 let put_list buf put items =
   put_int buf (List.length items);
   List.iter (put buf) items
+
+(* The growable byte writer the WAL, the extra blob and snapshots encode
+   into: each field makes one capacity check and writes in place, and
+   the bytes can be read ([bytes]) without a copy. *)
+module Writer = struct
+  type t = { mutable buf : Bytes.t; mutable len : int }
+
+  let create n = { buf = Bytes.create (max 16 n); len = 0 }
+  let clear w = w.len <- 0
+  let length w = w.len
+  let bytes w = w.buf
+  let contents w = Bytes.sub_string w.buf 0 w.len
+
+  (* Drop storage grown past [keep] bytes, so one outsized record does not
+     pin its buffer for the writer's lifetime. *)
+  let shrink w ~keep = if Bytes.length w.buf > keep then w.buf <- Bytes.create keep
+
+  let grow w n =
+    let cap = ref (2 * Bytes.length w.buf) in
+    while w.len + n > !cap do
+      cap := 2 * !cap
+    done;
+    let buf = Bytes.create !cap in
+    Bytes.blit w.buf 0 buf 0 w.len;
+    w.buf <- buf
+
+  let[@inline] ensure w n = if w.len + n > Bytes.length w.buf then grow w n
+
+  let char w c =
+    ensure w 1;
+    Bytes.unsafe_set w.buf w.len c;
+    w.len <- w.len + 1
+
+  let int w i =
+    ensure w 8;
+    Bytes.set_int64_le w.buf w.len (Int64.of_int i);
+    w.len <- w.len + 8
+
+  let string w s =
+    let n = String.length s in
+    ensure w (8 + n);
+    Bytes.set_int64_le w.buf w.len (Int64.of_int n);
+    Bytes.unsafe_blit_string s 0 w.buf (w.len + 8) n;
+    w.len <- w.len + 8 + n
+
+  let bool w b = char w (if b then '\001' else '\000')
+
+  let list w put items =
+    int w (List.length items);
+    List.iter (put w) items
+
+  let set_int w at i = Bytes.set_int64_le w.buf at (Int64.of_int i)
+end
 
 type reader = { src : string; mutable pos : int; limit : int }
 

@@ -5,12 +5,46 @@
     {!Decode_error} on truncation, never reads out of range. *)
 
 val put_int : Buffer.t -> int -> unit
-(** Appends the 8 bytes of [Bytes.set_int64_le (Int64.of_int i)],
-    allocating nothing. *)
+(** Appends the 8 bytes of [Bytes.set_int64_le (Int64.of_int i)]. *)
 
 val put_string : Buffer.t -> string -> unit
 val put_bool : Buffer.t -> bool -> unit
 val put_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
+
+(** A growable byte writer with the same encoding as the [put_]
+    functions. Each field is one capacity check and an in-place write,
+    and {!bytes} exposes the written bytes without a copy: the WAL
+    checksums and writes a record straight from it. *)
+module Writer : sig
+  type t
+
+  val create : int -> t
+  (** An empty writer with room for [n] bytes before it grows. *)
+
+  val clear : t -> unit
+  val length : t -> int
+
+  val bytes : t -> Bytes.t
+  (** The storage; its first {!length} bytes are the written ones. Valid
+      until the next write, which may reallocate it. *)
+
+  val contents : t -> string
+  (** A copy of the written bytes. *)
+
+  val shrink : t -> keep:int -> unit
+  (** Replace storage larger than [keep] bytes by [keep] fresh ones,
+      discarding what was written. *)
+
+  val char : t -> char -> unit
+  val int : t -> int -> unit
+  val string : t -> string -> unit
+  val bool : t -> bool -> unit
+  val list : t -> (t -> 'a -> unit) -> 'a list -> unit
+
+  val set_int : t -> int -> int -> unit
+  (** [set_int w at i] overwrites the 8 bytes at offset [at] (already
+      written) with [i], as {!int} would have written them. *)
+end
 
 type reader
 

@@ -196,16 +196,18 @@ let slot_header = 24
 let legacy_snapshot_path dir = Filename.concat dir "snapshot.bin"
 let wal_path dir = Filename.concat dir "wal.log"
 
+module W = Codec.Writer
+
 let encode_snapshot t =
-  let buf = Buffer.create 4096 in
-  Codec.put_int buf t.next_rid;
+  let w = W.create 4096 in
+  W.int w t.next_rid;
   let live =
     Rid_table.fold (fun _ m acc -> if m.deleted then acc else m :: acc) t.messages []
   in
-  Codec.put_list buf
-    (fun buf m ->
-      Codec.put_int buf m.rid;
-      Codec.put_string buf m.queue;
+  W.list w
+    (fun w m ->
+      W.int w m.rid;
+      W.string w m.queue;
       (* checkpoint is also when late (recovery-replayed) large bodies
          move out of line *)
       (match m.stored with
@@ -219,27 +221,27 @@ let encode_snapshot t =
        | _ -> ());
       (match m.stored with
        | Inline s ->
-         Codec.put_bool buf false;
-         Codec.put_string buf s
+         W.bool w false;
+         W.string w s
        | Spilled (hrid, len) ->
-         Codec.put_bool buf true;
-         Codec.put_int buf hrid.Heap_file.page;
-         Codec.put_int buf hrid.Heap_file.slot;
-         Codec.put_int buf len);
-      Codec.put_string buf m.extra;
-      Codec.put_int buf m.enqueued_at;
-      Codec.put_bool buf m.processed)
+         W.bool w true;
+         W.int w hrid.Heap_file.page;
+         W.int w hrid.Heap_file.slot;
+         W.int w len);
+      W.string w m.extra;
+      W.int w m.enqueued_at;
+      W.bool w m.processed)
     (List.rev live);
   let lifetimes =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.slice_lifetimes []
   in
-  Codec.put_list buf
-    (fun buf ((slicing, key), lifetime) ->
-      Codec.put_string buf slicing;
-      Codec.put_string buf key;
-      Codec.put_int buf lifetime)
+  W.list w
+    (fun w ((slicing, key), lifetime) ->
+      W.string w slicing;
+      W.string w key;
+      W.int w lifetime)
     lifetimes;
-  Buffer.contents buf
+  W.contents w
 
 let load_snapshot t contents ~pos ~len =
   let r = Codec.reader ~pos ~len contents in

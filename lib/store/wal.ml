@@ -28,6 +28,8 @@ type record =
   | Commit of { txn : int; ops : op list }
   | Checkpoint
 
+module W = Codec.Writer
+
 type sync_mode =
   | Sync_always
   | Sync_never
@@ -35,15 +37,16 @@ type sync_mode =
 
 (* Single-writer invariant: all appends and barriers funnel through [mu],
    so the log is a strictly serial byte stream even when transactions
-   commit from several worker domains. The scratch buffer and header are
-   safe to reuse for the same reason. *)
+   commit from several worker domains. The scratch writer is safe to
+   reuse for the same reason. *)
 type t = {
   mu : Mutex.t;
   oc : out_channel;
   fd : Unix.file_descr;
   sync : sync_mode;
-  scratch : Buffer.t;  (* record bodies are encoded into this, reused *)
-  header : Bytes.t;  (* 16-byte length+crc frame header, reused *)
+  scratch : W.t;
+      (* each record is framed and encoded into this, reused: 16 header
+         bytes, then the body *)
   mutable bytes : int;
   mutable records : int;
   mutable syncs : int;
@@ -59,27 +62,27 @@ type t = {
   mutable clock_ns : unit -> int;  (* times fsyncs for [on_fsync] *)
 }
 
-let encode_op buf op =
+let encode_op w op =
   match op with
   | Insert { rid; queue; payload; extra; enqueued_at } ->
-    Buffer.add_char buf 'I';
-    Codec.put_int buf rid;
-    Codec.put_string buf queue;
-    Codec.put_string buf payload;
-    Codec.put_string buf extra;
-    Codec.put_int buf enqueued_at
+    W.char w 'I';
+    W.int w rid;
+    W.string w queue;
+    W.string w payload;
+    W.string w extra;
+    W.int w enqueued_at
   | Mark_processed { rid } ->
-    Buffer.add_char buf 'P';
-    Codec.put_int buf rid
+    W.char w 'P';
+    W.int w rid
   | Slice_reset { slicing; key; lifetime } ->
-    Buffer.add_char buf 'R';
-    Codec.put_string buf slicing;
-    Codec.put_string buf key;
-    Codec.put_int buf lifetime
+    W.char w 'R';
+    W.string w slicing;
+    W.string w key;
+    W.int w lifetime
   | Delete { rid; image } ->
-    Buffer.add_char buf 'D';
-    Codec.put_int buf rid;
-    Codec.put_string buf image
+    W.char w 'D';
+    W.int w rid;
+    W.string w image
 
 (* Queue names recur in every [Insert] record; interning them makes a
    large-log replay share one string per distinct queue instead of
@@ -114,13 +117,13 @@ let decode_op r =
     Delete { rid; image }
   | c -> raise (Codec.Decode_error (Printf.sprintf "unknown op tag %C" c))
 
-let encode_record_into buf rec_ =
+let encode_record_into w rec_ =
   match rec_ with
   | Commit { txn; ops } ->
-    Buffer.add_char buf 'C';
-    Codec.put_int buf txn;
-    Codec.put_list buf encode_op ops
-  | Checkpoint -> Buffer.add_char buf 'K'
+    W.char w 'C';
+    W.int w txn;
+    W.list w encode_op ops
+  | Checkpoint -> W.char w 'K'
 
 let decode_record r =
   match Codec.get_char r with
@@ -131,6 +134,10 @@ let decode_record r =
   | 'K' -> Checkpoint
   | c -> raise (Codec.Decode_error (Printf.sprintf "unknown record tag %C" c))
 
+(* Scratch capacity kept between records; a larger one (a big payload)
+   is dropped after its append. *)
+let scratch_keep = 1 lsl 16
+
 let open_log ?(sync = Sync_always) path =
   let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
   let fd = Unix.descr_of_out_channel oc in
@@ -140,8 +147,7 @@ let open_log ?(sync = Sync_always) path =
     oc;
     fd;
     sync;
-    scratch = Buffer.create 256;
-    header = Bytes.create 16;
+    scratch = W.create 4096;
     bytes;
     records = 0;
     syncs = 0;
@@ -205,14 +211,19 @@ let barrier t = Mutex.protect t.mu (fun () -> barrier_unlocked t)
 
 let append t rec_ =
   Mutex.protect t.mu @@ fun () ->
-  Buffer.clear t.scratch;
-  encode_record_into t.scratch rec_;
-  let body = Buffer.contents t.scratch in
-  Bytes.set_int64_le t.header 0 (Int64.of_int (String.length body));
-  Bytes.set_int64_le t.header 8 (Int64.of_int (Crc32.string body));
-  output_bytes t.oc t.header;
-  output_string t.oc body;
-  let total = 16 + String.length body in
+  let w = t.scratch in
+  W.clear w;
+  (* the frame header is patched in once the body's length is known; the
+     CRC and the write read the body where it was encoded *)
+  W.int w 0;
+  W.int w 0;
+  encode_record_into w rec_;
+  let total = W.length w in
+  let len = total - 16 in
+  W.set_int w 0 len;
+  W.set_int w 8 (Crc32.sub (Bytes.unsafe_to_string (W.bytes w)) 16 len);
+  output t.oc (W.bytes w) 0 total;
+  W.shrink w ~keep:scratch_keep;
   t.bytes <- t.bytes + total;
   t.records <- t.records + 1;
   match t.sync with

@@ -17,21 +17,27 @@ let is_binary s =
   String.length s >= 3 && s.[0] = '\x00' && s.[1] = 'B' && s.[2] = 'X'
 
 (* ------------------------------------------------------------------ *)
-(* Encoder: per-domain scratch arena                                   *)
+(* Encoder: a streaming writer over a per-domain scratch arena           *)
 (* ------------------------------------------------------------------ *)
 
-(* The token stream is built in a growable [Bytes.t] rather than a
-   [Buffer.t] because element content lengths are backpatched: we
-   reserve 4 bytes at the element header, encode the children, then
-   write the length into the reservation. *)
-type enc = {
+(* The token stream is built in a growable [Bytes.t] because element
+   content lengths are backpatched: the element header reserves 4 bytes,
+   the children are written, then the length goes into the reservation.
+   [frames] holds three ints per open element: the offset of its
+   attribute count, the count, and the offset of its content-length
+   reservation, made once the declared attributes are written (until
+   then, minus the number still to come). *)
+type writer = {
   mutable tok : Bytes.t;
   mutable tlen : int;
-  out : Buffer.t;
   tbl : (Name.t, int) Hashtbl.t;  (* used past [scan_limit] names only *)
   mutable names : Name.t array;
   mutable elem_used : Bytes.t; (* one flag byte per interned name *)
   mutable ncount : int;
+  mutable frames : int array;
+  mutable depth : int;
+  pooled : bool;  (* the domain's arena, handed back by [finish] *)
+  mutable busy : bool;
 }
 
 let initial_tok = 1024
@@ -42,33 +48,50 @@ let no_name = Name.make ""
    [names]: no hashing, and nothing to reset between documents. *)
 let scan_limit = 16
 
-let make_enc () =
+let make_writer pooled =
   {
     tok = Bytes.create initial_tok;
     tlen = 0;
-    out = Buffer.create 256;
     tbl = Hashtbl.create 64;
     names = Array.make 16 no_name;
     elem_used = Bytes.make 16 '\x00';
     ncount = 0;
+    frames = Array.make 24 0;
+    depth = 0;
+    pooled;
+    busy = false;
   }
 
-let scratch_key = Domain.DLS.new_key make_enc
+let scratch_key = Domain.DLS.new_key (fun () -> make_writer true)
 
 let reset e =
   e.tlen <- 0;
-  Buffer.clear e.out;
+  e.depth <- 0;
   if e.ncount > 0 then begin
     if e.ncount > scan_limit then Hashtbl.reset e.tbl;
     Bytes.fill e.elem_used 0 e.ncount '\x00';
     e.ncount <- 0
   end
 
+(* The domain's arena, or a fresh one when it is taken: a payload written
+   while another is open (a [do enqueue] inside a template hole) gets its
+   own. *)
+let writer () =
+  let e = Domain.DLS.get scratch_key in
+  if e.busy then make_writer false
+  else begin
+    e.busy <- true;
+    reset e;
+    e
+  end
+
 (* Release oversized scratch after an unusually large message so one
    outlier doesn't pin memory for the domain's lifetime. *)
-let shrink e =
-  if Bytes.length e.tok > scratch_cap then e.tok <- Bytes.create initial_tok;
-  if Buffer.length e.out > scratch_cap then Buffer.reset e.out
+let release e =
+  if e.pooled then begin
+    e.busy <- false;
+    if Bytes.length e.tok > scratch_cap then e.tok <- Bytes.create initial_tok
+  end
 
 let ensure e n =
   if e.tlen + n > Bytes.length e.tok then begin
@@ -93,6 +116,10 @@ let rec put_varint e v =
     put_varint e (v lsr 7)
   end
 
+let varint_width v =
+  let rec go v n = if v < 0x80 then n else go (v lsr 7) (n + 1) in
+  go v 1
+
 let put_string e s =
   let n = String.length s in
   put_varint e n;
@@ -100,67 +127,148 @@ let put_string e s =
   Bytes.blit_string s 0 e.tok e.tlen n;
   e.tlen <- e.tlen + n
 
-let reserve_u32 e =
-  ensure e 4;
-  let at = e.tlen in
-  e.tlen <- e.tlen + 4;
-  at
-
-let patch_u32 e at v =
-  if v > 0xFFFFFFFF then fail "subtree too large for u32 content length";
-  Bytes.set_int32_le e.tok at (Int32.of_int v)
+(* Open a gap of [n] bytes at offset [at], moving the bytes after it. *)
+let insert_gap e at n =
+  ensure e n;
+  Bytes.blit e.tok at e.tok (at + n) (e.tlen - at);
+  e.tlen <- e.tlen + n
 
 (* The index of [name] among the first [n] names, or -1. Names are
    interned, so a physical match is the common hit; structural equality
    is the second pass. *)
+let rec scan_same names n name i =
+  if i = n then -1 else if names.(i) == name then i else scan_same names n name (i + 1)
+
+let rec scan_equal names n name i =
+  if i = n then -1
+  else if Name.equal names.(i) name then i
+  else scan_equal names n name (i + 1)
+
 let scan_names names n name =
-  let rec same i = if i = n then -1 else if names.(i) == name then i else same (i + 1) in
-  let rec equal i =
-    if i = n then -1 else if Name.equal names.(i) name then i else equal (i + 1)
-  in
-  let i = same 0 in
-  if i >= 0 then i else equal 0
+  let i = scan_same names n name 0 in
+  if i >= 0 then i else scan_equal names n name 0
 
 let find_name e name =
   if e.ncount <= scan_limit then scan_names e.names e.ncount name
   else match Hashtbl.find_opt e.tbl name with Some i -> i | None -> -1
 
-let name_id e ~elem name =
+let add_name e name =
+  let i = e.ncount in
+  if i = Array.length e.names then begin
+    let names = Array.make (2 * i) no_name in
+    Array.blit e.names 0 names 0 i;
+    e.names <- names;
+    let elem_used = Bytes.make (2 * i) '\x00' in
+    Bytes.blit e.elem_used 0 elem_used 0 i;
+    e.elem_used <- elem_used
+  end;
+  e.names.(i) <- name;
+  (* the table takes over once the scan would pass [scan_limit] *)
+  if i = scan_limit then
+    for j = 0 to i do Hashtbl.add e.tbl e.names.(j) j done
+  else if i > scan_limit then Hashtbl.add e.tbl name i;
+  e.ncount <- i + 1;
+  i
+
+let name_id e name =
   let found = find_name e name in
-  let idx =
-    if found >= 0 then found
-    else begin
-      let i = e.ncount in
-      if i = Array.length e.names then begin
-        let names = Array.make (2 * i) no_name in
-        Array.blit e.names 0 names 0 i;
-        e.names <- names;
-        let elem_used = Bytes.make (2 * i) '\x00' in
-        Bytes.blit e.elem_used 0 elem_used 0 i;
-        e.elem_used <- elem_used
-      end;
-      e.names.(i) <- name;
-      (* the table takes over once the scan would pass [scan_limit] *)
-      if i = scan_limit then
-        for j = 0 to i do Hashtbl.add e.tbl e.names.(j) j done
-      else if i > scan_limit then Hashtbl.add e.tbl name i;
-      e.ncount <- i + 1;
-      i
-    end
-  in
-  if elem then Bytes.set e.elem_used idx '\x01';
-  idx
+  if found >= 0 then found else add_name e name
+
+let seed e names =
+  for i = 0 to Array.length names - 1 do
+    ignore (add_name e names.(i))
+  done
 
 let tok_element = 0x01
 let tok_text = 0x02
 let tok_comment = 0x03
 let tok_pi = 0x04
 
-let rec encode_tree e t =
+(* Reserve the innermost open element's content length: once its
+   declared attributes are written. *)
+let reserve_content e =
+  let f = 3 * (e.depth - 1) in
+  ensure e 4;
+  e.frames.(f + 2) <- e.tlen;
+  e.tlen <- e.tlen + 4
+
+let start_element_id e id ~attrs =
+  Bytes.set e.elem_used id '\x01';
+  put_u8 e tok_element;
+  put_varint e id;
+  let f = 3 * e.depth in
+  if f + 3 > Array.length e.frames then begin
+    let frames = Array.make (2 * Array.length e.frames) 0 in
+    Array.blit e.frames 0 frames 0 f;
+    e.frames <- frames
+  end;
+  e.frames.(f) <- e.tlen;
+  e.frames.(f + 1) <- attrs;
+  e.depth <- e.depth + 1;
+  put_varint e attrs;
+  (* [frames.(f + 2)] counts down the declared attributes, then holds
+     the reservation's offset *)
+  if attrs = 0 then reserve_content e else e.frames.(f + 2) <- -attrs
+
+let attribute_id e id value =
+  put_varint e id;
+  put_string e value;
+  let f = 3 * (e.depth - 1) in
+  let left = e.frames.(f + 2) + 1 in
+  if left = 0 then reserve_content e else e.frames.(f + 2) <- left
+
+(* An attribute beyond the count [start_element_id] declared (a computed
+   attribute node in the content): spliced in at the end of the
+   attribute block, after any children already written, and the count
+   rewritten in place. *)
+let extra_attribute e name value =
+  let f = 3 * (e.depth - 1) in
+  let at_count = e.frames.(f) and count = e.frames.(f + 1) in
+  let reserved = e.frames.(f + 2) in
+  let start = e.tlen in
+  put_varint e (name_id e name);
+  put_string e value;
+  let n = e.tlen - start in
+  let bytes = Bytes.sub e.tok start n in
+  e.tlen <- start;
+  insert_gap e reserved n;
+  Bytes.blit bytes 0 e.tok reserved n;
+  let reserved = reserved + n in
+  let w0 = varint_width count and w1 = varint_width (count + 1) in
+  let reserved =
+    if w1 > w0 then begin
+      insert_gap e (at_count + w0) (w1 - w0);
+      reserved + (w1 - w0)
+    end
+    else reserved
+  in
+  e.frames.(f + 2) <- reserved;
+  let tlen = e.tlen in
+  e.tlen <- at_count;
+  put_varint e (count + 1);
+  e.tlen <- tlen;
+  e.frames.(f + 1) <- count + 1
+
+let patch_u32 e at v =
+  if v > 0xFFFFFFFF then fail "subtree too large for u32 content length";
+  for i = 0 to 3 do
+    Bytes.unsafe_set e.tok (at + i) (Char.unsafe_chr ((v lsr (8 * i)) land 0xff))
+  done
+
+let end_element e =
+  e.depth <- e.depth - 1;
+  let at = e.frames.((3 * e.depth) + 2) in
+  patch_u32 e at (e.tlen - at - 4)
+
+let text e s =
+  put_u8 e tok_text;
+  put_string e s
+
+(* A whole subtree needs no open-element frames: its attribute count is
+   known, and the reservation offset lives on the stack. *)
+let rec tree e t =
   match t with
-  | Tree.Text s ->
-    put_u8 e tok_text;
-    put_string e s
+  | Tree.Text s -> text e s
   | Tree.Comment s ->
     put_u8 e tok_comment;
     put_string e s
@@ -169,55 +277,90 @@ let rec encode_tree e t =
     put_string e target;
     put_string e data
   | Tree.Element { name; attrs; children } ->
+    let id = name_id e name in
+    Bytes.set e.elem_used id '\x01';
     put_u8 e tok_element;
-    put_varint e (name_id e ~elem:true name);
+    put_varint e id;
     put_varint e (List.length attrs);
-    List.iter
-      (fun { Tree.attr_name; attr_value } ->
-        put_varint e (name_id e ~elem:false attr_name);
-        put_string e attr_value)
-      attrs;
-    let at = reserve_u32 e in
-    let start = e.tlen in
-    List.iter (encode_tree e) children;
-    patch_u32 e at (e.tlen - start)
+    attributes e attrs;
+    ensure e 4;
+    let at = e.tlen in
+    e.tlen <- at + 4;
+    forest e children;
+    patch_u32 e at (e.tlen - at - 4)
 
-let buf_varint b v =
-  let rec go v =
-    if v < 0x80 then Buffer.add_char b (Char.unsafe_chr v)
-    else begin
-      Buffer.add_char b (Char.unsafe_chr (0x80 lor (v land 0x7f)));
-      go (v lsr 7)
-    end
-  in
-  go v
+and attributes e = function
+  | [] -> ()
+  | { Tree.attr_name; attr_value } :: rest ->
+    put_varint e (name_id e attr_name);
+    put_string e attr_value;
+    attributes e rest
 
-let encode t =
-  let e = Domain.DLS.get scratch_key in
-  reset e;
-  encode_tree e t;
-  Buffer.add_string e.out magic;
-  buf_varint e.out e.ncount;
+and forest e = function
+  | [] -> ()
+  | t :: rest ->
+    tree e t;
+    forest e rest
+
+let header_size e =
+  let size = ref (varint_width e.ncount) in
   for i = 0 to e.ncount - 1 do
     let n = e.names.(i) in
-    let local = Name.local n and uri = Name.uri n in
-    let flags =
-      (if Bytes.get e.elem_used i <> '\x00' then flag_element else 0)
-      lor if uri <> "" then flag_has_uri else 0
-    in
-    Buffer.add_char e.out (Char.unsafe_chr flags);
-    buf_varint e.out (String.length local);
-    Buffer.add_string e.out local;
-    if uri <> "" then begin
-      buf_varint e.out (String.length uri);
-      Buffer.add_string e.out uri
-    end
+    let local = String.length (Name.local n) and uri = String.length (Name.uri n) in
+    size := !size + 1 + varint_width local + local;
+    if uri > 0 then size := !size + varint_width uri + uri
   done;
-  buf_varint e.out e.tlen;
-  Buffer.add_subbytes e.out e.tok 0 e.tlen;
-  let s = Buffer.contents e.out in
-  shrink e;
-  s
+  !size
+
+(* Writers into the result of [finish], returning the next offset. *)
+let rec out_varint out pos v =
+  if v < 0x80 then begin
+    Bytes.unsafe_set out pos (Char.unsafe_chr v);
+    pos + 1
+  end
+  else begin
+    Bytes.unsafe_set out pos (Char.unsafe_chr (0x80 lor (v land 0x7f)));
+    out_varint out (pos + 1) (v lsr 7)
+  end
+
+let out_string out pos s =
+  let n = String.length s in
+  let pos = out_varint out pos n in
+  Bytes.blit_string s 0 out pos n;
+  pos + n
+
+(* The payload is laid out in one allocation: magic, name header, body
+   length, then the token stream copied from the arena. *)
+let finish e =
+  let blen = e.tlen in
+  let total = String.length magic + header_size e + varint_width blen + blen in
+  let out = Bytes.create total in
+  Bytes.blit_string magic 0 out 0 (String.length magic);
+  let pos = ref (out_varint out (String.length magic) e.ncount) in
+  for i = 0 to e.ncount - 1 do
+    let n = e.names.(i) in
+    let uri = Name.uri n in
+    Bytes.unsafe_set out !pos
+      (Char.unsafe_chr
+         ((if Bytes.get e.elem_used i <> '\x00' then flag_element else 0)
+         lor if uri <> "" then flag_has_uri else 0));
+    pos := out_string out (!pos + 1) (Name.local n);
+    if uri <> "" then pos := out_string out !pos uri
+  done;
+  let pos = out_varint out !pos blen in
+  Bytes.blit e.tok 0 out pos blen;
+  release e;
+  Bytes.unsafe_to_string out
+
+let abandon = release
+
+let encode t =
+  let e = writer () in
+  match tree e t with
+  | () -> finish e
+  | exception exn ->
+    abandon e;
+    raise exn
 
 (* ------------------------------------------------------------------ *)
 (* Decoder                                                             *)

@@ -31,9 +31,13 @@
     document, so {!is_binary} distinguishes the two stored formats and
     {!decode_any} transparently accepts legacy text payloads.
 
-    Encoding reuses a per-domain scratch arena (token buffer, name
-    table, output buffer), so steady-state encoding allocates only the
-    result string. *)
+    Every payload is written by one streaming {!writer}: {!encode} walks a
+    tree into it, and a rule's [do enqueue] constructor fills a template
+    into it directly, with no tree in between. The writer reuses a
+    per-domain scratch arena (token stream, name table, open-element
+    stack), so in steady state a payload costs the result string (sized
+    exactly, one allocation) plus whatever the caller allocates to
+    produce its text. *)
 
 exception Decode_error of string
 
@@ -45,8 +49,55 @@ val is_binary : string -> bool
     version). Textual XML payloads always answer [false]. *)
 
 val encode : Tree.tree -> string
-(** Encode a tree. The per-domain scratch arena is reused across calls;
-    only the returned string is freshly allocated. *)
+(** Encode a tree: {!tree} into a fresh {!writer}, then {!finish}. *)
+
+(** {1 Streaming writer}
+
+    Tokens go straight into the arena in document order. Names are
+    numbered in order of first use, so writing a tree's tokens in
+    pre-order gives the bytes of {!encode}. An element's content length
+    is backpatched when it ends. *)
+
+type writer
+
+val writer : unit -> writer
+(** The domain's scratch arena, emptied; a fresh arena if the domain's
+    is in use by an unfinished payload. Every writer must end in
+    {!finish} or {!abandon}. *)
+
+val seed : writer -> Name.t array -> unit
+(** Number the given distinct names [0 .. n-1], before any token is
+    written: a template's static names, so its tokens carry precomputed
+    indices ({!start_element_id}, {!attribute_id}). Names met later (in
+    {!extra_attribute} or {!tree}) are numbered after them. *)
+
+val start_element_id : writer -> int -> attrs:int -> unit
+(** Open an element named by its {!seed}ed index, whose next [attrs]
+    calls are its attributes; its content follows them. *)
+
+val attribute_id : writer -> int -> string -> unit
+(** An attribute named by its {!seed}ed index. *)
+
+val extra_attribute : writer -> Name.t -> string -> unit
+(** An attribute of the innermost open element beyond the [attrs] it
+    declared, possibly after some of its children: spliced into the
+    attribute block and counted there. *)
+
+val text : writer -> string -> unit
+(** One text token; adjacent calls give adjacent text tokens (callers
+    that want merged text concatenate first). *)
+
+val tree : writer -> Tree.tree -> unit
+(** The tokens of a whole subtree. *)
+
+val end_element : writer -> unit
+
+val finish : writer -> string
+(** The payload: magic, name header, token stream. Releases the arena. *)
+
+val abandon : writer -> unit
+(** Release the arena without producing a payload (the producer
+    failed). *)
 
 val decode : string -> Tree.tree
 (** Decode a binary payload. Names are resolved through {!Name.intern};

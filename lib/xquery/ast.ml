@@ -67,6 +67,10 @@ type expr =
   | Neg of expr
   | Range of expr * expr
   | Direct_elem of direct_element
+  | Template of template
+      (** a direct element constructor lowered to a bXML template
+          ({!lower_templates}): as a [do enqueue] payload it is written
+          as bytes with no tree; anywhere else it is its source *)
   | Computed_elem of expr * expr  (** element {name} {content} *)
   | Computed_attr of expr * expr  (** attribute {name} {value} *)
   | Computed_text of expr  (** text {content} *)
@@ -92,6 +96,7 @@ and clause =
 
 and direct_element = {
   tag : string;
+  dname : Demaq_xml.Name.t;  (** [tag]'s local part, interned once *)
   dattrs : (string * attr_piece list) list;
   dcontent : content_piece list;
 }
@@ -99,6 +104,66 @@ and direct_element = {
 and attr_piece = A_text of string | A_expr of expr
 
 and content_piece = C_text of string | C_expr of expr
+
+(* A payload constructor lowered for the bXML writer: every static name,
+   numbered in first-use pre-order (the order [Bxml.encode] numbers the
+   constructed tree's names in), and per element the static skeleton
+   with its holes. *)
+and template = {
+  t_source : direct_element;
+  t_names : Demaq_xml.Name.t array;
+  t_root : t_element;
+}
+
+and t_element = {
+  te_name : int;  (* index into [t_names] *)
+  te_attrs : (int * attr_piece list) list;
+  te_nattrs : int;
+  te_content : t_piece list;  (* adjacent static text merged *)
+}
+
+and t_piece =
+  | T_text of string
+  | T_hole of expr  (* a [{...}] enclosed expression *)
+  | T_element of t_element  (* a nested direct constructor *)
+
+(* The local part of a lexical QName: constructors drop the prefix. *)
+let local_name tag =
+  match String.index_opt tag ':' with
+  | Some i -> String.sub tag (i + 1) (String.length tag - i - 1)
+  | None -> tag
+
+let lower_template source =
+  let seen = ref [] and count = ref 0 in
+  let id name =
+    match List.find_opt (fun (n, _) -> Demaq_xml.Name.equal n name) !seen with
+    | Some (_, i) -> i
+    | None ->
+      let i = !count in
+      seen := (name, i) :: !seen;
+      incr count;
+      i
+  in
+  let rec element d =
+    let te_name = id d.dname in
+    let te_attrs =
+      List.map
+        (fun (name, pieces) -> (id (Demaq_xml.Name.intern (local_name name)), pieces))
+        d.dattrs
+    in
+    let rec content = function
+      | [] -> []
+      | C_text a :: C_text b :: rest -> content (C_text (a ^ b) :: rest)
+      | C_text s :: rest -> T_text s :: content rest
+      | C_expr (Direct_elem d') :: rest ->
+        let child = element d' in
+        T_element child :: content rest
+      | C_expr e :: rest -> T_hole e :: content rest
+    in
+    { te_name; te_attrs; te_nattrs = List.length te_attrs; te_content = content d.dcontent }
+  in
+  let t_root = element source in
+  { t_source = source; t_names = Array.of_list (List.rev_map fst !seen); t_root }
 
 (* Fold over all sub-expressions, used by the rewriter and the compiler's
    dependency analysis. *)
@@ -134,7 +199,7 @@ let rec fold_expr f acc e =
     in
     fold_expr f acc sat
   | Neg a -> fold_expr f acc a
-  | Direct_elem d ->
+  | Direct_elem d | Template { t_source = d; _ } ->
     let acc =
       List.fold_left
         (fun acc (_, pieces) ->
@@ -157,6 +222,15 @@ let rec fold_expr f acc e =
   | Bind (binds, body) ->
     let acc = List.fold_left (fun acc (_, e) -> fold_expr f acc e) acc binds in
     fold_expr f acc body
+
+let map_direct m d =
+  { d with
+    dattrs =
+      List.map
+        (fun (n, pieces) ->
+          (n, List.map (function A_text _ as t -> t | A_expr e -> A_expr (m e)) pieces))
+        d.dattrs;
+    dcontent = List.map (function C_text _ as t -> t | C_expr e -> C_expr (m e)) d.dcontent }
 
 (* Bottom-up rewriting. *)
 let rec map_expr f e =
@@ -183,21 +257,10 @@ let rec map_expr f e =
     | Binary (op, a, b) -> Binary (op, m a, m b)
     | Neg a -> Neg (m a)
     | Range (a, b) -> Range (m a, m b)
-    | Direct_elem d ->
-      Direct_elem
-        { d with
-          dattrs =
-            List.map
-              (fun (n, pieces) ->
-                ( n,
-                  List.map
-                    (function A_text _ as t -> t | A_expr e -> A_expr (m e))
-                    pieces ))
-              d.dattrs;
-          dcontent =
-            List.map
-              (function C_text _ as t -> t | C_expr e -> C_expr (m e))
-              d.dcontent }
+    | Direct_elem d -> Direct_elem (map_direct m d)
+    | Template t ->
+      (* the holes may change: lower the rewritten source again *)
+      Template (lower_template (map_direct m t.t_source))
     | Computed_elem (a, b) -> Computed_elem (m a, m b)
     | Computed_attr (a, b) -> Computed_attr (m a, m b)
     | Computed_text a -> Computed_text (m a)
@@ -238,5 +301,15 @@ let fuse_descendant_steps expr =
           ( Path (a, Axis_step (Descendant_or_self, Node_kind_test, [])),
             Axis_step (Child, test, []) ) ->
         Path (a, Axis_step (Descendant, test, []))
+      | e -> e)
+    expr
+
+(* Lower every [do enqueue <direct constructor>] payload to a template:
+   the last rewrite before a rule runs. *)
+let lower_templates expr =
+  map_expr
+    (function
+      | Enqueue { payload = Direct_elem d; queue; props } ->
+        Enqueue { payload = Template (lower_template d); queue; props }
       | e -> e)
     expr

@@ -1,5 +1,6 @@
 module Tree = Demaq_xml.Tree
 module Name = Demaq_xml.Name
+module Bxml = Demaq_xml.Bxml
 open Ast
 open Value
 open Context
@@ -33,6 +34,9 @@ let attribute_node name value =
 
 let is_attribute_node n =
   match Tree.focus n with Tree.Fattribute _ -> true | _ -> false
+
+let attribute_name n =
+  match Tree.node_name n with Some name -> name | None -> Name.make "attr"
 
 (* [instance of] item matching. xs:integer is derived from xs:decimal in
    the XDM type hierarchy, so integers match both. *)
@@ -191,10 +195,10 @@ let rec eval env expr : Value.t =
       if lo > hi then []
       else List.init (hi - lo + 1) (fun i -> Atom (Integer (lo + i)))
     | _ -> err "'to' over multi-item sequence")
-  | Direct_elem d -> [ Node (node_of_tree (construct env d)) ]
+  | Direct_elem d | Template { t_source = d; _ } -> [ Node (node_of_tree (construct env d)) ]
   | Computed_elem (name_expr, content_expr) ->
     let name = constructor_name env name_expr in
-    let attrs, children = content_items env (eval env content_expr) in
+    let attrs, children = content_items (eval env content_expr) in
     [ Node (node_of_tree (Tree.Element { name = Name.make name; attrs; children })) ]
   | Computed_attr (name_expr, value_expr) ->
     let name = constructor_name env name_expr in
@@ -225,7 +229,11 @@ let rec eval env expr : Value.t =
     if seq_matches v st then v
     else err "treat as: value does not match %s" (Pp.seq_type_name st)
   | Enqueue { payload; queue; props } ->
-    let tree = payload_tree env (eval env payload) in
+    let payload =
+      match payload with
+      | Template t -> fill env t
+      | e -> Bxml.encode (payload_tree env (eval env e))
+    in
     let props =
       List.map
         (fun (name, e) ->
@@ -235,7 +243,7 @@ let rec eval env expr : Value.t =
           | _ -> err "property %s: value expression returned multiple items" name)
         props
     in
-    emit env (Update.Enqueue { payload = tree; queue; props });
+    emit env (Update.Enqueue { payload; queue; props });
     []
   | Reset None ->
     emit env (Update.Reset { slicing = None; key = None });
@@ -407,82 +415,137 @@ and eval_binary env op a b =
 
 (* ---- direct element constructors ---- *)
 
+(* An attribute value: literal pieces and enclosed expressions, each
+   expression's atoms joined with single spaces. *)
+and attr_value env pieces =
+  match pieces with
+  | [ A_text s ] -> s
+  | _ ->
+    String.concat ""
+      (List.map (function A_text s -> s | A_expr e -> atoms_text env e) pieces)
+
+and atoms_text env e = String.concat " " (List.map string_of_atomic (atomize (eval env e)))
+
 and construct env d : Tree.tree =
   let attrs =
     List.map
       (fun (name, pieces) ->
-        let value =
-          String.concat ""
-            (List.map
-               (function
-                 | A_text s -> s
-                 | A_expr e ->
-                   String.concat " "
-                     (List.map string_of_atomic (atomize (eval env e))))
-               pieces)
-        in
-        { Tree.attr_name = Name.make (local_name name); attr_value = value })
+        { Tree.attr_name = Name.make (local_name name); attr_value = attr_value env pieces })
       d.dattrs
   in
-  let extra_attrs, children =
+  let extra_rev, kids_rev =
     List.fold_left
-      (fun (attrs_acc, kids_acc) piece ->
+      (fun acc piece ->
         match piece with
-        | C_text s -> (attrs_acc, kids_acc @ [ Tree.Text s ])
-        | C_expr e ->
-          let new_attrs, new_kids = content_items env (eval env e) in
-          (attrs_acc @ new_attrs, kids_acc @ new_kids))
+        | C_text s -> (fst acc, Tree.Text s :: snd acc)
+        | C_expr e -> content_rev (eval env e) acc)
       ([], []) d.dcontent
   in
-  (* Merge adjacent text nodes, as constructors must. *)
-  let rec merge = function
-    | Tree.Text a :: Tree.Text b :: rest -> merge (Tree.Text (a ^ b) :: rest)
-    | x :: rest -> x :: merge rest
-    | [] -> []
+  (* Un-reverse the children, merging adjacent text nodes as
+     constructors must. *)
+  let rec merge acc = function
+    | Tree.Text b :: rest -> (
+      match acc with
+      | Tree.Text a :: acc -> merge (Tree.Text (b ^ a) :: acc) rest
+      | _ -> merge (Tree.Text b :: acc) rest)
+    | x :: rest -> merge (x :: acc) rest
+    | [] -> acc
   in
   Tree.Element
     {
-      name = Name.make (local_name d.tag);
-      attrs = attrs @ extra_attrs;
-      children = merge children;
+      name = d.dname;
+      attrs = (match extra_rev with [] -> attrs | _ -> attrs @ List.rev extra_rev);
+      children = merge [] kids_rev;
     }
 
-and local_name tag =
-  match String.index_opt tag ':' with
-  | Some i -> String.sub tag (i + 1) (String.length tag - i - 1)
-  | None -> tag
+(* Content items, prepended to reversed (attributes, children) lists. Per
+   XQuery, node items are copied (attribute nodes become attributes of the
+   constructed element); consecutive atomic items are joined with single
+   spaces into one text node. *)
+and content_rev items (attrs, kids) =
+  match items with
+  | [] -> (attrs, kids)
+  | Node n :: rest when is_attribute_node n ->
+    content_rev rest
+      ({ Tree.attr_name = attribute_name n; attr_value = Tree.string_value n } :: attrs, kids)
+  | Node n :: rest -> content_rev rest (attrs, tree_of_node n :: kids)
+  | Atom a :: rest ->
+    let buf = Buffer.create 16 in
+    Buffer.add_string buf (string_of_atomic a);
+    let rec atoms = function
+      | Atom b :: rest ->
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf (string_of_atomic b);
+        atoms rest
+      | rest -> rest
+    in
+    let rest = atoms rest in
+    content_rev rest (attrs, Tree.Text (Buffer.contents buf) :: kids)
 
-and content_items env items : Tree.attribute list * Tree.tree list =
-  (* Per XQuery: node items are copied (attribute nodes become attributes
-     of the constructed element); consecutive atomic items are joined with
-     single spaces into one text node. *)
-  let rec go = function
-    | [] -> ([], [])
-    | Node n :: rest when is_attribute_node n ->
-      let name =
-        match Tree.node_name n with Some nm -> nm | None -> Name.make "attr"
-      in
-      let attrs, kids = go rest in
-      ({ Tree.attr_name = name; attr_value = Tree.string_value n } :: attrs, kids)
-    | Node n :: rest ->
-      let attrs, kids = go rest in
-      (attrs, tree_of_node n :: kids)
-    | Atom a :: rest ->
-      let buf = Buffer.create 16 in
-      Buffer.add_string buf (string_of_atomic a);
-      let rec atoms = function
-        | Atom b :: rest ->
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (string_of_atomic b);
-          atoms rest
-        | rest -> rest
-      in
-      let rest = atoms rest in
-      let attrs, kids = go rest in
-      (attrs, Tree.Text (Buffer.contents buf) :: kids)
-  in
-  ignore env;
-  go items
+and content_items items =
+  let attrs, kids = content_rev items ([], []) in
+  (List.rev attrs, List.rev kids)
+
+(* ---- template payloads: bXML written with no tree ---- *)
+
+(* The payload a lowered constructor denotes, written straight into the
+   bXML writer: the same evaluation order, attribute and text rules as
+   [construct], so the bytes decode to the tree [construct] builds (and
+   equal [Bxml.encode] of it when every hole yields atoms or nothing). *)
+and fill env t =
+  let w = Bxml.writer () in
+  match
+    Bxml.seed w t.t_names;
+    fill_element env w t.t_root
+  with
+  | () -> Bxml.finish w
+  | exception e ->
+    Bxml.abandon w;
+    raise e
+
+and fill_element env w te =
+  Bxml.start_element_id w te.te_name ~attrs:te.te_nattrs;
+  fill_attrs env w te.te_attrs;
+  fill_content env w [] te.te_content;
+  Bxml.end_element w
+
+and fill_attrs env w = function
+  | [] -> ()
+  | (id, pieces) :: rest ->
+    Bxml.attribute_id w id (attr_value env pieces);
+    fill_attrs env w rest
+
+(* [run] is the adjacent text not yet written, reversed: a non-text token
+   or the end of the element writes it as one text token. *)
+and fill_content env w run = function
+  | [] -> flush_text w run
+  | T_text s :: rest -> fill_content env w (s :: run) rest
+  | T_element child :: rest ->
+    flush_text w run;
+    fill_element env w child;
+    fill_content env w [] rest
+  | T_hole e :: rest -> fill_content env w (fill_items w run false (eval env e)) rest
+
+and flush_text w = function
+  | [] -> ()
+  | [ s ] -> Bxml.text w s
+  | run -> Bxml.text w (String.concat "" (List.rev run))
+
+and fill_items w run after_atom = function
+  | [] -> run
+  | Atom a :: rest ->
+    let run = if after_atom then " " :: run else run in
+    fill_items w (string_of_atomic a :: run) true rest
+  | Node n :: rest when is_attribute_node n ->
+    Bxml.extra_attribute w (attribute_name n) (Tree.string_value n);
+    fill_items w run false rest
+  | Node n :: rest -> (
+    match tree_of_node n with
+    | Tree.Text s -> fill_items w (s :: run) false rest
+    | t ->
+      flush_text w run;
+      Bxml.tree w t;
+      fill_items w [] false rest)
 
 (* Dynamic type errors from the value model surface as evaluation errors. *)
 let eval env expr =
@@ -494,7 +557,7 @@ let eval_with_updates env expr =
   (v, pending env)
 
 let run ?host ?(vars = []) ?context src =
-  let expr = Ast.fuse_descendant_steps (Parser.parse src) in
+  let expr = Ast.lower_templates (Ast.fuse_descendant_steps (Parser.parse src)) in
   let env = Context.make ?host () in
   let env =
     match context with

@@ -786,11 +786,12 @@ and parse_direct_element st =
     end
   in
   let dattrs = attrs [] in
+  let dname = Demaq_xml.Name.intern (Ast.local_name tag) in
   if cur st = '/' then begin
     st.pos <- st.pos + 1;
     if cur st <> '>' then fail st "expected '>' after '/'";
     st.pos <- st.pos + 1;
-    { tag; dattrs; dcontent = [] }
+    { tag; dname; dattrs; dcontent = [] }
   end
   else begin
     if cur st <> '>' then fail st "expected '>' in start tag";
@@ -802,7 +803,7 @@ and parse_direct_element st =
     skip_raw_space st;
     if cur st <> '>' then fail st "expected '>' in end tag";
     st.pos <- st.pos + 1;
-    { tag; dattrs; dcontent = strip_boundary_space dcontent }
+    { tag; dname; dattrs; dcontent = strip_boundary_space dcontent }
   end
 
 and skip_raw_space st =

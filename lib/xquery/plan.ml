@@ -42,10 +42,11 @@ type guarded = {
 }
 
 type t = {
-  p_bindings : (string * Ast.expr) list;
+  p_bindings : (string * Ast.expr) array;
       (* hoisted common subexpressions, in evaluation (dependency) order *)
   p_guarded : guarded list;  (* declaration order *)
   p_n_guards : int;  (* distinct guard ids *)
+  p_filtered : bool;  (* some rule has pre-filter requirements *)
 }
 
 type outcome =
@@ -53,13 +54,33 @@ type outcome =
   | Failed of string  (* dynamic error description, to route per §3.6 *)
 
 let rules t = t.p_guarded
-let bindings t = t.p_bindings
+let bindings t = Array.to_list t.p_bindings
+
+(* The last deploy step: [do enqueue] constructors in the rule bodies
+   become bXML templates ({!Ast.lower_templates}); guards and bindings
+   never update. *)
+let make ~bindings ~n_guards guarded =
+  let p_guarded =
+    List.map
+      (fun g ->
+        {
+          g with
+          g_then = Ast.lower_templates g.g_then;
+          g_else = Ast.lower_templates g.g_else;
+          g_fallback = Ast.lower_templates g.g_fallback;
+        })
+      guarded
+  in
+  {
+    p_bindings = Array.of_list bindings;
+    p_guarded;
+    p_n_guards = n_guards;
+    p_filtered = List.exists (fun g -> g.g_requirements <> []) p_guarded;
+  }
 
 let of_rules rules =
-  {
-    p_bindings = [];
-    p_guarded =
-      List.mapi
+  make ~bindings:[] ~n_guards:(List.length rules)
+    (List.mapi
         (fun i (g_name, g_error_queue, body) ->
           {
             g_name;
@@ -72,12 +93,10 @@ let of_rules rules =
             g_fallback = body;
             g_requirements = [];
           })
-        rules;
-    p_n_guards = List.length rules;
-  }
+        rules)
 
 let eval ~admitted ~before ~emit env t =
-  let binds = Array.of_list t.p_bindings in
+  let binds = t.p_bindings in
   (* each binding's state: 0 not yet evaluated, 1 bound into [shared],
      2 failed. A value is bound once per plan instance, not once per rule
      that needs it. Rules see bindings they do not reference, but the

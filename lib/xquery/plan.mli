@@ -33,11 +33,14 @@ type guarded = {
       (** condition pre-filter requirements; empty = always evaluate *)
 }
 
-type t = {
-  p_bindings : (string * Ast.expr) list;
+type t = private {
+  p_bindings : (string * Ast.expr) array;
       (** hoisted subexpressions in dependency order *)
   p_guarded : guarded list;  (** declaration order *)
   p_n_guards : int;
+  p_filtered : bool;
+      (** some rule has pre-filter requirements: the executor needs the
+          message's element names *)
 }
 
 type outcome =
@@ -46,6 +49,13 @@ type outcome =
 
 val rules : t -> guarded list
 val bindings : t -> (string * Ast.expr) list
+
+val make : bindings:(string * Ast.expr) list -> n_guards:int -> guarded list -> t
+(** A plan from the compiler's passes. Deploy's last rewrite happens
+    here: the rule bodies' [do enqueue] constructors are lowered to bXML
+    templates ({!Ast.lower_templates}), and the bindings array and
+    {!t.p_filtered} are computed once, for every message the plan runs
+    on. *)
 
 val of_rules : (string * string option * Ast.expr) list -> t
 (** Trivial plan from [(name, error_queue, body)] rules: no hoisting, no

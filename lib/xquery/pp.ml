@@ -111,7 +111,7 @@ let rec pp fmt e =
     Format.fprintf fmt "(%a %s %a)" pp a (binop_name op) pp b
   | Neg a -> Format.fprintf fmt "-%a" pp a
   | Range (a, b) -> Format.fprintf fmt "(%a to %a)" pp a pp b
-  | Direct_elem d -> pp_ctor fmt d
+  | Direct_elem d | Template { t_source = d; _ } -> pp_ctor fmt d
   | Computed_elem (name, content) ->
     Format.fprintf fmt "element {%a} {%a}" pp name pp content
   | Computed_attr (name, value) ->
@@ -141,7 +141,8 @@ and pp_path_base fmt = function
   | e -> pp fmt e
 
 and pp_primary fmt = function
-  | (Literal _ | Var _ | Context_item | Call _ | Sequence _ | Empty_seq | Direct_elem _) as e ->
+  | ( Literal _ | Var _ | Context_item | Call _ | Sequence _ | Empty_seq | Direct_elem _
+    | Template _ ) as e ->
     pp fmt e
   | e -> Format.fprintf fmt "(%a)" pp e
 

@@ -5,7 +5,7 @@
 
 type t =
   | Enqueue of {
-      payload : Demaq_xml.Tree.tree;
+      payload : string;  (* bXML bytes *)
       queue : string;
       props : (string * Value.atomic) list;
     }
@@ -13,7 +13,8 @@ type t =
 
 let pp fmt = function
   | Enqueue { payload; queue; props } ->
-    Format.fprintf fmt "enqueue %a into %s" Demaq_xml.Tree.pp_tree payload queue;
+    Format.fprintf fmt "enqueue %a into %s" Demaq_xml.Tree.pp_tree
+      (Demaq_xml.Bxml.decode payload) queue;
     List.iter
       (fun (k, v) ->
         Format.fprintf fmt " with %s value %s" k (Value.string_of_atomic v))

@@ -7,7 +7,10 @@
 
 type t =
   | Enqueue of {
-      payload : Demaq_xml.Tree.tree;  (** copied message body *)
+      payload : string;
+          (** the message body, encoded as bXML ({!Demaq_xml.Bxml}):
+              a constructor payload is written there directly, and the
+              queue layer stores these bytes as they are *)
       queue : string;  (** target queue name *)
       props : (string * Value.atomic) list;
           (** explicit properties from [with ... value ...] clauses *)

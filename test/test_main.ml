@@ -30,4 +30,5 @@ let () =
       ("sim", Test_sim.suite);
       ("inert", Test_inert.suite);
       ("rid-table", Test_rid_table.suite);
+      ("writer", Test_writer.suite);
     ]

@@ -244,7 +244,7 @@ let test_enqueue_update () =
   | [ Update.Enqueue { payload; queue; props } ] ->
     check string_ "queue" "q1" queue;
     check string_ "payload" "<m><requestID>r1</requestID></m>"
-      (Demaq.Xml.Serializer.to_string payload);
+      (Demaq.Xml.Serializer.to_string (Demaq.Xml.Bxml.decode payload));
     check int_ "props" 2 (List.length props);
     check string_ "prop k" "v" (Value.string_of_atomic (List.assoc "k" props));
     check string_ "prop n" "7" (Value.string_of_atomic (List.assoc "n" props))
@@ -282,9 +282,12 @@ let test_enqueue_payload_errors () =
 let test_enqueue_document_node () =
   (* enqueueing the context document node extracts its element *)
   match eval_updates "do enqueue (/) into q" with
-  | [ Update.Enqueue { payload = Tree.Element e; _ } ] ->
-    check string_ "root elem" "offerRequest" (Demaq.Xml.Name.local e.Tree.name)
-  | _ -> Alcotest.fail "expected element payload"
+  | [ Update.Enqueue { payload; _ } ] -> (
+    match Demaq.Xml.Bxml.decode payload with
+    | Tree.Element e ->
+      check string_ "root elem" "offerRequest" (Demaq.Xml.Name.local e.Tree.name)
+    | _ -> Alcotest.fail "expected element payload")
+  | _ -> Alcotest.fail "expected one enqueue"
 
 (* ---- syntax errors ---- *)
 
