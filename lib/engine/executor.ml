@@ -383,12 +383,12 @@ let register_interface t ~file text =
    (ingress, error messages) are born with a forced body and never count;
    a rule-created message carries only its bytes and counts when first
    read. *)
-let count_decode t (m : Message.t) =
+let count_decode t bytes =
   Metrics.incr t.met.m_trees_materialized;
-  Metrics.add t.met.m_decoded_bytes (String.length (Message.raw m))
+  Metrics.add t.met.m_decoded_bytes (String.length bytes)
 
 let force_body_unlocked t (m : Message.t) =
-  if not (Message.body_forced m) then count_decode t m;
+  if not (Message.body_forced m) then count_decode t (Message.raw m);
   Message.body m
 
 (* Rules see messages as document nodes (§3.4: qs:message() "returns the
@@ -667,7 +667,7 @@ and enqueue_internal t txn ?rule ?rule_error_queue ?(trigger = None) ?provenance
   | Ok (qdef, m) ->
     (* a schema check or a property expression read the bytes' tree *)
     (match payload with
-     | Qm.Bxml _ when Message.body_forced m -> count_decode t m
+     | Qm.Bxml { bytes; _ } when Message.body_forced m -> count_decode t bytes
      | _ -> ());
     admitted_unlocked t txn ?rule qdef m
   | Error e ->
@@ -681,7 +681,12 @@ and enqueue_internal t txn ?rule ?rule_error_queue ?(trigger = None) ?provenance
     raise_error t txn ~kind ~description:(Qm.error_to_string e) ?rule
       ?rule_error_queue ?provenance ~source_queue:origin_queue
       ~initial_message:
-        (match payload with Qm.Tree tree -> tree | Qm.Bxml bytes -> Demaq_xml.Bxml.decode bytes)
+        (match payload with
+         | Qm.Tree tree -> tree
+         | Qm.Bxml { bytes; tree } ->
+           (* decoded once: by the check that failed, or here *)
+           count_decode t bytes;
+           Lazy.force tree)
       ()
 
 (* What every admitted message goes through: flow edge, dispatch (or,
@@ -824,7 +829,7 @@ let apply_updates t txn blamed (m : Message.t) tagged =
       match update with
       | Update.Enqueue { payload; queue; props } ->
         enqueue_internal t txn ~rule:at.at_rule ?rule_error_queue:at.at_error_queue
-          ~trigger:(Some m) ~explicit:props ~queue ~payload:(Qm.Bxml payload)
+          ~trigger:(Some m) ~explicit:props ~queue ~payload:(Qm.bxml payload)
           ~origin_queue:m.Message.queue ()
       | Update.Reset { slicing; key } -> (
         let resolved =

@@ -94,14 +94,8 @@ let free_variables body =
     | Ast.Enqueue { payload; props; _ } ->
       List.fold_left (fun acc (_, e) -> go bound acc e) (go bound acc payload) props
     | Ast.Reset (Some (_, key)) -> go bound acc key
-    | Ast.Bind (binds, body) ->
-      let bound, acc =
-        List.fold_left
-          (fun (bound, acc) (v, e) -> (v :: bound, go bound acc e))
-          (bound, acc) binds
-      in
-      go bound acc body
-    | Ast.Reset None | Ast.Literal _ | Ast.Empty_seq | Ast.Context_item | Ast.Root ->
+    | Ast.Reset None | Ast.Literal _ | Ast.Empty_seq | Ast.Slot _ | Ast.Context_item
+    | Ast.Root ->
       acc
   in
   List.sort_uniq compare (go [] [] body)

@@ -25,8 +25,8 @@
       per-rule guard preserved inside the fused plan so §3.6 error
       attribution survives the merge;
    3. common-subexpression hoisting — pure, stable expressions occurring
-      in several rule bodies become plan-level bindings (an {!Ast.Bind}
-      when lowered back to an expression), evaluated once per message;
+      in several rule bodies become plan-level bindings, read as
+      {!Ast.Slot}s and evaluated once per message;
    4. guard sharing — structurally identical stable guards get one guard
       id, hence one evaluation per message;
    5. conflict footprints — the set of queues/slices each rule's
@@ -247,17 +247,17 @@ let rec scope_fold f acc e =
   | Ast.Enqueue { payload; props; _ } ->
     List.fold_left (fun acc (_, e) -> go acc e) (go acc payload) props
   | Ast.Reset (Some (_, key)) -> go acc key
-  | Ast.Reset None | Ast.Literal _ | Ast.Empty_seq | Ast.Var _
+  | Ast.Reset None | Ast.Literal _ | Ast.Empty_seq | Ast.Var _ | Ast.Slot _
   | Ast.Context_item | Ast.Root | Ast.Axis_step _ | Ast.Flwor _
-  | Ast.Quantified _ | Ast.Bind _ ->
+  | Ast.Quantified _ ->
     acc
 
-(* Replace every same-environment occurrence of [cand] with [Var name];
-   same descent discipline as {!scope_fold}. *)
-let rec scope_replace cand name e =
-  if e = cand then Ast.Var name
+(* Replace every same-environment occurrence of [cand] with plan binding
+   [k]; same descent discipline as {!scope_fold}. *)
+let rec scope_replace cand k e =
+  if e = cand then Ast.Slot k
   else
-    let r = scope_replace cand name in
+    let r = scope_replace cand k in
     match e with
     | Ast.If (c, t, el) -> Ast.If (r c, r t, r el)
     | Ast.Binary (op, a, b) -> Ast.Binary (op, r a, r b)
@@ -281,22 +281,10 @@ let rec scope_replace cand name e =
           queue;
           props = List.map (fun (n, e) -> (n, r e)) props }
     | Ast.Reset (Some (s, key)) -> Ast.Reset (Some (s, r key))
-    | Ast.Reset None | Ast.Literal _ | Ast.Empty_seq | Ast.Var _
+    | Ast.Reset None | Ast.Literal _ | Ast.Empty_seq | Ast.Var _ | Ast.Slot _
     | Ast.Context_item | Ast.Root | Ast.Axis_step _ | Ast.Flwor _
-    | Ast.Quantified _ | Ast.Bind _ ->
+    | Ast.Quantified _ ->
       e
-
-let binding_prefix = "__plan"
-
-let uses_reserved_vars e =
-  Ast.fold_expr
-    (fun acc e ->
-      acc
-      ||
-      match e with
-      | Ast.Var v -> String.length v >= 6 && String.sub v 0 6 = binding_prefix
-      | _ -> false)
-    false e
 
 (* ---- compilation ---- *)
 
@@ -379,94 +367,70 @@ let union_conflicts conflicts =
       }
 
 (* Pass 3: hoist common subexpressions across the rules of one plan.
-   Returns the bindings (dependency order) and each rule's rewritten
-   (guard, then, else). *)
+   Returns the bindings (dependency order; binding [k] is [Ast.Slot k])
+   and each rule's rewritten (guard, then, else). *)
 let hoist_common decomposed =
-  let skip =
-    List.exists
-      (fun (_, guard, then_, else_) ->
-        List.exists
-          (fun e -> match e with Some e -> uses_reserved_vars e | None -> false)
-          [ guard; Some then_; Some else_ ])
-      decomposed
+  (* candidate -> number of distinct rules it occurs in *)
+  let counts = Hashtbl.create 32 in
+  List.iter
+    (fun (_, guard, then_, else_) ->
+      let occs =
+        List.fold_left
+          (fun acc e ->
+            match e with
+            | None -> acc
+            | Some e -> scope_fold (fun acc e -> e :: acc) acc e)
+          []
+          [ guard; Some then_; Some else_ ]
+      in
+      List.iter
+        (fun e ->
+          Hashtbl.replace counts e (1 + Option.value ~default:0 (Hashtbl.find_opt counts e)))
+        (List.sort_uniq compare (List.filter hoist_candidate occs)))
+    decomposed;
+  let cands =
+    Hashtbl.fold (fun e n acc -> if n >= 2 then e :: acc else acc) counts []
   in
-  if skip then ([], decomposed)
-  else begin
-    (* candidate -> number of distinct rules it occurs in *)
-    let counts = Hashtbl.create 32 in
-    List.iter
-      (fun (_, guard, then_, else_) ->
-        let occs =
-          List.fold_left
-            (fun acc e ->
-              match e with
-              | None -> acc
-              | Some e -> scope_fold (fun acc e -> e :: acc) acc e)
-            []
-            [ guard; Some then_; Some else_ ]
-        in
-        List.iter
-          (fun e ->
-            Hashtbl.replace counts e (1 + Option.value ~default:0 (Hashtbl.find_opt counts e)))
-          (List.sort_uniq compare (List.filter hoist_candidate occs)))
-      decomposed;
-    let cands =
-      Hashtbl.fold (fun e n acc -> if n >= 2 then e :: acc else acc) counts []
-    in
-    (* dependency order: smaller expressions first (a larger candidate can
-       only reference a smaller one); replacement runs largest-first so
-       nested candidates survive inside the bindings of their hosts *)
-    let cands =
-      List.sort
-        (fun a b ->
-          match compare (expr_size a) (expr_size b) with
-          | 0 -> compare a b
-          | c -> c)
-        cands
-    in
-    let n = List.length cands in
-    let arr = Array.of_list cands in
-    let names = Array.init n (fun i -> Printf.sprintf "%s%d" binding_prefix i) in
-    let bind_exprs = Array.copy arr in
-    let rewritten = ref decomposed in
-    for j = n - 1 downto 0 do
-      let cand = arr.(j) and name = names.(j) in
-      rewritten :=
-        List.map
-          (fun (meta, guard, then_, else_) ->
-            ( meta,
-              Option.map (scope_replace cand name) guard,
-              scope_replace cand name then_,
-              scope_replace cand name else_ ))
-          !rewritten;
-      for i = 0 to n - 1 do
-        if i <> j then bind_exprs.(i) <- scope_replace cand name bind_exprs.(i)
-      done
-    done;
-    (List.map2 (fun name e -> (name, e)) (Array.to_list names) (Array.to_list bind_exprs),
-     !rewritten)
-  end
+  (* dependency order: smaller expressions first (a larger candidate can
+     only reference a smaller one); replacement runs largest-first so
+     nested candidates survive inside the bindings of their hosts *)
+  let cands =
+    List.sort
+      (fun a b ->
+        match compare (expr_size a) (expr_size b) with
+        | 0 -> compare a b
+        | c -> c)
+      cands
+  in
+  let cands = Array.of_list cands in
+  let n = Array.length cands in
+  let bind_exprs = Array.copy cands in
+  let rewritten = ref decomposed in
+  for j = n - 1 downto 0 do
+    let cand = cands.(j) in
+    rewritten :=
+      List.map
+        (fun (meta, guard, then_, else_) ->
+          ( meta,
+            Option.map (scope_replace cand j) guard,
+            scope_replace cand j then_,
+            scope_replace cand j else_ ))
+        !rewritten;
+    for i = 0 to n - 1 do
+      if i <> j then bind_exprs.(i) <- scope_replace cand j bind_exprs.(i)
+    done
+  done;
+  (Array.to_list bind_exprs, !rewritten)
 
 (* Indices of the bindings an expression references, transitively closed
    over the bindings' own references; ascending, so evaluation order is a
    valid dependency order. *)
 let binding_indices bindings exprs =
   let n = List.length bindings in
-  let name_index =
-    List.mapi (fun i (name, _) -> (name, i)) bindings
-  in
   let direct e =
-    Ast.fold_expr
-      (fun acc e ->
-        match e with
-        | Ast.Var v -> (
-          match List.assoc_opt v name_index with Some i -> i :: acc | None -> acc)
-        | _ -> acc)
-      [] e
+    Ast.fold_expr (fun acc e -> match e with Ast.Slot i -> i :: acc | _ -> acc) [] e
   in
-  let bind_refs =
-    Array.of_list (List.map (fun (_, e) -> direct e) bindings)
-  in
+  let bind_refs = Array.of_list (List.map direct bindings) in
   let needed = Array.make (max 1 n) false in
   let rec mark i =
     if not needed.(i) then begin
@@ -672,9 +636,11 @@ let explain t =
         (match List.length p.pruned with
          | 0 -> ""
          | n -> Printf.sprintf ", %d pruned" n);
-      Array.iter
-        (fun (name, expr) ->
-          pr "  binding $%s := %s\n" name (Demaq_xquery.Pp.to_string expr))
+      Array.iteri
+        (fun k expr ->
+          pr "  binding %s := %s\n"
+            (Demaq_xquery.Pp.to_string (Ast.Slot k))
+            (Demaq_xquery.Pp.to_string expr))
         p.exec.Demaq_xquery.Plan.p_bindings;
       List.iteri
         (fun i (g : Demaq_xquery.Plan.guarded) ->

@@ -284,7 +284,9 @@ let memberships_of t props =
           })
     t.slicings
 
-type payload = Tree of Tree.tree | Bxml of string
+type payload = Tree of Tree.tree | Bxml of { bytes : string; tree : Tree.tree Lazy.t }
+
+let bxml bytes = Bxml { bytes; tree = lazy (Demaq_xml.Bxml.decode bytes) }
 
 let admit t txn ?rule ?trigger ?(provenance = Message.no_provenance)
     ?(explicit = []) ~queue ~payload () =
@@ -296,7 +298,7 @@ let admit t txn ?rule ?trigger ?(provenance = Message.no_provenance)
     let body =
       match payload with
       | Tree tree -> Lazy.from_val tree
-      | Bxml bytes -> lazy (Demaq_xml.Bxml.decode bytes)
+      | Bxml { tree; _ } -> tree
     in
     match
       (match qdef.schema with
@@ -316,7 +318,7 @@ let admit t txn ?rule ?trigger ?(provenance = Message.no_provenance)
         let serialized =
           match payload with
           | Tree tree -> Demaq_xml.Bxml.encode tree
-          | Bxml bytes -> bytes
+          | Bxml { bytes; _ } -> bytes
         in
         let extra = Message.encode_extra ~provenance ~props ~memberships () in
         let enqueued_at =

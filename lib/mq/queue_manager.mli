@@ -77,9 +77,15 @@ val enqueue :
 (** A message body as admission receives it. *)
 type payload =
   | Tree of Tree.tree  (** parsed or built; encoded at admission *)
-  | Bxml of string
+  | Bxml of { bytes : string; tree : Tree.tree Lazy.t }
       (** already encoded (a rule's [do enqueue]): stored as it is, and
-          decoded only when something reads the tree *)
+          decoded only when something reads the tree. [tree] becomes the
+          message's body; the caller keeps it too, so a tree a rejecting
+          schema check decoded is not decoded again for the error
+          message. *)
+
+val bxml : string -> payload
+(** The bytes with a lazy decode. *)
 
 val admit :
   t ->

@@ -1,19 +1,6 @@
 (* Binary record (de)serialization helpers used by the WAL and snapshots.
    Integers are fixed 8-byte little-endian; strings are length-prefixed. *)
 
-(* Encoding into a [Buffer.t]: one [add_int64_le] per integer. *)
-let put_int buf i = Buffer.add_int64_le buf (Int64.of_int i)
-
-let put_string buf s =
-  put_int buf (String.length s);
-  Buffer.add_string buf s
-
-let put_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
-
-let put_list buf put items =
-  put_int buf (List.length items);
-  List.iter (put buf) items
-
 (* The growable byte writer the WAL, the extra blob and snapshots encode
    into: each field makes one capacity check and writes in place, and
    the bytes can be read ([bytes]) without a copy. *)

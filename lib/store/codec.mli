@@ -4,17 +4,11 @@
     lists are count-prefixed. Decoding is bounds-checked and raises
     {!Decode_error} on truncation, never reads out of range. *)
 
-val put_int : Buffer.t -> int -> unit
-(** Appends the 8 bytes of [Bytes.set_int64_le (Int64.of_int i)]. *)
-
-val put_string : Buffer.t -> string -> unit
-val put_bool : Buffer.t -> bool -> unit
-val put_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
-
-(** A growable byte writer with the same encoding as the [put_]
-    functions. Each field is one capacity check and an in-place write,
-    and {!bytes} exposes the written bytes without a copy: the WAL
-    checksums and writes a record straight from it. *)
+(** The growable byte writer every record is encoded with. Each field
+    is one capacity check and an in-place write ({!Writer.int} writes the
+    8 bytes of [Bytes.set_int64_le (Int64.of_int i)]), and {!bytes}
+    exposes the written bytes without a copy: the WAL checksums and
+    writes a record straight from it. *)
 module Writer : sig
   type t
 

@@ -249,11 +249,13 @@ let extra_attribute e name value =
   e.tlen <- tlen;
   e.frames.(f + 1) <- count + 1
 
-let patch_u32 e at v =
+let set_u32 b at v =
   if v > 0xFFFFFFFF then fail "subtree too large for u32 content length";
   for i = 0 to 3 do
-    Bytes.unsafe_set e.tok (at + i) (Char.unsafe_chr ((v lsr (8 * i)) land 0xff))
+    Bytes.unsafe_set b (at + i) (Char.unsafe_chr ((v lsr (8 * i)) land 0xff))
   done
+
+let patch_u32 e at v = set_u32 e.tok at v
 
 let end_element e =
   e.depth <- e.depth - 1;
@@ -302,11 +304,10 @@ and forest e = function
     tree e t;
     forest e rest
 
-let header_size e =
-  let size = ref (varint_width e.ncount) in
-  for i = 0 to e.ncount - 1 do
-    let n = e.names.(i) in
-    let local = String.length (Name.local n) and uri = String.length (Name.uri n) in
+let header_size names n =
+  let size = ref (varint_width n) in
+  for i = 0 to n - 1 do
+    let local = String.length (Name.local names.(i)) and uri = String.length (Name.uri names.(i)) in
     size := !size + 1 + varint_width local + local;
     if uri > 0 then size := !size + varint_width uri + uri
   done;
@@ -329,25 +330,29 @@ let out_string out pos s =
   Bytes.blit_string s 0 out pos n;
   pos + n
 
+(* Magic and name table for the first [n] of [names], [elem_used] holding
+   each one's element flag: [header_size names n] bytes from offset 0. *)
+let out_header out names n elem_used =
+  Bytes.blit_string magic 0 out 0 (String.length magic);
+  let pos = ref (out_varint out (String.length magic) n) in
+  for i = 0 to n - 1 do
+    let uri = Name.uri names.(i) in
+    Bytes.unsafe_set out !pos
+      (Char.unsafe_chr
+         ((if Bytes.get elem_used i <> '\x00' then flag_element else 0)
+         lor if uri <> "" then flag_has_uri else 0));
+    pos := out_string out (!pos + 1) (Name.local names.(i));
+    if uri <> "" then pos := out_string out !pos uri
+  done;
+  !pos
+
 (* The payload is laid out in one allocation: magic, name header, body
    length, then the token stream copied from the arena. *)
 let finish e =
   let blen = e.tlen in
-  let total = String.length magic + header_size e + varint_width blen + blen in
-  let out = Bytes.create total in
-  Bytes.blit_string magic 0 out 0 (String.length magic);
-  let pos = ref (out_varint out (String.length magic) e.ncount) in
-  for i = 0 to e.ncount - 1 do
-    let n = e.names.(i) in
-    let uri = Name.uri n in
-    Bytes.unsafe_set out !pos
-      (Char.unsafe_chr
-         ((if Bytes.get e.elem_used i <> '\x00' then flag_element else 0)
-         lor if uri <> "" then flag_has_uri else 0));
-    pos := out_string out (!pos + 1) (Name.local n);
-    if uri <> "" then pos := out_string out !pos uri
-  done;
-  let pos = out_varint out !pos blen in
+  let hlen = String.length magic + header_size e.names e.ncount in
+  let out = Bytes.create (hlen + varint_width blen + blen) in
+  let pos = out_varint out (out_header out e.names e.ncount e.elem_used) blen in
   Bytes.blit e.tok 0 out pos blen;
   release e;
   Bytes.unsafe_to_string out
@@ -361,6 +366,176 @@ let encode t =
   | exception exn ->
     abandon e;
     raise exn
+
+(* ------------------------------------------------------------------ *)
+(* Byte programs: payloads whose shape is known before their text       *)
+(* ------------------------------------------------------------------ *)
+
+module Program = struct
+  type op =
+    | Static of string  (* token bytes written verbatim *)
+    | Attr_gap of int  (* an attribute value: varint length, bytes *)
+    | Text_gap of int  (* a text token, or nothing for [no_text] *)
+    | Content of op array  (* an element's content, behind its u32 length *)
+
+  type t = {
+    header : string;
+    ops : op array;
+    static_size : int;  (* the body's bytes outside the gaps *)
+    text_gaps : bool array;  (* per gap: a text token, else an attribute value *)
+  }
+
+  type builder = {
+    pending : writer;  (* static bytes not yet in an op, in [tok] *)
+    mutable ops : op list;  (* the innermost open content, reversed *)
+    mutable parents : op list list;
+    mutable left : int;  (* attributes the open element still declares *)
+    mutable elements : int list;  (* name indices used as element names *)
+    mutable gaps : (int * bool) list;  (* gap index, text gap *)
+  }
+
+  let no_text = String.make 1 '\x00'
+
+  let builder () =
+    { pending = make_writer false; ops = []; parents = []; left = 0; elements = []; gaps = [] }
+
+  let flush b =
+    if b.pending.tlen > 0 then begin
+      b.ops <- Static (Bytes.sub_string b.pending.tok 0 b.pending.tlen) :: b.ops;
+      b.pending.tlen <- 0
+    end
+
+  let push b op =
+    flush b;
+    b.ops <- op :: b.ops
+
+  let open_content b =
+    flush b;
+    b.parents <- b.ops :: b.parents;
+    b.ops <- []
+
+  let start_element b id ~attrs =
+    b.elements <- id :: b.elements;
+    put_u8 b.pending tok_element;
+    put_varint b.pending id;
+    put_varint b.pending attrs;
+    if attrs = 0 then open_content b else b.left <- attrs
+
+  let attribute_done b =
+    b.left <- b.left - 1;
+    if b.left = 0 then open_content b
+
+  let attribute b id value =
+    put_varint b.pending id;
+    put_string b.pending value;
+    attribute_done b
+
+  let attribute_gap b id g =
+    put_varint b.pending id;
+    push b (Attr_gap g);
+    b.gaps <- (g, false) :: b.gaps;
+    attribute_done b
+
+  let text b s =
+    put_u8 b.pending tok_text;
+    put_string b.pending s
+
+  let text_gap b g =
+    push b (Text_gap g);
+    b.gaps <- (g, true) :: b.gaps
+
+  let end_element b =
+    flush b;
+    match b.parents with
+    | parent :: rest ->
+      b.ops <- Content (Array.of_list (List.rev b.ops)) :: parent;
+      b.parents <- rest
+    | [] -> invalid_arg "Bxml.Program.end_element: no open element"
+
+  let build b names =
+    flush b;
+    if b.parents <> [] then invalid_arg "Bxml.Program.build: an element is open";
+    let n = Array.length names in
+    let used = Bytes.make n '\x00' in
+    List.iter (fun id -> Bytes.set used id '\x01') b.elements;
+    let out = Bytes.create (String.length magic + header_size names n) in
+    ignore (out_header out names n used);
+    let rec static_size ops =
+      Array.fold_left
+        (fun size op ->
+          size
+          +
+          match op with
+          | Static s -> String.length s
+          | Attr_gap _ | Text_gap _ -> 0
+          | Content c -> 4 + static_size c)
+        0 ops
+    in
+    let ops = Array.of_list (List.rev b.ops) in
+    let text_gaps = Array.make (List.fold_left (fun n (g, _) -> max n (g + 1)) 0 b.gaps) false in
+    List.iter (fun (g, text) -> text_gaps.(g) <- text) b.gaps;
+    { header = Bytes.unsafe_to_string out; ops; static_size = static_size ops; text_gaps }
+
+  let gaps (p : t) = Array.length p.text_gaps
+
+  let field_size s =
+    let n = String.length s in
+    varint_width n + n
+
+  (* Short strings are copied a byte at a time: cheaper than a call to
+     [memmove] for the few bytes of a tag or a field. *)
+  let copy s out pos =
+    let n = String.length s in
+    if n > 16 then Bytes.blit_string s 0 out pos n
+    else
+      for i = 0 to n - 1 do
+        Bytes.unsafe_set out (pos + i) (String.unsafe_get s i)
+      done;
+    pos + n
+
+  let body_size p gaps =
+    let size = ref p.static_size in
+    for g = 0 to Array.length p.text_gaps - 1 do
+      let s = Array.unsafe_get gaps g in
+      if not (Array.unsafe_get p.text_gaps g) then size := !size + field_size s
+      else if s != no_text then size := !size + 1 + field_size s
+    done;
+    !size
+
+  let rec out_ops out pos ops gaps =
+    let pos = ref pos in
+    for i = 0 to Array.length ops - 1 do
+      pos :=
+        match Array.unsafe_get ops i with
+        | Static s -> copy s out !pos
+        | Attr_gap g ->
+          let s = Array.unsafe_get gaps g in
+          copy s out (out_varint out !pos (String.length s))
+        | Text_gap g ->
+          let s = Array.unsafe_get gaps g in
+          if s == no_text then !pos
+          else begin
+            Bytes.unsafe_set out !pos (Char.unsafe_chr tok_text);
+            copy s out (out_varint out (!pos + 1) (String.length s))
+          end
+        | Content c ->
+          let at = !pos in
+          let next = out_ops out (at + 4) c gaps in
+          set_u32 out at (next - at - 4);
+          next
+    done;
+    !pos
+
+  let render (p : t) gaps =
+    if Array.length gaps < Array.length p.text_gaps then
+      invalid_arg "Bxml.Program.render: missing gaps";
+    let blen = body_size p gaps in
+    let hlen = String.length p.header in
+    let out = Bytes.create (hlen + varint_width blen + blen) in
+    Bytes.blit_string p.header 0 out 0 hlen;
+    ignore (out_ops out (out_varint out hlen blen) p.ops gaps);
+    Bytes.unsafe_to_string out
+end
 
 (* ------------------------------------------------------------------ *)
 (* Decoder                                                             *)

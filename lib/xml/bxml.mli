@@ -31,13 +31,14 @@
     document, so {!is_binary} distinguishes the two stored formats and
     {!decode_any} transparently accepts legacy text payloads.
 
-    Every payload is written by one streaming {!writer}: {!encode} walks a
-    tree into it, and a rule's [do enqueue] constructor fills a template
-    into it directly, with no tree in between. The writer reuses a
-    per-domain scratch arena (token stream, name table, open-element
-    stack), so in steady state a payload costs the result string (sized
-    exactly, one allocation) plus whatever the caller allocates to
-    produce its text. *)
+    Payloads are written with no tree in between: {!encode} walks a tree
+    into the streaming {!writer}, and a rule's [do enqueue] constructor
+    renders its precompiled {!Program}, or, when a hole yields nodes,
+    replays its template into the writer. The writer reuses a per-domain
+    scratch arena (token stream, name table, open-element stack), so in
+    steady state a payload costs the result string (sized exactly, one
+    allocation) plus whatever the caller allocates to produce its
+    text. *)
 
 exception Decode_error of string
 
@@ -98,6 +99,59 @@ val finish : writer -> string
 val abandon : writer -> unit
 (** Release the arena without producing a payload (the producer
     failed). *)
+
+(** {1 Byte programs}
+
+    A payload whose structure is fixed before its text is known (a
+    [do enqueue] constructor), compiled once: the magic and name table,
+    and per element the static tokens, with indexed gaps where a value
+    goes. {!Program.render} sizes the payload exactly from the gap values
+    and writes it with one allocation, blits and content-length patches.
+    The bytes are those the {!writer} gives for the same calls with the
+    values in place. *)
+module Program : sig
+  type t
+  type builder
+
+  val builder : unit -> builder
+
+  val start_element : builder -> int -> attrs:int -> unit
+  (** As {!start_element_id}: an element named by its index in the name
+      array given to {!build}, whose next [attrs] calls are its
+      attributes. *)
+
+  val attribute : builder -> int -> string -> unit
+  (** A static attribute. *)
+
+  val attribute_gap : builder -> int -> int -> unit
+  (** [attribute_gap b id g]: an attribute whose value is gap [g]. *)
+
+  val text : builder -> string -> unit
+  (** A static text token. *)
+
+  val text_gap : builder -> int -> unit
+  (** A text token whose content is gap [g], or no token when that gap
+      holds {!no_text}. *)
+
+  val end_element : builder -> unit
+
+  val build : builder -> Name.t array -> t
+  (** The program for the element written, its names numbered as in the
+      array, which must hold every index used. Element flags come from the
+      names {!start_element} used. *)
+
+  val gaps : t -> int
+  (** One more than the largest gap index. *)
+
+  val no_text : string
+  (** The gap value that writes no text token: compared physically, so
+      no other string, even one of the same bytes, is taken for it. *)
+
+  val render : t -> string array -> string
+  (** The payload with gap [g] holding [values.(g)].
+      @raise Invalid_argument when [values] has fewer than {!gaps}
+      entries. *)
+end
 
 val decode : string -> Tree.tree
 (** Decode a binary payload. Names are resolved through {!Name.intern};

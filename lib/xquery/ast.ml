@@ -52,6 +52,10 @@ type expr =
   | Literal of Value.atomic
   | Empty_seq
   | Var of string
+  | Slot of int
+      (** plan binding [k], read from the environment's slot array: the
+          rule compiler puts these where it hoisted a common
+          subexpression, and {!Plan.eval} fills the slots *)
   | Context_item
   | Root  (** the document node of the context item's tree (leading [/]) *)
   | Sequence of expr list
@@ -69,8 +73,10 @@ type expr =
   | Direct_elem of direct_element
   | Template of template
       (** a direct element constructor lowered to a bXML template
-          ({!lower_templates}): as a [do enqueue] payload it is written
-          as bytes with no tree; anywhere else it is its source *)
+          ({!lower_templates}), with its byte program compiled: as a
+          [do enqueue] payload its holes fill the program's gaps and the
+          payload is written with no tree; anywhere else it is its
+          source *)
   | Computed_elem of expr * expr  (** element {name} {content} *)
   | Computed_attr of expr * expr  (** attribute {name} {value} *)
   | Computed_text of expr  (** text {content} *)
@@ -81,11 +87,6 @@ type expr =
           error otherwise *)
   | Enqueue of { payload : expr; queue : string; props : (string * expr) list }
   | Reset of (string * expr) option  (** slicing name and key, if explicit *)
-  | Bind of (string * expr) list * expr
-      (** compiler-introduced plan-level let: sequential bindings (each may
-          reference the previous), no tuple stream and no focus change —
-          unlike a FLWOR [let] clause. Never produced by the parser; the
-          rule compiler hoists common subexpressions into these. *)
 
 and clause =
   | For of (string * string option * expr) list
@@ -105,27 +106,41 @@ and attr_piece = A_text of string | A_expr of expr
 
 and content_piece = C_text of string | C_expr of expr
 
-(* A payload constructor lowered for the bXML writer: every static name,
-   numbered in first-use pre-order (the order [Bxml.encode] numbers the
-   constructed tree's names in), and per element the static skeleton
-   with its holes. *)
+(* A payload constructor compiled for the bXML encoder. Its static
+   names are numbered in first-use pre-order (the order [Bxml.encode]
+   numbers the constructed tree's names in), and [t_program] holds its
+   bytes with a gap per dynamic attribute value and per text run that
+   has a hole. Filling it evaluates the holes in constructor order into
+   [t_items] item slots and the gap values; when every hole yields text,
+   the program renders the payload, and otherwise [t_root] replays it
+   through the streaming writer. *)
 and template = {
   t_source : direct_element;
   t_names : Demaq_xml.Name.t array;
   t_root : t_element;
+  t_items : int;  (* content holes, numbered in constructor order *)
+  t_program : Demaq_xml.Bxml.Program.t;
 }
 
 and t_element = {
   te_name : int;  (* index into [t_names] *)
-  te_attrs : (int * attr_piece list) list;
+  te_attrs : (int * t_attr) list;
   te_nattrs : int;
-  te_content : t_piece list;  (* adjacent static text merged *)
+  te_content : t_piece list;
 }
 
+and t_attr =
+  | Ta_static of string
+  | Ta_gap of int * attr_piece list  (* gap index; pieces with a hole *)
+
 and t_piece =
-  | T_text of string
-  | T_hole of expr  (* a [{...}] enclosed expression *)
+  | T_text of string  (* static text with no hole beside it *)
+  | T_run of int * t_part list
+      (* gap index: adjacent static text and holes, which write one text
+         token *)
   | T_element of t_element  (* a nested direct constructor *)
+
+and t_part = P_text of string | P_hole of int * expr  (* item slot *)
 
 (* The local part of a lexical QName: constructors drop the prefix. *)
 let local_name tag =
@@ -134,6 +149,7 @@ let local_name tag =
   | None -> tag
 
 let lower_template source =
+  let module P = Demaq_xml.Bxml.Program in
   let seen = ref [] and count = ref 0 in
   let id name =
     match List.find_opt (fun (n, _) -> Demaq_xml.Name.equal n name) !seen with
@@ -144,26 +160,69 @@ let lower_template source =
       incr count;
       i
   in
+  let b = P.builder () and gaps = ref 0 and items = ref 0 in
+  let next r =
+    let i = !r in
+    incr r;
+    i
+  in
   let rec element d =
     let te_name = id d.dname in
+    P.start_element b te_name ~attrs:(List.length d.dattrs);
     let te_attrs =
       List.map
-        (fun (name, pieces) -> (id (Demaq_xml.Name.intern (local_name name)), pieces))
+        (fun (name, pieces) ->
+          let aid = id (Demaq_xml.Name.intern (local_name name)) in
+          if List.for_all (function A_text _ -> true | A_expr _ -> false) pieces then begin
+            let s = String.concat "" (List.map (function A_text s -> s | A_expr _ -> "") pieces) in
+            P.attribute b aid s;
+            (aid, Ta_static s)
+          end
+          else begin
+            let g = next gaps in
+            P.attribute_gap b aid g;
+            (aid, Ta_gap (g, pieces))
+          end)
         d.dattrs
     in
-    let rec content = function
-      | [] -> []
-      | C_text a :: C_text b :: rest -> content (C_text (a ^ b) :: rest)
-      | C_text s :: rest -> T_text s :: content rest
-      | C_expr (Direct_elem d') :: rest ->
-        let child = element d' in
-        T_element child :: content rest
-      | C_expr e :: rest -> T_hole e :: content rest
-    in
-    { te_name; te_attrs; te_nattrs = List.length te_attrs; te_content = content d.dcontent }
+    let te_content = content d.dcontent in
+    P.end_element b;
+    { te_name; te_attrs; te_nattrs = List.length te_attrs; te_content }
+  (* Adjacent text and holes form one run; a nested constructor ends it. *)
+  and content = function
+    | [] -> []
+    | C_expr (Direct_elem d) :: rest ->
+      let child = element d in
+      T_element child :: content rest
+    | pieces ->
+      let rec run acc = function
+        | C_text s :: rest -> run (P_text s :: acc) rest
+        | C_expr e :: rest when (match e with Direct_elem _ -> false | _ -> true) ->
+          run (P_hole (next items, e) :: acc) rest
+        | rest -> (List.rev acc, rest)
+      in
+      let parts, rest = run [] pieces in
+      let piece =
+        if List.for_all (function P_text _ -> true | P_hole _ -> false) parts then begin
+          let s = String.concat "" (List.map (function P_text s -> s | P_hole _ -> "") parts) in
+          P.text b s;
+          T_text s
+        end
+        else begin
+          let g = next gaps in
+          P.text_gap b g;
+          T_run (g, parts)
+        end
+      in
+      piece :: content rest
   in
   let t_root = element source in
-  { t_source = source; t_names = Array.of_list (List.rev_map fst !seen); t_root }
+  let t_names = Array.of_list (List.rev_map fst !seen) in
+  { t_source = source;
+    t_names;
+    t_root;
+    t_items = !items;
+    t_program = P.build b t_names }
 
 (* Fold over all sub-expressions, used by the rewriter and the compiler's
    dependency analysis. *)
@@ -171,7 +230,7 @@ let rec fold_expr f acc e =
   let acc = f acc e in
   let fold_list = List.fold_left (fold_expr f) in
   match e with
-  | Literal _ | Empty_seq | Var _ | Context_item | Root -> acc
+  | Literal _ | Empty_seq | Var _ | Slot _ | Context_item | Root -> acc
   | Sequence es -> fold_list acc es
   | Path (a, b) | Binary (_, a, b) | Range (a, b) -> fold_expr f (fold_expr f acc a) b
   | Axis_step (_, _, preds) -> fold_list acc preds
@@ -219,9 +278,6 @@ let rec fold_expr f acc e =
     List.fold_left (fun acc (_, e) -> fold_expr f acc e) (fold_expr f acc payload) props
   | Reset None -> acc
   | Reset (Some (_, key)) -> fold_expr f acc key
-  | Bind (binds, body) ->
-    let acc = List.fold_left (fun acc (_, e) -> fold_expr f acc e) acc binds in
-    fold_expr f acc body
 
 let map_direct m d =
   { d with
@@ -237,7 +293,7 @@ let rec map_expr f e =
   let m = map_expr f in
   let e' =
     match e with
-    | Literal _ | Empty_seq | Var _ | Context_item | Root -> e
+    | Literal _ | Empty_seq | Var _ | Slot _ | Context_item | Root -> e
     | Sequence es -> Sequence (List.map m es)
     | Path (a, b) -> Path (m a, m b)
     | Axis_step (ax, t, preds) -> Axis_step (ax, t, List.map m preds)
@@ -274,8 +330,6 @@ let rec map_expr f e =
           props = List.map (fun (n, e) -> (n, m e)) props }
     | Reset None -> Reset None
     | Reset (Some (s, key)) -> Reset (Some (s, m key))
-    | Bind (binds, body) ->
-      Bind (List.map (fun (v, e) -> (v, m e)) binds, m body)
   in
   f e'
 

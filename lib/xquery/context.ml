@@ -39,12 +39,13 @@ type env = {
   pos : int;  (* fn:position() *)
   size : int;  (* fn:last() *)
   vars : Value.t Smap.t;
+  slots : Value.t array;  (* plan bindings, by index *)
   host : host;
   updates : Update.t list ref;  (* pending update accumulator *)
 }
 
 let make ?(host = null_host) ?item () =
-  { item; pos = 1; size = 1; vars = Smap.empty; host; updates = ref [] }
+  { item; pos = 1; size = 1; vars = Smap.empty; slots = [||]; host; updates = ref [] }
 
 let with_item env item pos size = { env with item = Some item; pos; size }
 let bind env name value = { env with vars = Smap.add name value env.vars }

@@ -34,6 +34,10 @@ type env = {
   pos : int;  (** [fn:position()] *)
   size : int;  (** [fn:last()] *)
   vars : Value.t Map.Make(String).t;
+  slots : Value.t array;
+      (** plan bindings by index, read by {!Ast.Slot}: filled by
+          {!Plan.eval} for the rules of one plan instance, empty
+          elsewhere *)
   host : host;
   updates : Update.t list ref;  (** pending update accumulator *)
 }

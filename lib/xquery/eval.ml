@@ -132,11 +132,105 @@ let forward_step = function
   | Axis_step ((Child | Descendant | Descendant_or_self | Self | Attribute), _, _) -> true
   | _ -> false
 
+(* ---- template payloads: the parts that evaluate nothing ---- *)
+
+(* An item a text run takes as text: an atom or a text node. *)
+let textual_item = function
+  | Atom _ -> true
+  | Node n -> (
+    (not (is_attribute_node n)) && match tree_of_node n with Tree.Text _ -> true | _ -> false)
+
+(* The strings a hole's textual items add to a run, prepended to [acc]:
+   atoms joined by single spaces within the hole. *)
+let rec hole_strings acc after_atom = function
+  | [] -> acc
+  | Atom a :: rest ->
+    let acc = if after_atom then " " :: acc else acc in
+    hole_strings (string_of_atomic a :: acc) true rest
+  | Node n :: rest -> (
+    match tree_of_node n with
+    | Tree.Text s -> hole_strings (s :: acc) false rest
+    | _ -> invalid_arg "hole_strings: not a text item")
+
+(* A text run's gap: its one token's content, or no token when no static
+   text and no item is in it (an empty-string atom still makes one). *)
+let run_text items parts =
+  let rec go acc = function
+    | [] -> acc
+    | P_text s :: rest -> go (s :: acc) rest
+    | P_hole (k, _) :: rest -> go (hole_strings acc false items.(k)) rest
+  in
+  match go [] parts with
+  | [] -> Bxml.Program.no_text
+  | [ s ] -> s
+  | rev -> String.concat "" (List.rev rev)
+
+let flush_text w = function
+  | [] -> ()
+  | [ s ] -> Bxml.text w s
+  | run -> Bxml.text w (String.concat "" (List.rev run))
+
+(* [run] is the adjacent text not yet written, reversed: a non-text token
+   or the end of the run writes it as one text token. *)
+let rec write_items w run after_atom = function
+  | [] -> run
+  | Atom a :: rest ->
+    let run = if after_atom then " " :: run else run in
+    write_items w (string_of_atomic a :: run) true rest
+  | Node n :: rest when is_attribute_node n ->
+    Bxml.extra_attribute w (attribute_name n) (Tree.string_value n);
+    write_items w run false rest
+  | Node n :: rest -> (
+    match tree_of_node n with
+    | Tree.Text s -> write_items w (s :: run) false rest
+    | t ->
+      flush_text w run;
+      Bxml.tree w t;
+      write_items w [] false rest)
+
+(* The template through the streaming writer, its holes already filled:
+   the path for a hole that yields element, attribute or comment nodes,
+   whose names and tokens only the writer encodes. *)
+let write_template t gaps items =
+  let rec element w te =
+    Bxml.start_element_id w te.te_name ~attrs:te.te_nattrs;
+    List.iter
+      (fun (id, a) ->
+        Bxml.attribute_id w id (match a with Ta_static s -> s | Ta_gap (g, _) -> gaps.(g)))
+      te.te_attrs;
+    List.iter
+      (function
+        | T_text s -> Bxml.text w s
+        | T_element child -> element w child
+        | T_run (_, parts) ->
+          flush_text w
+            (List.fold_left
+               (fun run p ->
+                 match p with
+                 | P_text s -> s :: run
+                 | P_hole (k, _) -> write_items w run false items.(k))
+               [] parts))
+      te.te_content;
+    Bxml.end_element w
+  in
+  let w = Bxml.writer () in
+  match
+    Bxml.seed w t.t_names;
+    element w t.t_root
+  with
+  | () -> Bxml.finish w
+  | exception e ->
+    Bxml.abandon w;
+    raise e
+
 let rec eval env expr : Value.t =
   match expr with
   | Literal a -> [ Atom a ]
   | Empty_seq -> []
   | Var v -> lookup env v
+  | Slot k ->
+    if k < Array.length env.slots then Array.unsafe_get env.slots k
+    else err "plan binding %d is not bound" k
   | Context_item -> [ context_item env ]
   | Root ->
     let n = context_node env in
@@ -256,11 +350,6 @@ let rec eval env expr : Value.t =
     in
     emit env (Update.Reset { slicing = Some slicing; key = Some key });
     []
-  | Bind (binds, body) ->
-    let env =
-      List.fold_left (fun env (v, e) -> bind env v (eval env e)) env binds
-    in
-    eval env body
 
 and constructor_name env name_expr =
   match atomize (eval env name_expr) with
@@ -488,64 +577,51 @@ and content_items items =
 
 (* ---- template payloads: bXML written with no tree ---- *)
 
-(* The payload a lowered constructor denotes, written straight into the
-   bXML writer: the same evaluation order, attribute and text rules as
-   [construct], so the bytes decode to the tree [construct] builds (and
-   equal [Bxml.encode] of it when every hole yields atoms or nothing). *)
+(* The payload a lowered constructor denotes, with the same evaluation
+   order, attribute and text rules as [construct], so the bytes decode to
+   the tree [construct] builds (and equal [Bxml.encode] of it when every
+   hole yields atoms or nothing). The holes are evaluated first, in
+   constructor order; if each yields text, the template's byte program
+   writes the payload from the gap values, and otherwise the streaming
+   writer replays the template with the items the holes yielded. *)
 and fill env t =
-  let w = Bxml.writer () in
-  match
-    Bxml.seed w t.t_names;
-    fill_element env w t.t_root
-  with
-  | () -> Bxml.finish w
-  | exception e ->
-    Bxml.abandon w;
-    raise e
+  let gaps =
+    match Bxml.Program.gaps t.t_program with 0 -> [||] | n -> Array.make n ""
+  in
+  let items = if t.t_items = 0 then [||] else Array.make t.t_items [] in
+  if fill_element env gaps items true t.t_root then Bxml.Program.render t.t_program gaps
+  else write_template t gaps items
 
-and fill_element env w te =
-  Bxml.start_element_id w te.te_name ~attrs:te.te_nattrs;
-  fill_attrs env w te.te_attrs;
-  fill_content env w [] te.te_content;
-  Bxml.end_element w
+(* [textual]: every hole so far yields only atoms and text, so the gaps of
+   text runs are filled too. *)
+and fill_element env gaps items textual te =
+  fill_attrs env gaps te.te_attrs;
+  fill_content env gaps items textual te.te_content
 
-and fill_attrs env w = function
+and fill_attrs env gaps = function
   | [] -> ()
-  | (id, pieces) :: rest ->
-    Bxml.attribute_id w id (attr_value env pieces);
-    fill_attrs env w rest
+  | (_, Ta_static _) :: rest -> fill_attrs env gaps rest
+  | (_, Ta_gap (g, pieces)) :: rest ->
+    gaps.(g) <- attr_value env pieces;
+    fill_attrs env gaps rest
 
-(* [run] is the adjacent text not yet written, reversed: a non-text token
-   or the end of the element writes it as one text token. *)
-and fill_content env w run = function
-  | [] -> flush_text w run
-  | T_text s :: rest -> fill_content env w (s :: run) rest
+and fill_content env gaps items textual = function
+  | [] -> textual
+  | T_text _ :: rest -> fill_content env gaps items textual rest
   | T_element child :: rest ->
-    flush_text w run;
-    fill_element env w child;
-    fill_content env w [] rest
-  | T_hole e :: rest -> fill_content env w (fill_items w run false (eval env e)) rest
+    fill_content env gaps items (fill_element env gaps items textual child) rest
+  | T_run (g, parts) :: rest ->
+    let textual = fill_holes env items textual parts in
+    if textual then gaps.(g) <- run_text items parts;
+    fill_content env gaps items textual rest
 
-and flush_text w = function
-  | [] -> ()
-  | [ s ] -> Bxml.text w s
-  | run -> Bxml.text w (String.concat "" (List.rev run))
-
-and fill_items w run after_atom = function
-  | [] -> run
-  | Atom a :: rest ->
-    let run = if after_atom then " " :: run else run in
-    fill_items w (string_of_atomic a :: run) true rest
-  | Node n :: rest when is_attribute_node n ->
-    Bxml.extra_attribute w (attribute_name n) (Tree.string_value n);
-    fill_items w run false rest
-  | Node n :: rest -> (
-    match tree_of_node n with
-    | Tree.Text s -> fill_items w (s :: run) false rest
-    | t ->
-      flush_text w run;
-      Bxml.tree w t;
-      fill_items w [] false rest)
+and fill_holes env items textual = function
+  | [] -> textual
+  | P_text _ :: rest -> fill_holes env items textual rest
+  | P_hole (k, e) :: rest ->
+    let v = eval env e in
+    items.(k) <- v;
+    fill_holes env items (textual && List.for_all textual_item v) rest
 
 (* Dynamic type errors from the value model surface as evaluation errors. *)
 let eval env expr =

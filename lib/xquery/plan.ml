@@ -42,8 +42,9 @@ type guarded = {
 }
 
 type t = {
-  p_bindings : (string * Ast.expr) array;
-      (* hoisted common subexpressions, in evaluation (dependency) order *)
+  p_bindings : Ast.expr array;
+      (* hoisted common subexpressions, in evaluation (dependency) order;
+         binding [k] is read as [Ast.Slot k] *)
   p_guarded : guarded list;  (* declaration order *)
   p_n_guards : int;  (* distinct guard ids *)
   p_filtered : bool;  (* some rule has pre-filter requirements *)
@@ -57,8 +58,8 @@ let rules t = t.p_guarded
 let bindings t = Array.to_list t.p_bindings
 
 (* The last deploy step: [do enqueue] constructors in the rule bodies
-   become bXML templates ({!Ast.lower_templates}); guards and bindings
-   never update. *)
+   become bXML templates, each compiled once here to its byte program
+   ({!Ast.lower_templates}); guards and bindings never update. *)
 let make ~bindings ~n_guards guarded =
   let p_guarded =
     List.map
@@ -97,23 +98,22 @@ let of_rules rules =
 
 let eval ~admitted ~before ~emit env t =
   let binds = t.p_bindings in
-  (* each binding's state: 0 not yet evaluated, 1 bound into [shared],
-     2 failed. A value is bound once per plan instance, not once per rule
-     that needs it. Rules see bindings they do not reference, but the
-     compiler hoists nothing from a plan whose rules name a variable of
-     the reserved prefix, so no rule can observe them. *)
-  let b_state = Array.make (Array.length binds) 0 in
-  let shared = ref env in
+  let n = Array.length binds in
+  (* each binding's state: 0 not yet evaluated, 1 in its slot, 2 failed.
+     A value is bound once per plan instance, not once per rule that
+     needs it. Rules only name slots, so a rule's own variables never
+     meet them. *)
+  let b_state = Array.make n 0 in
+  let env = if n = 0 then env else { env with Context.slots = Array.make n [] } in
   let g_memo = Array.make (max 1 t.p_n_guards) None in
-  (* Evaluate binding [i] (memoized) in [shared], which already holds
-     every binding it references: [g_bindings] is ascending and
+  (* Evaluate binding [i] (memoized) into its slot; every binding it
+     references is already there: [g_bindings] is ascending and
      transitively closed, so they were forced first. *)
   let bound i =
     if b_state.(i) = 0 then begin
-      let name, expr = binds.(i) in
-      match Eval.eval !shared expr with
+      match Eval.eval env binds.(i) with
       | v ->
-        shared := Context.bind !shared name v;
+        env.Context.slots.(i) <- v;
         b_state.(i) <- 1
       | exception Context.Eval_error _ -> b_state.(i) <- 2
     end;
@@ -134,7 +134,6 @@ let eval ~admitted ~before ~emit env t =
              with the description) per-rule evaluation would produce it *)
           run_body g env g.g_fallback
         else begin
-          let env = !shared in
           let branch =
             match g.g_guard with
             | None -> Ok g.g_then

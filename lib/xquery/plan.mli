@@ -34,8 +34,9 @@ type guarded = {
 }
 
 type t = private {
-  p_bindings : (string * Ast.expr) array;
-      (** hoisted subexpressions in dependency order *)
+  p_bindings : Ast.expr array;
+      (** hoisted subexpressions in dependency order; binding [k] is read
+          as [Ast.Slot k] *)
   p_guarded : guarded list;  (** declaration order *)
   p_n_guards : int;
   p_filtered : bool;
@@ -48,14 +49,14 @@ type outcome =
   | Failed of string  (** dynamic error to route per §3.6 *)
 
 val rules : t -> guarded list
-val bindings : t -> (string * Ast.expr) list
+val bindings : t -> Ast.expr list
 
-val make : bindings:(string * Ast.expr) list -> n_guards:int -> guarded list -> t
+val make : bindings:Ast.expr list -> n_guards:int -> guarded list -> t
 (** A plan from the compiler's passes. Deploy's last rewrite happens
     here: the rule bodies' [do enqueue] constructors are lowered to bXML
-    templates ({!Ast.lower_templates}), and the bindings array and
-    {!t.p_filtered} are computed once, for every message the plan runs
-    on. *)
+    templates, each with its byte program ({!Ast.lower_templates}), and
+    the bindings array and {!t.p_filtered} are computed once, for every
+    message the plan runs on. *)
 
 val of_rules : (string * string option * Ast.expr) list -> t
 (** Trivial plan from [(name, error_queue, body)] rules: no hoisting, no
@@ -74,4 +75,7 @@ val eval :
     are not evaluated and not reported); [before]
     fires at each admitted rule's turn (metrics, blame tracking); [emit]
     delivers that rule's outcome inline, so the caller can route errors
-    between rules exactly as per-rule interpretation would. *)
+    between rules exactly as per-rule interpretation would. The
+    bindings are evaluated into a slot array carried in the rules'
+    {!Context.env} ({!Context.env.slots}), each the first time a rule
+    that needs it runs. *)

@@ -71,6 +71,7 @@ let rec pp fmt e =
   | Literal a -> Format.pp_print_string fmt (Value.string_of_atomic a)
   | Empty_seq -> Format.pp_print_string fmt "()"
   | Var v -> Format.fprintf fmt "$%s" v
+  | Slot k -> Format.fprintf fmt "$__plan%d" k
   | Context_item -> Format.pp_print_string fmt "."
   | Root -> Format.pp_print_string fmt "/"
   | Sequence es ->
@@ -130,18 +131,13 @@ let rec pp fmt e =
     List.iter (fun (n, e) -> Format.fprintf fmt " with %s value %a" n pp e) props
   | Reset None -> Format.pp_print_string fmt "do reset"
   | Reset (Some (s, k)) -> Format.fprintf fmt "do reset slicing %s key %a" s pp k
-  | Bind (binds, body) ->
-    (* prints as FLWOR surface syntax; Bind is compiler-introduced and
-       semantically a chain of sequential lets *)
-    List.iter (fun (v, e) -> Format.fprintf fmt "let $%s := %a " v pp e) binds;
-    Format.fprintf fmt "return %a" pp body
 
 and pp_path_base fmt = function
   | Root -> () (* a leading "/" is printed by the Path case *)
   | e -> pp fmt e
 
 and pp_primary fmt = function
-  | ( Literal _ | Var _ | Context_item | Call _ | Sequence _ | Empty_seq | Direct_elem _
+  | ( Literal _ | Var _ | Slot _ | Context_item | Call _ | Sequence _ | Empty_seq | Direct_elem _
     | Template _ ) as e ->
     pp fmt e
   | e -> Format.fprintf fmt "(%a)" pp e

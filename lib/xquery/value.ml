@@ -32,12 +32,28 @@ let atomic_type_name = function
   | T_decimal -> "xs:decimal"
   | T_boolean -> "xs:boolean"
 
+(* [string_of_int], without its printf machinery: an integer hole of a
+   [do enqueue] template is formatted once per message. Digits are taken
+   from the non-positive value, as [-min_int] overflows. *)
+let rec digits_width n w = if n > -10 then w else digits_width (n / 10) (w + 1)
+
+let rec put_digits b n pos =
+  Bytes.unsafe_set b pos (Char.unsafe_chr (48 - (n mod 10)));
+  if n <= -10 then put_digits b (n / 10) (pos - 1)
+
+let decimal_string i =
+  let n = if i < 0 then i else -i in
+  let b = Bytes.create ((if i < 0 then 1 else 0) + digits_width n 1) in
+  put_digits b n (Bytes.length b - 1);
+  if i < 0 then Bytes.unsafe_set b 0 '-';
+  Bytes.unsafe_to_string b
+
 let string_of_atomic = function
   | Boolean b -> if b then "true" else "false"
-  | Integer i -> string_of_int i
+  | Integer i -> decimal_string i
   | Decimal f ->
     if Float.is_integer f && Float.abs f < 1e15 then
-      string_of_int (int_of_float f)
+      decimal_string (int_of_float f)
     else Printf.sprintf "%.12g" f
   | String s | Untyped s -> s
 

@@ -375,6 +375,31 @@ let test_state_reading_guard_not_shared () =
     (observe ~reference:false shared_state_guard_program [ 0 ]
     = observe ~reference:true shared_state_guard_program [ 0 ])
 
+(* A rule binds a variable named like a plan binding. Plan bindings are
+   slots, not names, so the plan is still hoisted, and the rule's own
+   variable keeps its value. *)
+let own_plan_name_program =
+  {|create queue q kind basic mode persistent
+create queue o1 kind basic mode persistent
+create queue o2 kind basic mode persistent
+create queue errs kind basic mode persistent
+create rule mine for q if (//a) then do enqueue <r0>{count(//a) + count(//b)}{for $__plan0 in //a return concat("x", string($__plan0))}{let $__plan1 := 7 return $__plan1}</r0> into o1
+create rule other for q if (//a) then do enqueue <r1>{count(//a) + count(//b)}</r1> into o2
+|}
+
+let test_own_plan_name_hoisted () =
+  let c = compile own_plan_name_program in
+  let exec = (Option.get (Compiler.plan_for c "q")).Compiler.exec in
+  check bool_ "bindings hoisted" true (Plan_ir.bindings exec <> []);
+  check bool_ "explain lists them" true (contains (Compiler.explain c) "binding $__plan0 :=");
+  check bool_ "plan = per-rule interpreter" true
+    (plan_matches_oracle own_plan_name_program [ 0; 1; 2; 3; 4 ]);
+  let queues, _ = observe ~reference:false own_plan_name_program [ 2 ] in
+  check bool_ "the rule's own variables" true (List.nth queues 1 = [ "<r0>2x17</r0>" ]);
+  check bool_ "engine: compiled = reference" true
+    (observe ~reference:false own_plan_name_program [ 0; 1; 2; 3; 4 ]
+    = observe ~reference:true own_plan_name_program [ 0; 1; 2; 3; 4 ])
+
 (* ---- footprint-driven dispatch: pinned end-to-end regression ---- *)
 
 let fanout_program =
@@ -426,5 +451,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_merged_equivalent;
     QCheck_alcotest.to_alcotest prop_plan_matches_interpreter;
     ("state-reading guards are not shared", `Quick, test_state_reading_guard_not_shared);
+    ("a rule's own $__plan variable does not block hoisting", `Quick, test_own_plan_name_hoisted);
     ("footprint dispatch end to end", `Quick, test_footprint_dispatch_end_to_end);
   ]

@@ -47,12 +47,12 @@ let test_crc32 () =
 (* ---- codec ---- *)
 
 let test_codec_roundtrip () =
-  let buf = Buffer.create 64 in
-  Codec.put_int buf (-42);
-  Codec.put_string buf "hello \x00 world";
-  Codec.put_bool buf true;
-  Codec.put_list buf Codec.put_int [ 1; 2; 3 ];
-  let r = Codec.reader (Buffer.contents buf) in
+  let w = Codec.Writer.create 64 in
+  Codec.Writer.int w (-42);
+  Codec.Writer.string w "hello \x00 world";
+  Codec.Writer.bool w true;
+  Codec.Writer.list w Codec.Writer.int [ 1; 2; 3 ];
+  let r = Codec.reader (Codec.Writer.contents w) in
   check int_ "int" (-42) (Codec.get_int r);
   check string_ "string with NUL" "hello \x00 world" (Codec.get_string r);
   check bool_ "bool" true (Codec.get_bool r);
@@ -482,26 +482,27 @@ let test_legacy_snapshot_upgrade () =
      message, and its first compaction commits a slot and removes the
      legacy file. *)
   let dir = fresh_dir () in
-  let buf = Buffer.create 256 in
-  Codec.put_int buf 3 (* next rid *);
-  Codec.put_list buf
-    (fun buf (rid, payload, processed) ->
-      Codec.put_int buf rid;
-      Codec.put_string buf "q";
-      Codec.put_bool buf false (* inline *);
-      Codec.put_string buf payload;
-      Codec.put_string buf "";
-      Codec.put_int buf 1;
-      Codec.put_bool buf processed)
+  let w = Codec.Writer.create 256 in
+  Codec.Writer.int w 3 (* next rid *);
+  Codec.Writer.list w
+    (fun w (rid, payload, processed) ->
+      Codec.Writer.int w rid;
+      Codec.Writer.string w "q";
+      Codec.Writer.bool w false (* inline *);
+      Codec.Writer.string w payload;
+      Codec.Writer.string w "";
+      Codec.Writer.int w 1;
+      Codec.Writer.bool w processed)
     [ (1, "<old n='1'/>", true); (2, "<old n='2'/>", false) ];
-  Codec.put_list buf
-    (fun buf (slicing, key, lifetime) ->
-      Codec.put_string buf slicing;
-      Codec.put_string buf key;
-      Codec.put_int buf lifetime)
+  Codec.Writer.list w
+    (fun w (slicing, key, lifetime) ->
+      Codec.Writer.string w slicing;
+      Codec.Writer.string w key;
+      Codec.Writer.int w lifetime)
     [ ("s", "k", 4) ];
   let legacy = Filename.concat dir "snapshot.bin" in
-  Out_channel.with_open_bin legacy (fun oc -> Buffer.output_buffer oc buf);
+  Out_channel.with_open_bin legacy (fun oc ->
+      Out_channel.output_string oc (Codec.Writer.contents w));
   let wal = Wal.open_log (Filename.concat dir "wal.log") in
   Wal.append wal
     (Wal.Commit
@@ -830,7 +831,7 @@ let test_crc32_sub_check_value () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
-(* [put_int] must write the bytes the Int64 path wrote, or logs and
+(* [Writer.int] must write the bytes the Int64 path wrote, or logs and
    snapshots from before it stopped allocating would not replay. *)
 let int64_bytes i =
   let b = Bytes.create 8 in
@@ -838,9 +839,9 @@ let int64_bytes i =
   Bytes.to_string b
 
 let put_int_bytes i =
-  let buf = Buffer.create 8 in
-  Codec.put_int buf i;
-  Buffer.contents buf
+  let w = Codec.Writer.create 8 in
+  Codec.Writer.int w i;
+  Codec.Writer.contents w
 
 let test_put_int_edges () =
   List.iter
@@ -854,10 +855,10 @@ let prop_put_int_layout =
       put_int_bytes i = int64_bytes i)
 
 let test_codec_bounded_reader () =
-  let buf = Buffer.create 32 in
-  Codec.put_int buf 7;
-  Codec.put_string buf "abcdef";
-  let s = "xx" ^ Buffer.contents buf in
+  let w = Codec.Writer.create 32 in
+  Codec.Writer.int w 7;
+  Codec.Writer.string w "abcdef";
+  let s = "xx" ^ Codec.Writer.contents w in
   let r = Codec.reader ~pos:2 ~len:8 s in
   check int_ "int within bound" 7 (Codec.get_int r);
   check bool_ "at end of the window" true (Codec.at_end r);
@@ -873,11 +874,10 @@ let test_codec_bounded_reader () =
    length covers the rest of the body plus the whole next record exactly,
    so a reader bounded only by the file would decode it "successfully". *)
 let frame body =
-  let b = Buffer.create (16 + String.length body) in
-  Codec.put_int b (String.length body);
-  Codec.put_int b (Crc32.string body);
-  Buffer.add_string b body;
-  Buffer.contents b
+  let w = Codec.Writer.create (16 + String.length body) in
+  Codec.Writer.int w (String.length body);
+  Codec.Writer.int w (Crc32.string body);
+  Codec.Writer.contents w ^ body
 
 let commit_body txn ops =
   let dir = fresh_dir () in
@@ -892,16 +892,15 @@ let test_replay_bounded_to_record () =
   let good = frame (commit_body 1 [ Wal.Mark_processed { rid = 1 } ]) in
   let next = frame (commit_body 3 [ Wal.Mark_processed { rid = 3 } ]) in
   let lying =
-    let b = Buffer.create 64 in
-    Buffer.add_char b 'C';
-    Codec.put_int b 2;
-    Codec.put_int b 1;
-    Buffer.add_char b 'D';
-    Codec.put_int b 2;
+    let w = Codec.Writer.create 64 in
+    Codec.Writer.char w 'C';
+    Codec.Writer.int w 2;
+    Codec.Writer.int w 1;
+    Codec.Writer.char w 'D';
+    Codec.Writer.int w 2;
     (* image length: the 4 bytes below plus all of [next] *)
-    Codec.put_int b (4 + String.length next);
-    Buffer.add_string b "abcd";
-    frame (Buffer.contents b)
+    Codec.Writer.int w (4 + String.length next);
+    frame (Codec.Writer.contents w ^ "abcd")
   in
   let dir = fresh_dir () in
   let path = Filename.concat dir "wal.log" in

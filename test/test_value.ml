@@ -144,6 +144,20 @@ let test_decimal_rendering () =
   check string_ "fraction" "0.25" (string_of_atomic (Decimal 0.25));
   check string_ "negative" "-3" (string_of_atomic (Decimal (-3.0)))
 
+let prop_integer_rendering =
+  QCheck.Test.make ~name:"integer rendering = string_of_int" ~count:2000
+    (QCheck.make ~print:string_of_int
+       QCheck.Gen.(
+         oneof
+           [
+             int;
+             small_signed_int;
+             oneofl [ min_int; max_int; min_int + 1; 0; -1; 9; 10; -9; -10; 99; 100 ];
+           ]))
+    (fun i ->
+      string_of_atomic (Integer i) = string_of_int i
+      && (Float.abs (float i) >= 1e15 || string_of_atomic (Decimal (float i)) = string_of_int i))
+
 let suite =
   List.map (fun (n, f) -> (n, `Quick, f)) cast_cases
   @ [
@@ -154,4 +168,5 @@ let suite =
       ("arithmetic promotion", `Quick, test_arith_promotion);
       ("doc order dedup", `Quick, test_doc_order_dedup);
       ("decimal rendering", `Quick, test_decimal_rendering);
+      QCheck_alcotest.to_alcotest prop_integer_rendering;
     ]

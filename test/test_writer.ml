@@ -56,8 +56,33 @@ type piece =
   | Hole of int
   | Attr_ctor of int  (* {attribute w {$v}} *)
   | Elem of elem
+  | Enqueue_in of elem  (* {do enqueue <...> into q2} *)
 
 and elem = { tag : string; attrs : (string * apiece list) list; content : piece list }
+
+(* Inputs the template's byte program must reproduce exactly. *)
+let edge_cases =
+  let el ?(attrs = []) content = { tag = "a"; attrs; content } in
+  [
+    (* one empty-string atom: a zero-length text token *)
+    el [ Hole 4 ];
+    el [ Elem (el [ Hole 4 ]); Hole 4 ];
+    (* a hole that yields nothing: no token *)
+    el [ Hole 0 ];
+    el [ Hole 0; Elem (el []); Hole 0; Hole 0 ];
+    (* atoms joined by spaces within one hole, not across adjacent holes *)
+    el [ Hole 3; Hole 3; Hole 2; Hole 5 ];
+    el [ Lit "t"; Hole 3; Lit "uv"; Hole 1 ];
+    (* static attributes that contain holes *)
+    el ~attrs:[ ("x", [ A_lit "t"; A_hole 1; A_lit "uv"; A_hole 3 ]); ("y", [ A_hole 4 ]) ] [];
+    el ~attrs:[ ("x", [ A_hole 0 ]); ("y", [ A_lit "w w" ]) ] [ Hole 2 ];
+    (* holes that yield nodes: the writer path *)
+    el ~attrs:[ ("x", [ A_lit "t" ]) ] [ Lit "t"; Hole 6; Lit "uv"; Hole 7; Hole 1 ];
+    el [ Hole 1; Attr_ctor 2; Hole 1; Hole 9 ];
+    (* a do enqueue inside a hole: its update comes first *)
+    el [ Enqueue_in (el [ Hole 1 ]); Lit "t"; Hole 2 ];
+    el [ Hole 6; Enqueue_in (el [ Hole 6; Hole 4 ]) ];
+  ]
 
 let gen_elem =
   let open QCheck.Gen in
@@ -77,7 +102,13 @@ let gen_elem =
              (3, map (fun i -> Hole i) hole);
              (1, map (fun i -> Attr_ctor i) hole);
            ]
-          @ if depth > 0 then [ (2, map (fun e -> Elem e) (self (depth - 1))) ] else [])
+          @
+          if depth > 0 then
+            [
+              (2, map (fun e -> Elem e) (self (depth - 1)));
+              (1, map (fun e -> Enqueue_in e) (self (depth - 1)));
+            ]
+          else [])
       in
       map3
         (fun tag attrs content -> { tag; attrs; content })
@@ -85,6 +116,7 @@ let gen_elem =
         attrs
         (list_size (int_range 0 4) piece))
     3
+  |> fun random -> frequency [ (1, oneofl edge_cases); (4, random) ]
 
 let rec render buf e =
   Printf.bprintf buf "<%s" e.tag;
@@ -104,7 +136,11 @@ let rec render buf e =
         | Lit s -> Buffer.add_string buf s
         | Hole i -> Printf.bprintf buf "{$v%d}" i
         | Attr_ctor i -> Printf.bprintf buf "{attribute w {$v%d}}" i
-        | Elem e -> render buf e)
+        | Elem e -> render buf e
+        | Enqueue_in e ->
+          Buffer.add_string buf "{do enqueue ";
+          render buf e;
+          Buffer.add_string buf " into q2}")
       e.content;
     Printf.bprintf buf "</%s>" e.tag
   end
@@ -122,19 +158,28 @@ let rec atomic_content e =
       | Lit _ -> true
       | Hole i -> snd pool.(i)
       | Attr_ctor _ -> false
-      | Elem e -> atomic_content e)
+      | Elem e -> atomic_content e
+      | Enqueue_in _ -> true (* yields nothing *))
     e.content
 
-let constructed src =
+(* The tree and the updates of the holes' own [do enqueue]s. *)
+let constructed_with_updates src =
   match Eval.run ~vars src with
-  | [ Value.Node n ], [] -> (
-    match Tree.node_tree n with Some t -> t | None -> Alcotest.fail "no tree")
+  | [ Value.Node n ], updates -> (
+    match Tree.node_tree n with Some t -> (t, updates) | None -> Alcotest.fail "no tree")
   | _ -> Alcotest.fail "constructor did not yield one node"
 
-let streamed src =
+(* The payload's bytes and the updates emitted before its own. *)
+let streamed_with_updates src =
   match Eval.run ~vars (Printf.sprintf "do enqueue %s into q" src) with
-  | [], [ Update.Enqueue { payload; _ } ] -> payload
-  | _ -> Alcotest.fail "expected one enqueue"
+  | [], updates -> (
+    match List.rev updates with
+    | Update.Enqueue { payload; queue = "q"; _ } :: inner -> (payload, List.rev inner)
+    | _ -> Alcotest.fail "the payload's enqueue is not the last update")
+  | _ -> Alcotest.fail "do enqueue yielded items"
+
+let constructed src = fst (constructed_with_updates src)
+let streamed src = fst (streamed_with_updates src)
 
 let prop_template_differential =
   QCheck.Test.make ~name:"template bytes decode to the constructed tree" ~count:500
@@ -142,10 +187,11 @@ let prop_template_differential =
     (QCheck.make ~print:source gen_elem)
     (fun e ->
       let src = source e in
-      let tree = constructed src in
-      let bytes = streamed src in
+      let tree, inner = constructed_with_updates src in
+      let bytes, inner' = streamed_with_updates src in
       Bxml.validate bytes
       && Bxml.decode bytes = tree
+      && inner = inner'
       && ((not (atomic_content e)) || String.equal bytes (Bxml.encode tree)))
 
 let test_template_matches_encode () =
@@ -374,12 +420,45 @@ let test_cascade_decodes_once () =
       | l -> Alcotest.failf "%s: %d finished messages" label (List.length l))
     [ false; true ]
 
+(* A rule's payload that the target queue's schema rejects is decoded
+   once, for the check, and that tree is the routed error's initial
+   message. *)
+let test_rejected_payload_decoded_once () =
+  let srv =
+    S.deploy
+      {|
+      create queue orders kind basic mode persistent
+      create queue jobs kind basic mode persistent
+        schema { element job { id } element id { text } }
+      create queue errs kind basic mode persistent
+      create rule toJob for orders errorqueue errs
+        do enqueue <wrong><id>{string(//id)}</id></wrong> into jobs
+    |}
+  in
+  (match S.inject srv ~queue:"orders" (Demaq.xml "<order><id>o7</id></order>") with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "inject: %s" (Demaq.Mq.Queue_manager.error_to_string e));
+  ignore (S.run srv);
+  let _, decodes, decoded_bytes = S.admission_stats srv in
+  check int_ "one counted decode" 1 decodes;
+  check bool_ "its bytes are counted" true (decoded_bytes > 0);
+  check int_ "nothing admitted to jobs" 0 (List.length (S.queue_contents srv "jobs"));
+  match S.queue_contents srv "errs" with
+  | [ m ] ->
+    let error = Demaq.Xml.Serializer.to_string (Message.body m) in
+    let sub = "<wrong><id>o7</id></wrong>" in
+    let n = String.length sub in
+    let rec has i = i + n <= String.length error && (String.sub error i n = sub || has (i + 1)) in
+    check bool_ ("error carries the payload: " ^ error) true (has 0)
+  | l -> Alcotest.failf "%d routed errors" (List.length l)
+
 let suite =
   [
     ("template = Bxml.encode on the fanout shape", `Quick, test_template_matches_encode);
     ("enqueue inside a template hole", `Quick, test_nested_enqueue_in_hole);
     ("failed hole releases the writer", `Quick, test_failed_hole_releases_writer);
     ("rule-created message decoded once", `Quick, test_cascade_decodes_once);
+    ("schema-rejected payload decoded once", `Quick, test_rejected_payload_decoded_once);
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_template_differential; prop_extra_oracle; prop_wal_oracle ]
