@@ -26,7 +26,18 @@
    - SIGPIPE is ignored process-wide before any socket writing: a peer
      that resets mid-response (an aborted curl, a loadgen client past its
      deadline) turns the next write into EPIPE, which every write site
-     handles, instead of a signal that kills the node. *)
+     handles, instead of a signal that kills the node.
+   - No request allocates a read buffer. The server and the one-shot
+     client read through one buffer per domain ([read_buf], a
+     [Domain.DLS] key): a 4 KiB buffer per request went straight to the
+     major heap and was most of a request's GC cost. Two rules keep one
+     buffer per domain safe. No code in [lib/] or [bin/] runs systhreads,
+     which would share their domain's buffer (the [http] test suite
+     checks that no dune file there links [threads]). And the buffer is
+     never held across a call out of this module: [read_head] returns
+     copies, [read_body] reads into the body it returns, and the gate
+     and the handler run while the buffer is free, so a handler may
+     itself make a one-shot request. *)
 
 let log = Logs.Src.create "demaq.http" ~doc:"Demaq HTTP endpoint"
 
@@ -105,85 +116,82 @@ type head_result =
   | Head_too_large
   | Read_timeout
 
-(* [read_head fd] drains the request head through the first blank line.
-   The terminator scan resumes at the previous buffer end (minus the
-   3 bytes a split "\r\n\r\n" can straddle), so the total scan cost is
-   linear in the head size. Bytes past the terminator (the start of a
-   request body) are returned as [leftover]. *)
+(* The one read buffer of the calling domain: [read_head] fills it,
+   [drain_body], [lingering_close] and the one-shot client read through
+   it, so no request allocates a read buffer of its own. Its size is the
+   head bound: a head that fills it without a terminator is too large. *)
+let read_buf = Domain.DLS.new_key (fun () -> Bytes.create max_head)
+
+(* The end of the first "\r\n\r\n" or "\n\n" in [buf]'s first [n] bytes
+   whose first byte is at or after [i]; -1 if there is none. *)
+let rec terminator_end buf n i =
+  if i >= n then -1
+  else if Bytes.unsafe_get buf i = '\n' then
+    if i + 1 < n && Bytes.unsafe_get buf (i + 1) = '\n' then i + 2
+    else if
+      i + 2 < n
+      && Bytes.unsafe_get buf (i + 1) = '\r'
+      && Bytes.unsafe_get buf (i + 2) = '\n'
+    then i + 3
+    else terminator_end buf n (i + 1)
+  else terminator_end buf n (i + 1)
+
+(* [read_head fd] drains the request head through the first blank line
+   into the domain's read buffer. The terminator scan resumes at the
+   previous fill's end, so the total scan cost is linear in the head
+   size. Bytes past the terminator (the start of a request body) are
+   returned as [leftover]; head and leftover are copies, so the buffer
+   is free again when this returns. *)
 let read_head fd =
-  let buf = Buffer.create 512 in
-  let chunk = Bytes.create 1024 in
-  (* find the end of "\r\n\r\n" or "\n\n" at or after [from]; the
-     terminator's first byte may start up to 3 bytes before [from] *)
-  let find_terminator from =
-    let n = Buffer.length buf in
-    let at i = Buffer.nth buf i in
-    let rec go i =
-      if i >= n then None
-      else if at i = '\n' then
-        if i + 1 < n && at (i + 1) = '\n' then Some (i + 2)
-        else if i + 2 < n && at (i + 1) = '\r' && at (i + 2) = '\n' then
-          Some (i + 3)
-        else go (i + 1)
-      else go (i + 1)
-    in
-    go (max 0 (from - 3))
-  in
-  let rec fill scanned =
-    match find_terminator scanned with
-    | Some stop ->
-      let all = Buffer.contents buf in
+  let buf = Domain.DLS.get read_buf in
+  let rec fill scanned len =
+    (* a terminator's first byte may lie up to 3 bytes before the end of
+       the previous fill *)
+    let stop = terminator_end buf len (max 0 (scanned - 3)) in
+    if stop >= 0 then
       Head
         {
-          head = String.sub all 0 stop;
-          leftover = String.sub all stop (String.length all - stop);
+          head = Bytes.sub_string buf 0 stop;
+          leftover = Bytes.sub_string buf stop (len - stop);
         }
-    | None ->
-      if Buffer.length buf >= max_head then Head_too_large
-      else begin
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> Closed
-        | n ->
-          let scanned = Buffer.length buf in
-          Buffer.add_subbytes buf chunk 0 n;
-          fill scanned
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill scanned
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-          Read_timeout
-        | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-          Closed
-      end
+    else if len >= max_head then Head_too_large
+    else
+      match Unix.read fd buf len (max_head - len) with
+      | 0 -> Closed
+      | n -> fill len (len + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill scanned len
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Read_timeout
+      | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+        Closed
   in
-  fill 0
+  fill 0 0
 
 type body_result = Body of string | Body_closed | Body_timeout
 
+(* The body is read straight into the string it becomes: no buffer, no
+   final copy. *)
 let read_body fd ~leftover ~length =
-  if String.length leftover >= length then Body (String.sub leftover 0 length)
+  let have = String.length leftover in
+  if have = length then Body leftover
+  else if have > length then Body (String.sub leftover 0 length)
   else begin
-    let buf = Buffer.create length in
-    Buffer.add_string buf leftover;
-    let chunk = Bytes.create 4096 in
-    let rec fill () =
-      if Buffer.length buf >= length then Body (Buffer.contents buf)
+    let body = Bytes.create length in
+    Bytes.blit_string leftover 0 body 0 have;
+    let rec fill off =
+      if off >= length then Body (Bytes.unsafe_to_string body)
       else
-        match
-          Unix.read fd chunk 0
-            (min (Bytes.length chunk) (length - Buffer.length buf))
-        with
+        match Unix.read fd body off (length - off) with
         | 0 -> Body_closed
-        | n ->
-          Buffer.add_subbytes buf chunk 0 n;
-          fill ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill ()
+        | n -> fill (off + n)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill off
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
           ->
           Body_timeout
         | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
           Body_closed
     in
-    fill ()
+    fill have
   end
 
 (* ---- parsing ---- *)
@@ -237,10 +245,10 @@ let content_length headers =
 (* ---- writing the response ---- *)
 
 let write_all fd payload =
-  let len = Bytes.length payload in
+  let len = String.length payload in
   let rec go off =
     if off < len then
-      match Unix.write fd payload off (len - off) with
+      match Unix.write_substring fd payload off (len - off) with
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
@@ -258,7 +266,7 @@ let respond fd { status; content_type; extra_headers; resp_body } =
       status (reason_phrase status) content_type (String.length resp_body)
       extra
   in
-  write_all fd (Bytes.of_string (head ^ resp_body))
+  write_all fd (head ^ resp_body)
 
 (* Close without clobbering the response: signal end-of-response with a
    write shutdown, then drain (briefly, bounded) whatever request bytes
@@ -268,7 +276,7 @@ let lingering_close fd =
   (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0
    with Unix.Unix_error _ -> ());
-  let chunk = Bytes.create 4096 in
+  let chunk = Domain.DLS.get read_buf in
   let rec drain budget =
     if budget > 0 then
       match Unix.read fd chunk 0 (Bytes.length chunk) with
@@ -288,7 +296,7 @@ let lingering_close fd =
    supposed to honor. Gives up quietly on EOF/timeout/reset; the
    lingering close mops up any remainder. *)
 let drain_body fd n =
-  let chunk = Bytes.create 4096 in
+  let chunk = Domain.DLS.get read_buf in
   let rec go remaining =
     if remaining > 0 then
       match Unix.read fd chunk 0 (min (Bytes.length chunk) remaining) with
@@ -463,8 +471,8 @@ let roundtrip_full ~port req =
          (413/431): keep going and drain whatever response made it out *)
       (try ignore (Unix.write_substring sock req 0 (String.length req))
        with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
-      let buf = Buffer.create 4096 in
-      let chunk = Bytes.create 4096 in
+      let buf = Buffer.create 256 in
+      let chunk = Domain.DLS.get read_buf in
       let rec drain () =
         match Unix.read sock chunk 0 (Bytes.length chunk) with
         | 0 -> ()

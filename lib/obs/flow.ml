@@ -38,16 +38,14 @@ type flow = {
    CLI/HTTP traffic). A burst longer than the ring between two reads
    overwrites the oldest staged edges; those cascades simply arrive
    truncated in memory (the durable store still holds their
-   provenance). *)
-type edge = {
-  e_rid : int;
-  e_queue : string;
-  e_flow : string;
-  e_parent : int;
-  e_cause : string;
-  e_tick : int;
-}
+   provenance).
 
+   The ring is stored as columns, one array per edge field, so staging
+   an edge allocates nothing: a record per edge, stored into a ring that
+   lives in the major heap, cost a remembered-set entry and a promotion
+   at the next minor collection, six times per fanout root. The columns
+   are allocated by the first [observe], so a node that never traces a
+   flow never pays for them. *)
 let log_capacity = 4096
 
 type t = {
@@ -58,7 +56,14 @@ type t = {
   by_rid : (int, node) Hashtbl.t;  (* reverse index: rid -> its node *)
   evict_q : string Queue.t;  (* flow ids, oldest first *)
   mutable evicted : int;  (* flows dropped by FIFO eviction *)
-  log : edge array;  (* staging ring, drained into the index on read *)
+  (* the staging ring, drained into the index on read: slot [i] of every
+     column is one edge; [[||]] until the first [observe] *)
+  mutable log_rid : int array;
+  mutable log_parent : int array;
+  mutable log_tick : int array;
+  mutable log_queue : string array;
+  mutable log_flow : string array;
+  mutable log_cause : string array;
   mutable log_start : int;  (* oldest undrained record *)
   mutable log_len : int;  (* undrained records, <= log_capacity *)
   mutable overwritten : int;  (* staged edges lost to ring wrap *)
@@ -73,24 +78,16 @@ let create ?(max_flows = 256) ?(max_nodes_per_flow = 512) () =
     by_rid = Hashtbl.create 256;
     evict_q = Queue.create ();
     evicted = 0;
-    log =
-      Array.make log_capacity
-        { e_rid = 0; e_queue = ""; e_flow = ""; e_parent = -1; e_cause = "";
-          e_tick = 0 };
+    log_rid = [||];
+    log_parent = [||];
+    log_tick = [||];
+    log_queue = [||];
+    log_flow = [||];
+    log_cause = [||];
     log_start = 0;
     log_len = 0;
     overwritten = 0;
   }
-
-(* Stage one edge in the ring (assumes [t.mu]). *)
-let stage_locked t e =
-  let i = (t.log_start + t.log_len) mod log_capacity in
-  t.log.(i) <- e;
-  if t.log_len = log_capacity then begin
-    t.log_start <- (t.log_start + 1) mod log_capacity;
-    t.overwritten <- t.overwritten + 1
-  end
-  else t.log_len <- t.log_len + 1
 
 let evict_locked t =
   while Hashtbl.length t.flows > t.max_flows do
@@ -103,16 +100,38 @@ let evict_locked t =
      | None -> ())
   done
 
+(* [Mutex.lock]/[unlock] rather than [Mutex.protect], whose closure
+   would be the one allocation left; nothing between them can raise. *)
 let observe t ~rid ~queue ~flow ~parent ~cause ~tick =
-  if flow <> "" then
-    Mutex.protect t.mu @@ fun () ->
-    stage_locked t
-      { e_rid = rid; e_queue = queue; e_flow = flow; e_parent = parent;
-        e_cause = cause; e_tick = tick }
+  if flow <> "" then begin
+    Mutex.lock t.mu;
+    if Array.length t.log_rid = 0 then begin
+      t.log_rid <- Array.make log_capacity 0;
+      t.log_parent <- Array.make log_capacity 0;
+      t.log_tick <- Array.make log_capacity 0;
+      t.log_queue <- Array.make log_capacity "";
+      t.log_flow <- Array.make log_capacity "";
+      t.log_cause <- Array.make log_capacity ""
+    end;
+    let i = (t.log_start + t.log_len) mod log_capacity in
+    t.log_rid.(i) <- rid;
+    t.log_parent.(i) <- parent;
+    t.log_tick.(i) <- tick;
+    t.log_queue.(i) <- queue;
+    t.log_flow.(i) <- flow;
+    t.log_cause.(i) <- cause;
+    if t.log_len = log_capacity then begin
+      t.log_start <- (t.log_start + 1) mod log_capacity;
+      t.overwritten <- t.overwritten + 1
+    end
+    else t.log_len <- t.log_len + 1;
+    Mutex.unlock t.mu
+  end
 
-(* Fold one staged edge into the flow index (assumes [t.mu]). *)
-let index_edge_locked t (e : edge) =
-  let rid = e.e_rid and flow = e.e_flow and tick = e.e_tick in
+(* Fold the edge staged in ring slot [i] into the flow index (assumes
+   [t.mu]). *)
+let index_edge_locked t i =
+  let rid = t.log_rid.(i) and flow = t.log_flow.(i) and tick = t.log_tick.(i) in
   if not (Hashtbl.mem t.by_rid rid) then begin
     let f =
       match Hashtbl.find_opt t.flows flow with
@@ -140,10 +159,10 @@ let index_edge_locked t (e : edge) =
       let n =
         {
           n_rid = rid;
-          n_queue = e.e_queue;
+          n_queue = t.log_queue.(i);
           n_flow = flow;
-          n_parent = e.e_parent;
-          n_cause = e.e_cause;
+          n_parent = t.log_parent.(i);
+          n_cause = t.log_cause.(i);
           n_span = None;
         }
       in
@@ -155,7 +174,7 @@ let index_edge_locked t (e : edge) =
 
 let drain_locked t =
   for k = 0 to t.log_len - 1 do
-    index_edge_locked t t.log.((t.log_start + k) mod log_capacity)
+    index_edge_locked t ((t.log_start + k) mod log_capacity)
   done;
   t.log_start <- 0;
   t.log_len <- 0

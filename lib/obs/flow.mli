@@ -38,11 +38,15 @@ val observe :
   unit
 (** Record a provenance edge. No-op when [flow] is [""] (untraced).
     Idempotent per rid. Runs on the engine's enqueue path, so it only
-    stages the edge in a fixed ring; the flow index is built lazily when
-    a reader arrives. A burst longer than the ring between two reads
-    loses its oldest staged records ({!overwritten}) — those cascades
-    arrive truncated here, while their durable provenance survives in
-    the message store. *)
+    stages the edge in a fixed ring of {!log_capacity} slots and
+    allocates nothing; the flow index is built lazily when a reader
+    arrives. A burst longer than the ring between two reads loses its
+    oldest staged records ({!overwritten}) — those cascades arrive
+    truncated here, while their durable provenance survives in the
+    message store. *)
+
+val log_capacity : int
+(** Edges the staging ring holds between two reads. *)
 
 val overwritten : t -> int
 (** Staged edges lost to ring wrap before any reader drained them. *)

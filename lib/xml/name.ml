@@ -24,9 +24,9 @@ let local_cache : (string * string, t) Hashtbl.t Domain.DLS.key =
 let intern ?(uri = "") local =
   let cache = Domain.DLS.get local_cache in
   let key = (uri, local) in
-  match Hashtbl.find_opt cache key with
-  | Some t -> t
-  | None ->
+  match Hashtbl.find cache key with
+  | t -> t
+  | exception Not_found ->
     let t =
       Mutex.protect interned_mu @@ fun () ->
       match Hashtbl.find_opt interned key with

@@ -8,7 +8,9 @@ type state = {
   preserve_space : bool;
   scratch : Buffer.t;
       (* shared accumulator for attribute values that contain entity
-         references; attributes never nest, so one buffer suffices *)
+         references and for text runs of several pieces (CDATA, entities);
+         an attribute value is read only between text runs, and neither
+         nests, so one buffer suffices *)
 }
 
 let xml_ns = "http://www.w3.org/XML/1998/namespace"
@@ -35,19 +37,22 @@ let expect st c =
   else error st (Printf.sprintf "expected %C, found %C" c (peek st))
 
 let expect_string st s =
-  String.iter (fun c -> expect st c) s
+  for i = 0 to String.length s - 1 do
+    expect st (String.unsafe_get s i)
+  done
+
+(* [s] occurs in [src] at [pos], from its [i]th byte on (the caller
+   checked the bounds). *)
+let rec occurs_at src pos s i =
+  i = String.length s
+  || String.unsafe_get src (pos + i) = String.unsafe_get s i
+     && occurs_at src pos s (i + 1)
 
 (* Allocation-free prefix test: this runs once per content character in
    [parse_content], so the obvious [String.sub] formulation dominated
    the parser's allocation profile. *)
 let looking_at st s =
-  let n = String.length s in
-  st.pos + n <= String.length st.src
-  &&
-  let rec eq i =
-    i = n || (String.unsafe_get st.src (st.pos + i) = String.unsafe_get s i && eq (i + 1))
-  in
-  eq 0
+  st.pos + String.length s <= String.length st.src && occurs_at st.src st.pos s 0
 
 let skip_string st s =
   if looking_at st s then begin
@@ -184,12 +189,16 @@ let read_attr_value st =
 let root_env = [ ("xml", xml_ns) ]
 
 let resolve_elem_name st env raw =
-  let prefix, local = split_prefix raw in
-  match List.assoc_opt prefix env with
-  | Some uri -> Name.intern ~uri local
-  | None ->
-    if prefix = "" then Name.intern local
-    else error st ("unbound namespace prefix: " ^ prefix)
+  match String.index_opt raw ':' with
+  | None -> (
+    match List.assoc_opt "" env with
+    | Some uri -> Name.intern ~uri raw
+    | None -> Name.intern raw)
+  | Some _ -> (
+    let prefix, local = split_prefix raw in
+    match List.assoc_opt prefix env with
+    | Some uri -> Name.intern ~uri local
+    | None -> error st ("unbound namespace prefix: " ^ prefix))
 
 let resolve_attr_name st env raw =
   let prefix, local = split_prefix raw in
@@ -265,142 +274,149 @@ let skip_doctype st =
     advance st
   done
 
-let is_all_space s =
-  let ok = ref true in
-  String.iter (fun c -> if not (is_space c) then ok := false) s;
-  !ok
+let rec is_all_space s i =
+  i = String.length s || (is_space (String.unsafe_get s i) && is_all_space s (i + 1))
+
+(* The attributes of a start tag up to its '>' or '/', namespace
+   declarations included, newest first. *)
+let rec read_attrs st acc =
+  skip_space st;
+  match peek st with
+  | '>' | '/' -> acc
+  | _ ->
+    let araw = read_raw_name st in
+    skip_space st;
+    expect st '=';
+    skip_space st;
+    let v = read_attr_value st in
+    read_attrs st ((araw, v) :: acc)
+
+(* Fold one attribute into the namespace environment if it declares a
+   prefix (fed in document order, so a later declaration shadows). *)
+let declare env (araw, v) =
+  match split_prefix araw with
+  | "", "xmlns" -> ("", v) :: env
+  | "xmlns", "xml" -> env  (* fixed to [xml_ns]; never rebound *)
+  | "xmlns", p -> (p, v) :: env
+  | _ -> env
+
+let is_declaration araw =
+  araw = "xmlns" || String.starts_with ~prefix:"xmlns:" araw
+
+(* Resolve a start tag's attributes (newest first) in [env], leaving out
+   the namespace declarations; the result is in document order. *)
+let rec resolve_attrs st env acc = function
+  | [] -> acc
+  | (araw, v) :: rest ->
+    let acc =
+      if is_declaration araw then acc
+      else { Tree.attr_name = resolve_attr_name st env araw; attr_value = v } :: acc
+    in
+    resolve_attrs st env acc rest
+
+(* The end tag's name, after "</", must be the start tag's [raw]: compared
+   in place, so a well-formed end tag is never copied. *)
+let close_tag st raw =
+  let n = String.length raw in
+  if
+    looking_at st raw
+    && not
+         (st.pos + n < String.length st.src
+         &&
+         let c = String.unsafe_get st.src (st.pos + n) in
+         is_name_char c || c = ':')
+  then begin
+    st.pos <- st.pos + n;
+    st.col <- st.col + n
+  end
+  else
+    let close = read_raw_name st in
+    error st (Printf.sprintf "mismatched end tag: expected </%s>, got </%s>" raw close)
+
+(* The text of the run ending here, as a child prepended to [acc] unless
+   it is empty or stripped whitespace. The run is [pending] (one slice,
+   no copy), or the scratch buffer's contents when [buffered]. *)
+let flush_text st acc pending buffered =
+  let s = if buffered then Buffer.contents st.scratch else pending in
+  if s <> "" && (st.preserve_space || not (is_all_space s 0)) then Tree.Text s :: acc
+  else acc
+
+(* Move a one-slice run into the scratch buffer, which then holds the run. *)
+let buffer_text st pending =
+  Buffer.clear st.scratch;
+  Buffer.add_string st.scratch pending
 
 let rec parse_element st env =
   expect st '<';
   let raw = read_raw_name st in
-  (* First pass over attributes to collect namespace declarations. *)
-  let raw_attrs = ref [] in
-  let env = ref env in
-  let rec attrs () =
-    skip_space st;
-    match peek st with
-    | '>' | '/' -> ()
-    | _ ->
-      let araw = read_raw_name st in
-      skip_space st;
-      expect st '=';
-      skip_space st;
-      let v = read_attr_value st in
-      (match split_prefix araw with
-       | "", "xmlns" -> env := ("", v) :: !env
-       | "xmlns", "xml" -> ()  (* fixed to [xml_ns]; never rebound *)
-       | "xmlns", p -> env := (p, v) :: !env
-       | _ -> raw_attrs := (araw, v) :: !raw_attrs);
-      attrs ()
+  let raw_attrs = read_attrs st [] in
+  let env =
+    if raw_attrs = [] then env else List.fold_left declare env (List.rev raw_attrs)
   in
-  attrs ();
-  let env = !env in
   let name = resolve_elem_name st env raw in
-  let attrs =
-    List.rev_map
-      (fun (araw, v) ->
-        { Tree.attr_name = resolve_attr_name st env araw; attr_value = v })
-      !raw_attrs
-  in
+  let attrs = if raw_attrs = [] then [] else resolve_attrs st env [] raw_attrs in
   if skip_string st "/>" then Tree.Element { name; attrs; children = [] }
   else begin
     expect st '>';
-    let children = parse_content st env in
-    expect_string st "</";
-    let close = read_raw_name st in
-    if close <> raw then
-      error st (Printf.sprintf "mismatched end tag: expected </%s>, got </%s>" raw close);
+    let children = parse_content st env [] "" false in
+    advance st;
+    advance st;
+    (* "</", which ended the content *)
+    close_tag st raw;
     skip_space st;
     expect st '>';
     Tree.Element { name; attrs; children }
   end
 
-and parse_content st env =
-  let acc = ref [] in
-  (* Text accumulation avoids a per-element buffer: the common case — one
-     contiguous run with no entities or CDATA — is kept as a single
-     zero-copy slice in [pending]; only a second piece (or an entity)
-     promotes to a buffer. *)
-  let pending = ref "" in
-  let buf = ref None in
-  let add_piece s =
-    match !buf with
-    | Some b -> Buffer.add_string b s
-    | None ->
-      if !pending = "" then pending := s
-      else begin
-        let b = Buffer.create (String.length !pending + String.length s + 16) in
-        Buffer.add_string b !pending;
-        Buffer.add_string b s;
-        pending := "";
-        buf := Some b
-      end
-  in
-  let promote () =
-    match !buf with
-    | Some b -> b
-    | None ->
-      let b = Buffer.create 32 in
-      Buffer.add_string b !pending;
-      pending := "";
-      buf := Some b;
-      b
-  in
-  let flush_text () =
-    let s =
-      match !buf with
-      | Some b ->
-        let s = Buffer.contents b in
-        buf := None;
-        s
-      | None ->
-        let s = !pending in
-        pending := "";
-        s
-    in
-    if s <> "" && (st.preserve_space || not (is_all_space s)) then
-      acc := Tree.Text s :: !acc
-  in
-  let rec go () =
-    if at_end st then error st "unexpected end of input inside element"
-    else if looking_at st "</" then flush_text ()
-    else if looking_at st "<![CDATA[" then begin
-      add_piece (read_cdata st);
-      go ()
-    end
-    else if looking_at st "<!--" then begin
-      flush_text ();
-      acc := Tree.Comment (skip_comment st) :: !acc;
-      go ()
-    end
-    else if looking_at st "<?" then begin
-      flush_text ();
-      let target, data = read_pi st in
-      acc := Tree.Pi { target; data } :: !acc;
-      go ()
-    end
-    else if peek st = '<' then begin
-      flush_text ();
-      acc := parse_element st env :: !acc;
-      go ()
-    end
-    else if peek st = '&' then begin
-      read_entity st (promote ());
-      go ()
-    end
-    else begin
+(* The children of an element, up to its "</". [acc] holds the children
+   so far, newest first; the text run since the last non-text child is
+   [pending], or the scratch buffer when [buffered]. The common run — one
+   contiguous slice with no entity or CDATA — stays one zero-copy slice.
+   Every recursive call is a tail call. *)
+and parse_content st env acc pending buffered =
+  if at_end st then error st "unexpected end of input inside element"
+  else
+    match peek st with
+    | '<' -> (
+      match peek2 st with
+      | '/' -> List.rev (flush_text st acc pending buffered)
+      | '!' when looking_at st "<![CDATA[" ->
+        add_text st env acc pending buffered (read_cdata st)
+      | '!' when looking_at st "<!--" ->
+        let acc = flush_text st acc pending buffered in
+        let c = Tree.Comment (skip_comment st) in
+        parse_content st env (c :: acc) "" false
+      | '?' ->
+        let acc = flush_text st acc pending buffered in
+        let target, data = read_pi st in
+        parse_content st env (Tree.Pi { target; data } :: acc) "" false
+      | _ ->
+        let acc = flush_text st acc pending buffered in
+        let child = parse_element st env in
+        parse_content st env (child :: acc) "" false)
+    | '&' ->
+      if not buffered then buffer_text st pending;
+      read_entity st st.scratch;
+      parse_content st env acc "" true
+    | _ ->
       let start = st.pos in
-      while
-        (not (at_end st)) && peek st <> '<' && peek st <> '&'
-      do
+      while (not (at_end st)) && peek st <> '<' && peek st <> '&' do
         advance st
       done;
-      add_piece (String.sub st.src start (st.pos - start));
-      go ()
-    end
-  in
-  go ();
-  List.rev !acc
+      add_text st env acc pending buffered (String.sub st.src start (st.pos - start))
+
+(* Append one piece to the text run and go on with the content. *)
+and add_text st env acc pending buffered piece =
+  if buffered then begin
+    Buffer.add_string st.scratch piece;
+    parse_content st env acc "" true
+  end
+  else if pending = "" then parse_content st env acc piece false
+  else begin
+    buffer_text st pending;
+    Buffer.add_string st.scratch piece;
+    parse_content st env acc "" true
+  end
 
 let parse_prolog st =
   skip_space st;

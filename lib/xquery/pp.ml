@@ -71,7 +71,9 @@ let rec pp fmt e =
   | Literal a -> Format.pp_print_string fmt (Value.string_of_atomic a)
   | Empty_seq -> Format.pp_print_string fmt "()"
   | Var v -> Format.fprintf fmt "$%s" v
-  | Slot k -> Format.fprintf fmt "$__plan%d" k
+  | Slot k ->
+    (* '#' is not a name character, so no rule variable prints this way *)
+    Format.fprintf fmt "$#plan%d" k
   | Context_item -> Format.pp_print_string fmt "."
   | Root -> Format.pp_print_string fmt "/"
   | Sequence es ->

@@ -510,6 +510,64 @@ let test_flow_endpoints () =
       check int_ "unknown flow 404" 404 (Http.status_code status);
       check bool_ "unknown flow named" true (contains body "unknown flow"))
 
+(* ---- one read buffer per domain ---- *)
+
+(* Four client domains POST bodies of 1-12 KiB, most larger than the
+   per-domain read buffer, to a pool of four accept domains; every echo
+   must come back byte-exact, so no request ever sees another's bytes. *)
+let test_pool_echo_exact () =
+  with_server ~pool:4 echo_handler (fun server ->
+      let port = Http.port server in
+      let per_domain = 200 in
+      let body d i =
+        let len = 1024 + ((i * 997) + (d * 4099)) mod ((11 * 1024) + 1) in
+        let tag = Printf.sprintf "<d%d r%d>" d i in
+        String.init len (fun j ->
+            if j < String.length tag then tag.[j]
+            else Char.chr (Char.code 'a' + ((d * 7) + (i * 13) + j) mod 26))
+      in
+      let domains =
+        Array.init 4 (fun d ->
+            Domain.spawn (fun () ->
+                let exact = ref 0 and sizes = ref 0 in
+                for i = 1 to per_domain do
+                  let b = body d i in
+                  let status, got = Http.post ~port "/echo" b in
+                  if Http.status_code status = 200 && String.equal got b then incr exact;
+                  sizes := max !sizes (String.length b)
+                done;
+                (!exact, !sizes)))
+      in
+      let results = Array.map Domain.join domains in
+      Array.iteri
+        (fun d (exact, largest) ->
+          check int_ (Printf.sprintf "domain %d: every echo exact" d) per_domain exact;
+          check bool_ "bodies exceed the read buffer" true (largest > 8192))
+        results)
+
+(* The read buffer is per domain, which is only safe while no code in
+   lib/ or bin/ runs systhreads: two threads of one domain would share
+   it. No dune file there may link the threads library. *)
+let test_no_systhreads () =
+  let root =
+    match List.find_opt (fun r -> Sys.file_exists (Filename.concat r "lib/net/dune")) [ ".."; "." ] with
+    | Some r -> r
+    | None -> Alcotest.fail "lib/net/dune not found"
+  in
+  let lib = Filename.concat root "lib" in
+  let dune_files =
+    Filename.concat root "bin/dune"
+    :: (Sys.readdir lib |> Array.to_list
+       |> List.map (fun d -> Filename.concat (Filename.concat lib d) "dune")
+       |> List.filter Sys.file_exists)
+  in
+  check bool_ "lib/net, lib/engine and bin are checked" true (List.length dune_files >= 10);
+  List.iter
+    (fun f ->
+      let text = In_channel.with_open_bin f In_channel.input_all in
+      check bool_ (f ^ " does not link threads") false (contains text "threads"))
+    dune_files
+
 let suite =
   [
     ("post roundtrip exact", `Quick, test_post_exact);
@@ -536,4 +594,6 @@ let suite =
      test_ingress_gate_end_to_end);
     ("loadgen smoke", `Slow, test_loadgen_smoke);
     ("flow endpoints", `Quick, test_flow_endpoints);
+    ("pool of four echoes 1-12 KiB bodies exactly", `Quick, test_pool_echo_exact);
+    ("no dune file in lib/ or bin/ links threads", `Quick, test_no_systhreads);
   ]

@@ -688,6 +688,64 @@ let test_stats_json_labelled_histogram_keys () =
     (contains js {|"demaq_queue_wait_seconds_sum{queue=\"in\"}":|});
   check bool_ "no suffix after the labels" false (contains js {|}_count"|})
 
+(* ---- flow store: the staging ring ---- *)
+
+(* More edges than the ring holds between two reads: the oldest are
+   overwritten and forgotten, the rest are indexed in staging order. *)
+let test_flow_ring_wrap () =
+  let cap = Flow.log_capacity and k = 7 in
+  let t = Flow.create ~max_flows:4 ~max_nodes_per_flow:(cap + k + 3) () in
+  let edge rid =
+    Flow.observe t ~rid ~queue:(if rid mod 2 = 0 then "even" else "odd")
+      ~flow:"f" ~parent:(rid - 1) ~cause:(string_of_int (rid mod 3)) ~tick:rid
+  in
+  (* a first read drains three edges, so the next burst starts mid-ring *)
+  List.iter edge [ 1; 2; 3 ];
+  check int_ "first read" 3 (List.length (Flow.nodes t "f"));
+  for rid = 4 to cap + k + 3 do
+    edge rid
+  done;
+  check int_ "overwritten = k" k (Flow.overwritten t);
+  for rid = 4 to k + 3 do
+    check (Alcotest.option string_) (Printf.sprintf "rid %d unknown" rid) None
+      (Flow.flow_of_rid t rid)
+  done;
+  let nodes = Flow.nodes t "f" in
+  check (Alcotest.list int_) "drained before the wrap, then the newest in order"
+    ([ 1; 2; 3 ] @ List.init cap (fun i -> k + 4 + i))
+    (List.map (fun n -> n.Flow.n_rid) nodes);
+  List.iter
+    (fun n ->
+      let rid = n.Flow.n_rid in
+      check string_ "queue" (if rid mod 2 = 0 then "even" else "odd") n.Flow.n_queue;
+      check int_ "parent" (rid - 1) n.Flow.n_parent;
+      check string_ "cause" (string_of_int (rid mod 3)) n.Flow.n_cause;
+      check string_ "flow" "f" n.Flow.n_flow)
+    nodes;
+  (match Flow.summaries t with
+   | [ s ] ->
+     check int_ "first tick" 1 s.Flow.s_first_tick;
+     check int_ "last tick" (cap + k + 3) s.Flow.s_last_tick
+   | l -> Alcotest.failf "expected one flow, got %d" (List.length l));
+  (* the ring is empty again: a later edge is indexed on its own *)
+  edge (cap + k + 4);
+  check int_ "nothing more overwritten" k (Flow.overwritten t);
+  check int_ "one more node" (cap + 4) (List.length (Flow.nodes t "f"))
+
+(* Staging an edge whose strings already exist allocates nothing. *)
+let test_flow_observe_allocates_nothing () =
+  let t = Flow.create ~max_nodes_per_flow:2_000 () in
+  let queue = "orders" and flow = "flow-1" and cause = "billOrder" in
+  (* the first edge allocates the ring *)
+  Flow.observe t ~rid:0 ~queue ~flow ~parent:(-1) ~cause ~tick:0;
+  let before = Gc.minor_words () in
+  for rid = 1 to 1_000 do
+    Flow.observe t ~rid ~queue ~flow ~parent:0 ~cause ~tick:rid
+  done;
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.) "minor words for 1,000 observes" 0. words;
+  check int_ "all staged" 1_001 (List.length (Flow.nodes t flow))
+
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick test_counter_basics;
@@ -721,4 +779,8 @@ let suite =
       test_exposition_names_before_labels;
     Alcotest.test_case "stats json names histogram totals like /metrics" `Quick
       test_stats_json_labelled_histogram_keys;
+    Alcotest.test_case "flow ring wrap keeps the newest edges" `Quick
+      test_flow_ring_wrap;
+    Alcotest.test_case "flow observe allocates nothing" `Quick
+      test_flow_observe_allocates_nothing;
   ]

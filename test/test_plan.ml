@@ -55,7 +55,7 @@ let test_guard_sharing_and_cse () =
   check bool_ "shared count-sum hoisted into a plan binding" true
     (Plan_ir.bindings exec <> []);
   check bool_ "explain shows the binding" true
-    (contains (Compiler.explain c) "binding $__plan")
+    (contains (Compiler.explain c) "binding $#plan")
 
 let test_unstable_guard_not_shared () =
   (* qs:queue() reads the store: identical text, but evaluating it once
@@ -391,7 +391,9 @@ let test_own_plan_name_hoisted () =
   let c = compile own_plan_name_program in
   let exec = (Option.get (Compiler.plan_for c "q")).Compiler.exec in
   check bool_ "bindings hoisted" true (Plan_ir.bindings exec <> []);
-  check bool_ "explain lists them" true (contains (Compiler.explain c) "binding $__plan0 :=");
+  check bool_ "explain lists them" true (contains (Compiler.explain c) "binding $#plan0 :=");
+  check bool_ "explain keeps the rule's own $__plan0 apart" true
+    (contains (Compiler.explain c) "for $__plan0 in");
   check bool_ "plan = per-rule interpreter" true
     (plan_matches_oracle own_plan_name_program [ 0; 1; 2; 3; 4 ]);
   let queues, _ = observe ~reference:false own_plan_name_program [ 2 ] in

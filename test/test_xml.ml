@@ -128,7 +128,9 @@ let test_parse_xml_prefix () =
 
 (* Parse time must grow linearly with nesting depth: 8x the depth may cost
    at most 20x the time (best of 3 each). A per-level namespace binding
-   made each name lookup walk a list as long as the depth, about 70x. *)
+   made each name lookup walk a list as long as the depth, about 70x.
+   Timed in process CPU time ([Sys.time]), not wall time: on a shared
+   host a descheduled run inflated one wall-clock sample past 20x. *)
 let test_parse_depth_linear () =
   let nested d =
     let b = Buffer.create (7 * d) in
@@ -143,9 +145,9 @@ let test_parse_depth_linear () =
   let best_of_3 src =
     List.fold_left min infinity
       (List.init 3 (fun _ ->
-           let t0 = Unix.gettimeofday () in
+           let t0 = Sys.time () in
            ignore (parse src);
-           Unix.gettimeofday () -. t0))
+           Sys.time () -. t0))
   in
   let shallow = best_of_3 (nested 2_000) and deep = best_of_3 (nested 16_000) in
   let ratio = deep /. Float.max shallow 1e-6 in
@@ -472,6 +474,184 @@ let test_doc_ids_distinct_across_domains () =
   Array.iteri (fun i id -> if i > 0 && id = ids.(i - 1) then incr dups) ids;
   check int_ "no duplicate document ids" 0 !dups
 
+(* Trees and error positions of [parse_many] on edge cases of the
+   content and end-tag paths (text runs of several pieces, entities,
+   CDATA, comments and PIs between text, namespace declarations, end tags
+   that differ from their start tag only in a suffix), with whitespace
+   stripped and preserved. The expected values are the output of the
+   parser before its content loop was made allocation-free; a document
+   list is shown serialized, documents separated by '|'. *)
+type outcome = Parsed of string | Failed of (int * int * string)
+
+let pinned_parses =
+  [
+    ("<a><b></a>",
+     Failed (1, 10, "mismatched end tag: expected </b>, got </a>"),
+     Failed (1, 10, "mismatched end tag: expected </b>, got </a>"));
+    ("<a></a:b>",
+     Failed (1, 9, "mismatched end tag: expected </a>, got </a:b>"),
+     Failed (1, 9, "mismatched end tag: expected </a>, got </a:b>"));
+    ("<a></ab>",
+     Failed (1, 8, "mismatched end tag: expected </a>, got </ab>"),
+     Failed (1, 8, "mismatched end tag: expected </a>, got </ab>"));
+    ("<a></>",
+     Failed (1, 6, "expected a name, found '>'"),
+     Failed (1, 6, "expected a name, found '>'"));
+    ("<a>text",
+     Failed (1, 8, "unexpected end of input inside element"),
+     Failed (1, 8, "unexpected end of input inside element"));
+    ("<a x='1' y></a>",
+     Failed (1, 11, "expected '=', found '>'"),
+     Failed (1, 11, "expected '=', found '>'"));
+    ("<p:a/>",
+     Failed (1, 5, "unbound namespace prefix: p"),
+     Failed (1, 5, "unbound namespace prefix: p"));
+    ("<a p:x='1'/>",
+     Failed (1, 11, "unbound namespace prefix: p"),
+     Failed (1, 11, "unbound namespace prefix: p"));
+    ("<a q:x='1' p:y='2'/>",
+     Failed (1, 19, "unbound namespace prefix: p"),
+     Failed (1, 19, "unbound namespace prefix: p"));
+    ("<a>&unknown;</a>",
+     Failed (1, 13, "unknown entity: &unknown;"),
+     Failed (1, 13, "unknown entity: &unknown;"));
+    ("<a>\n  <b>\n</c>\n</a>",
+     Failed (3, 4, "mismatched end tag: expected </b>, got </c>"),
+     Failed (3, 4, "mismatched end tag: expected </b>, got </c>"));
+    ("<a><!-- x </a>",
+     Failed (1, 15, "unterminated comment"),
+     Failed (1, 15, "unterminated comment"));
+    ("<a><![CDATA[ x</a>",
+     Failed (1, 19, "unterminated CDATA section"),
+     Failed (1, 19, "unterminated CDATA section"));
+    ("<a><?pi x</a>",
+     Failed (1, 14, "unterminated processing instruction"),
+     Failed (1, 14, "unterminated processing instruction"));
+    ("<a><!x/></a>",
+     Failed (1, 5, "expected a name, found '!'"),
+     Failed (1, 5, "expected a name, found '!'"));
+    ("<a></a  x>",
+     Failed (1, 9, "expected '>', found 'x'"),
+     Failed (1, 9, "expected '>', found 'x'"));
+    ("<a>&#xZZ;</a>",
+     Failed (1, 10, "bad character reference: ZZ"),
+     Failed (1, 10, "bad character reference: ZZ"));
+    ("<a b=\"&lt;x\" c=\"\n&bogus;\"/>",
+     Failed (2, 8, "unknown entity: &bogus;"),
+     Failed (2, 8, "unknown entity: &bogus;"));
+    ("<a></a",
+     Failed (1, 7, "expected '>', found '\\000'"),
+     Failed (1, 7, "expected '>', found '\\000'"));
+    ("<a xmlns:p='u'><p:b></p:c></a>",
+     Failed (1, 26, "mismatched end tag: expected </p:b>, got </p:c>"),
+     Failed (1, 26, "mismatched end tag: expected </p:b>, got </p:c>"));
+    ("<a>x<![CDATA[y]]>&amp;z</b>",
+     Failed (1, 27, "mismatched end tag: expected </a>, got </b>"),
+     Failed (1, 27, "mismatched end tag: expected </a>, got </b>"));
+    ("<a>\195\169\195\169</a\195\169>",
+     Failed (1, 13, "mismatched end tag: expected </a>, got </a\195\169>"),
+     Failed (1, 13, "mismatched end tag: expected </a>, got </a\195\169>"));
+    ("<a><b/><",
+     Failed (1, 9, "expected a name, found '\\000'"),
+     Failed (1, 9, "expected a name, found '\\000'"));
+    ("<a>x &lt y</a>",
+     Failed (1, 9, "expected ';', found ' '"),
+     Failed (1, 9, "expected ';', found ' '"));
+    ("<a\n  b='1'\n  c='2'>\n<d/></a>\n<e>",
+     Failed (5, 4, "unexpected end of input inside element"),
+     Failed (5, 4, "unexpected end of input inside element"));
+    ("<a>\n<b x='1'>t</b ></a >\n<c/>",
+     Parsed "<a><b x=\"1\">t</b></a>|<c/>",
+     Parsed "<a>\n<b x=\"1\">t</b></a>|<c/>");
+    ("<a>x<![CDATA[<y>]]>&amp;z&#65;<!--c-->w<?p d?> <b/>  </a>",
+     Parsed "<a>x&lt;y&gt;&amp;zA<!--c-->w<?p d?><b/></a>",
+     Parsed "<a>x&lt;y&gt;&amp;zA<!--c-->w<?p d?> <b/>  </a>");
+    ("<a xmlns='u' xmlns:p='v' p:k='1' k='2'><p:b xmlns:p='w' p:j='3'><c/></p:b><xml:x xml:lang='en'/></a>",
+     Parsed "<ns1:a xmlns:ns1=\"u\" xmlns:ns2=\"v\" ns2:k=\"1\" k=\"2\"><ns3:b xmlns:ns3=\"w\" ns3:j=\"3\"><ns1:c/></ns3:b><ns4:x xmlns:ns4=\"http://www.w3.org/XML/1998/namespace\" ns4:lang=\"en\"/></ns1:a>",
+     Parsed "<ns1:a xmlns:ns1=\"u\" xmlns:ns2=\"v\" ns2:k=\"1\" k=\"2\"><ns3:b xmlns:ns3=\"w\" ns3:j=\"3\"><ns1:c/></ns3:b><ns4:x xmlns:ns4=\"http://www.w3.org/XML/1998/namespace\" ns4:lang=\"en\"/></ns1:a>");
+    ("<a xmlns:xml='ignored' xmlns:='d'><b/></a>",
+     Parsed "<ns1:a xmlns:ns1=\"d\"><ns1:b/></ns1:a>",
+     Parsed "<ns1:a xmlns:ns1=\"d\"><ns1:b/></ns1:a>");
+    ("<a>   </a><!-- between --><b>&lt;&gt;&quot;&apos;</b> <?pi?>",
+     Parsed "<a/>|<b>&lt;&gt;\"'</b>",
+     Parsed "<a>   </a>|<b>&lt;&gt;\"'</b>");
+    ("<?xml version='1.0'?><!DOCTYPE a [<!ELEMENT a ANY>]><a><![CDATA[]]></a>",
+     Parsed "<a/>",
+     Parsed "<a/>");
+    ("<a b=\"x&amp;y\" c='&#x41;&#66;'>&#x10000;&#xe9;</a>",
+     Parsed "<a b=\"x&amp;y\" c=\"AB\">\240\144\128\128\195\169</a>",
+     Parsed "<a b=\"x&amp;y\" c=\"AB\">\240\144\128\128\195\169</a>");
+  ]
+
+let test_parse_pinned () =
+  let outcome preserve_space c =
+    match Parser.parse_many ~preserve_space c with
+    | docs -> Parsed (String.concat "|" (List.map to_string docs))
+    | exception Parser.Parse_error { line; col; msg } -> Failed (line, col, msg)
+  in
+  let show = function
+    | Parsed s -> "Parsed " ^ s
+    | Failed (l, c, m) -> Printf.sprintf "Error %d:%d %s" l c m
+  in
+  List.iter
+    (fun (src, stripped, preserved) ->
+      check string_ (String.escaped src) (show stripped) (show (outcome false src));
+      check string_ (String.escaped src ^ " (preserve_space)") (show preserved)
+        (show (outcome true src)))
+    pinned_parses
+
+(* Allocation budget of [Parser.parse_many] on one schema-generated
+   <order>, the fanout workload's ingress document (the order schema of
+   examples/order_fanout.demaq). Words allocated per parse, minor and
+   direct-to-major, averaged over 200 parses after a warm-up that interns
+   the names. *)
+let order_schema =
+  {|
+element order { orderID, customerID, priority?, items }
+element orderID { text }
+element customerID { text }
+element priority { text }
+element items { item+ }
+element item { sku, qty }
+element sku { text }
+element qty { text }
+|}
+
+(* Measured at 228 words (1.78 KB) with this parser; the budget leaves
+   about 30% of margin. The parser whose content loop allocated closures,
+   refs and an end-tag copy per element took 1,188 words (9.28 KB). *)
+let parse_alloc_budget_words = 300
+
+let test_parse_alloc_budget () =
+  let s =
+    match Schema.parse order_schema with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "schema parse: %s" e
+  in
+  let doc =
+    match Schema.example ~vary:805 s "order" with
+    | Some d -> to_string d
+    | None -> Alcotest.fail "no example order"
+  in
+  ignore (Parser.parse_many doc);
+  (* a domain's counters are exact right after a minor collection *)
+  let allocated () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let runs = 200 in
+  let w0 = allocated () in
+  for _ = 1 to runs do
+    ignore (Sys.opaque_identity (Parser.parse_many doc))
+  done;
+  let words = (allocated () -. w0) /. float runs in
+  Printf.printf "parse_many: %d-byte order, %.1f words (%.2f KB) per parse\n"
+    (String.length doc) words (words *. float (Sys.word_size / 8) /. 1024.);
+  if words > float parse_alloc_budget_words then
+    Alcotest.failf "parse_many allocated %.0f words per %d-byte order (budget %d)"
+      words (String.length doc) parse_alloc_budget_words
+
 let suite =
   [
     ("name roundtrip", `Quick, test_name_roundtrip);
@@ -504,4 +684,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_pretty_roundtrip;
     QCheck_alcotest.to_alcotest prop_doc_order_total;
     ("document ids distinct across domains", `Quick, test_doc_ids_distinct_across_domains);
+    ("parse_many allocation budget on a fanout order", `Quick, test_parse_alloc_budget);
+    ("parse_many trees and error positions pinned", `Quick, test_parse_pinned);
   ]
