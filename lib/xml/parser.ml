@@ -350,18 +350,16 @@ let rec parse_element st env =
   expect st '<';
   let raw = read_raw_name st in
   let raw_attrs = read_attrs st [] in
-  let env =
-    if raw_attrs = [] then env else List.fold_left declare env (List.rev raw_attrs)
-  in
+  let env = List.fold_left declare env (List.rev raw_attrs) in
   let name = resolve_elem_name st env raw in
-  let attrs = if raw_attrs = [] then [] else resolve_attrs st env [] raw_attrs in
+  let attrs = resolve_attrs st env [] raw_attrs in
   if skip_string st "/>" then Tree.Element { name; attrs; children = [] }
   else begin
     expect st '>';
     let children = parse_content st env [] "" false in
+    (* step over the "</" that ended the content *)
     advance st;
     advance st;
-    (* "</", which ended the content *)
     close_tag st raw;
     skip_space st;
     expect st '>';

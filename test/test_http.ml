@@ -512,9 +512,10 @@ let test_flow_endpoints () =
 
 (* ---- one read buffer per domain ---- *)
 
-(* Four client domains POST bodies of 1-12 KiB, most larger than the
-   per-domain read buffer, to a pool of four accept domains; every echo
-   must come back byte-exact, so no request ever sees another's bytes. *)
+(* Four client domains POST bodies of 1-12 KiB, over a third of them
+   larger than the 8 KiB per-domain read buffer, to a pool of four
+   accept domains; every echo must come back byte-exact, so no request
+   ever sees another's bytes. *)
 let test_pool_echo_exact () =
   with_server ~pool:4 echo_handler (fun server ->
       let port = Http.port server in
