@@ -591,11 +591,13 @@ let span t ~start_ns (m : Message.t) =
     sp_outcome = Trace.Committed;
   }
 
-(* Counted like any processed message, but only once the creating
-   transaction commits; an abort drops the hook, so it leaves no count
-   and no span. Its span has no wait, lock, eval or apply phase. Runs
-   inside [Store.commit], so under [state_mu]. *)
+(* Counted like any processed message, and its flow edge observed, but
+   only once the creating transaction commits; an abort drops the hook,
+   so it leaves no count, no span and no flow node. Its span has no
+   wait, lock, eval or apply phase. Runs inside [Store.commit], so under
+   [state_mu]. *)
 let count_inline t (m : Message.t) =
+  note_flow t m;
   t.inline_processed <- t.inline_processed + 1;
   Metrics.incr t.met.m_processed;
   if Trace.enabled t.spans then
@@ -689,17 +691,18 @@ and enqueue_internal t txn ?rule ?rule_error_queue ?(trigger = None) ?provenance
            Lazy.force tree)
       ()
 
-(* What every admitted message goes through: flow edge, dispatch (or,
-   for an inert message, processing inside this transaction), gateway
-   outbox, and the echo timer of an echo-queue message. [qdef] is the
-   definition [Qm.admit] resolved for the message's queue. Only a
-   dispatched message is cached: its own transaction will read it back,
-   while an inert one leaves nothing behind but its store record. *)
+(* What every admitted message goes through: dispatch (or, for an inert
+   message, processing inside this transaction), its flow edge once the
+   transaction commits, gateway outbox, and the echo timer of an
+   echo-queue message. [qdef] is the definition [Qm.admit] resolved for
+   the message's queue. Only a dispatched message is cached: its own
+   transaction will read it back, while an inert one leaves nothing
+   behind but its store record. *)
 and admitted_unlocked t txn ?rule (qdef : Defs.queue_def) (m : Message.t) =
   Metrics.incr t.met.m_messages_created;
-  note_flow t m;
   if inert t qdef.Defs.kind m then process_inline t txn m
   else begin
+    if m.Message.prov.Message.p_flow <> "" then Store.on_commit txn (fun () -> note_flow t m);
     Qm.cache t.qm m;
     schedule_message t ~priority:qdef.Defs.priority m
   end;
@@ -1076,7 +1079,8 @@ let process t ~stamp rid =
                     in_txn t (fun txn ->
                         raise_error t txn ~kind:Errors.Evaluation_error
                           ~description:(exn_description e) ?rule
-                          ?rule_error_queue ~source_queue:m.Message.queue
+                          ?rule_error_queue ~provenance:(error_prov ?rule m)
+                          ~source_queue:m.Message.queue
                           ~initial_message:(Message.body m) ();
                         Qm.mark_processed t.qm txn m)))
         with e2 ->

@@ -116,8 +116,8 @@ type t = {
   met : metrics;
   spans : Trace.t;
   flows : Flow.t;
-      (** bounded causal flow store of provenance edges, fed on enqueue
-          ({!note_flow} via the enqueue paths); spans stay in [spans] *)
+      (** bounded causal flow store of provenance edges, fed when an
+          enqueue's transaction commits; spans stay in [spans] *)
   mutable flow_seq : int;
   wait_hists : (string, Metrics.histogram) Hashtbl.t;
   mutable fault : Fault.t option;
@@ -232,14 +232,11 @@ val error_prov : ?rule:string -> Message.t -> Message.provenance
 (** Edge for a §3.6 error message caused by a failure while processing
     [m]; blames [rule], or ["error"] when none is named. *)
 
-val note_flow : t -> Message.t -> unit
-(** Report a traced message's provenance edge to the flow store. Assumes
-    the lock; called by the enqueue paths. *)
-
 val observe_flow :
   t -> rid:int -> queue:string -> tick:int -> Message.provenance -> unit
-(** {!note_flow} from a record's parts, for recovery replay from store
-    records. Assumes the lock. *)
+(** Report a traced message's provenance edge to the flow store, from a
+    store record's parts: recovery replay. The enqueue paths report a
+    message's edge once its transaction commits. Assumes the lock. *)
 
 val register_echo_timer : t -> Store.txn -> ?rule:string -> Message.t -> unit
 (** Assumes the lock. *)

@@ -17,16 +17,13 @@ let is_binary s =
   String.length s >= 3 && s.[0] = '\x00' && s.[1] = 'B' && s.[2] = 'X'
 
 (* ------------------------------------------------------------------ *)
-(* Encoder: a streaming writer over a per-domain scratch arena           *)
+(* Encoder: a tree walk into a per-domain scratch arena                  *)
 (* ------------------------------------------------------------------ *)
 
 (* The token stream is built in a growable [Bytes.t] because element
    content lengths are backpatched: the element header reserves 4 bytes,
    the children are written, then the length goes into the reservation.
-   [frames] holds three ints per open element: the offset of its
-   attribute count, the count, and the offset of its content-length
-   reservation, made once the declared attributes are written (until
-   then, minus the number still to come). *)
+   Names are numbered in order of first use. *)
 type writer = {
   mutable tok : Bytes.t;
   mutable tlen : int;
@@ -34,10 +31,6 @@ type writer = {
   mutable names : Name.t array;
   mutable elem_used : Bytes.t; (* one flag byte per interned name *)
   mutable ncount : int;
-  mutable frames : int array;
-  mutable depth : int;
-  pooled : bool;  (* the domain's arena, handed back by [finish] *)
-  mutable busy : bool;
 }
 
 let initial_tok = 1024
@@ -48,7 +41,7 @@ let no_name = Name.make ""
    [names]: no hashing, and nothing to reset between documents. *)
 let scan_limit = 16
 
-let make_writer pooled =
+let make_writer () =
   {
     tok = Bytes.create initial_tok;
     tlen = 0;
@@ -56,41 +49,18 @@ let make_writer pooled =
     names = Array.make 16 no_name;
     elem_used = Bytes.make 16 '\x00';
     ncount = 0;
-    frames = Array.make 24 0;
-    depth = 0;
-    pooled;
-    busy = false;
   }
 
-let scratch_key = Domain.DLS.new_key (fun () -> make_writer true)
+(* [encode] is a tree walk that calls out to nothing, so one arena per
+   domain is never in use twice. *)
+let scratch_key = Domain.DLS.new_key make_writer
 
 let reset e =
   e.tlen <- 0;
-  e.depth <- 0;
   if e.ncount > 0 then begin
     if e.ncount > scan_limit then Hashtbl.reset e.tbl;
     Bytes.fill e.elem_used 0 e.ncount '\x00';
     e.ncount <- 0
-  end
-
-(* The domain's arena, or a fresh one when it is taken: a payload written
-   while another is open (a [do enqueue] inside a template hole) gets its
-   own. *)
-let writer () =
-  let e = Domain.DLS.get scratch_key in
-  if e.busy then make_writer false
-  else begin
-    e.busy <- true;
-    reset e;
-    e
-  end
-
-(* Release oversized scratch after an unusually large message so one
-   outlier doesn't pin memory for the domain's lifetime. *)
-let release e =
-  if e.pooled then begin
-    e.busy <- false;
-    if Bytes.length e.tok > scratch_cap then e.tok <- Bytes.create initial_tok
   end
 
 let ensure e n =
@@ -125,12 +95,6 @@ let put_string e s =
   put_varint e n;
   ensure e n;
   Bytes.blit_string s 0 e.tok e.tlen n;
-  e.tlen <- e.tlen + n
-
-(* Open a gap of [n] bytes at offset [at], moving the bytes after it. *)
-let insert_gap e at n =
-  ensure e n;
-  Bytes.blit e.tok at e.tok (at + n) (e.tlen - at);
   e.tlen <- e.tlen + n
 
 (* The index of [name] among the first [n] names, or -1. Names are
@@ -174,80 +138,10 @@ let name_id e name =
   let found = find_name e name in
   if found >= 0 then found else add_name e name
 
-let seed e names =
-  for i = 0 to Array.length names - 1 do
-    ignore (add_name e names.(i))
-  done
-
 let tok_element = 0x01
 let tok_text = 0x02
 let tok_comment = 0x03
 let tok_pi = 0x04
-
-(* Reserve the innermost open element's content length: once its
-   declared attributes are written. *)
-let reserve_content e =
-  let f = 3 * (e.depth - 1) in
-  ensure e 4;
-  e.frames.(f + 2) <- e.tlen;
-  e.tlen <- e.tlen + 4
-
-let start_element_id e id ~attrs =
-  Bytes.set e.elem_used id '\x01';
-  put_u8 e tok_element;
-  put_varint e id;
-  let f = 3 * e.depth in
-  if f + 3 > Array.length e.frames then begin
-    let frames = Array.make (2 * Array.length e.frames) 0 in
-    Array.blit e.frames 0 frames 0 f;
-    e.frames <- frames
-  end;
-  e.frames.(f) <- e.tlen;
-  e.frames.(f + 1) <- attrs;
-  e.depth <- e.depth + 1;
-  put_varint e attrs;
-  (* [frames.(f + 2)] counts down the declared attributes, then holds
-     the reservation's offset *)
-  if attrs = 0 then reserve_content e else e.frames.(f + 2) <- -attrs
-
-let attribute_id e id value =
-  put_varint e id;
-  put_string e value;
-  let f = 3 * (e.depth - 1) in
-  let left = e.frames.(f + 2) + 1 in
-  if left = 0 then reserve_content e else e.frames.(f + 2) <- left
-
-(* An attribute beyond the count [start_element_id] declared (a computed
-   attribute node in the content): spliced in at the end of the
-   attribute block, after any children already written, and the count
-   rewritten in place. *)
-let extra_attribute e name value =
-  let f = 3 * (e.depth - 1) in
-  let at_count = e.frames.(f) and count = e.frames.(f + 1) in
-  let reserved = e.frames.(f + 2) in
-  let start = e.tlen in
-  put_varint e (name_id e name);
-  put_string e value;
-  let n = e.tlen - start in
-  let bytes = Bytes.sub e.tok start n in
-  e.tlen <- start;
-  insert_gap e reserved n;
-  Bytes.blit bytes 0 e.tok reserved n;
-  let reserved = reserved + n in
-  let w0 = varint_width count and w1 = varint_width (count + 1) in
-  let reserved =
-    if w1 > w0 then begin
-      insert_gap e (at_count + w0) (w1 - w0);
-      reserved + (w1 - w0)
-    end
-    else reserved
-  in
-  e.frames.(f + 2) <- reserved;
-  let tlen = e.tlen in
-  e.tlen <- at_count;
-  put_varint e (count + 1);
-  e.tlen <- tlen;
-  e.frames.(f + 1) <- count + 1
 
 let set_u32 b at v =
   if v > 0xFFFFFFFF then fail "subtree too large for u32 content length";
@@ -255,22 +149,11 @@ let set_u32 b at v =
     Bytes.unsafe_set b (at + i) (Char.unsafe_chr ((v lsr (8 * i)) land 0xff))
   done
 
-let patch_u32 e at v = set_u32 e.tok at v
-
-let end_element e =
-  e.depth <- e.depth - 1;
-  let at = e.frames.((3 * e.depth) + 2) in
-  patch_u32 e at (e.tlen - at - 4)
-
-let text e s =
-  put_u8 e tok_text;
-  put_string e s
-
-(* A whole subtree needs no open-element frames: its attribute count is
-   known, and the reservation offset lives on the stack. *)
 let rec tree e t =
   match t with
-  | Tree.Text s -> text e s
+  | Tree.Text s ->
+    put_u8 e tok_text;
+    put_string e s
   | Tree.Comment s ->
     put_u8 e tok_comment;
     put_string e s
@@ -289,7 +172,7 @@ let rec tree e t =
     let at = e.tlen in
     e.tlen <- at + 4;
     forest e children;
-    patch_u32 e at (e.tlen - at - 4)
+    set_u32 e.tok at (e.tlen - at - 4)
 
 and attributes e = function
   | [] -> ()
@@ -347,25 +230,20 @@ let out_header out names n elem_used =
   !pos
 
 (* The payload is laid out in one allocation: magic, name header, body
-   length, then the token stream copied from the arena. *)
-let finish e =
+   length, then the token stream copied from the arena. An oversized
+   arena is released after an unusually large message, so one outlier
+   doesn't pin memory for the domain's lifetime. *)
+let encode t =
+  let e = Domain.DLS.get scratch_key in
+  reset e;
+  tree e t;
   let blen = e.tlen in
   let hlen = String.length magic + header_size e.names e.ncount in
   let out = Bytes.create (hlen + varint_width blen + blen) in
   let pos = out_varint out (out_header out e.names e.ncount e.elem_used) blen in
   Bytes.blit e.tok 0 out pos blen;
-  release e;
+  if Bytes.length e.tok > scratch_cap then e.tok <- Bytes.create initial_tok;
   Bytes.unsafe_to_string out
-
-let abandon = release
-
-let encode t =
-  let e = writer () in
-  match tree e t with
-  | () -> finish e
-  | exception exn ->
-    abandon e;
-    raise exn
 
 (* ------------------------------------------------------------------ *)
 (* Byte programs: payloads whose shape is known before their text       *)
@@ -397,7 +275,7 @@ module Program = struct
   let no_text = String.make 1 '\x00'
 
   let builder () =
-    { pending = make_writer false; ops = []; parents = []; left = 0; elements = []; gaps = [] }
+    { pending = make_writer (); ops = []; parents = []; left = 0; elements = []; gaps = [] }
 
   let flush b =
     if b.pending.tlen > 0 then begin
@@ -672,7 +550,7 @@ let decode s =
 let decode_any s = if is_binary s then decode s else Parser.parse s
 
 (* ------------------------------------------------------------------ *)
-(* Streaming accessors: no tree construction                           *)
+(* Header reader: no tree construction                                 *)
 (* ------------------------------------------------------------------ *)
 
 let synopsis s =
@@ -685,54 +563,14 @@ let synopsis s =
        (fun _ _ local _ -> acc := local :: !acc));
   List.rev !acc
 
-(* Header pass that keeps only local names (no interning): the table an
-   element-token scan needs. *)
-let local_table r limit =
-  let locals = ref [||] in
-  let n =
-    read_header r limit ~keep:(fun _ -> true) (fun i _ local _ ->
-        if i = 0 then locals := Array.make 16 "";
-        if i >= Array.length !locals then begin
-          let bigger = Array.make (2 * Array.length !locals) "" in
-          Array.blit !locals 0 bigger 0 (Array.length !locals);
-          locals := bigger
-        end;
-        !locals.(i) <- local)
-  in
-  (!locals, n)
+(* ------------------------------------------------------------------ *)
+(* Validation                                                          *)
+(* ------------------------------------------------------------------ *)
 
-(* The token stream is self-describing pre-order: a full scan just reads
-   tokens linearly, never recursing — content lengths are only needed
-   to *skip*. *)
-let iter_names s f =
-  check_magic s;
-  let r = { s; pos = 4 } in
-  let locals, n = local_table r (String.length s) in
-  let limit = body_limit r in
-  while r.pos < limit do
-    match u8 r limit with
-    | 0x01 ->
-      let idx = varint r limit in
-      if idx >= n then failf "name index %d out of range" idx;
-      f locals.(idx);
-      let nattrs = varint r limit in
-      if nattrs > limit - r.pos then fail "attribute count out of bounds";
-      for _ = 1 to nattrs do
-        let aidx = varint r limit in
-        if aidx >= n then failf "name index %d out of range" aidx;
-        skip_str r limit
-      done;
-      ignore (u32 r limit)
-    | 0x02 | 0x03 -> skip_str r limit
-    | 0x04 ->
-      skip_str r limit;
-      skip_str r limit
-    | t -> failf "unknown token 0x%02x" t
-  done
-
-(* Skip one attribute block + the subtree of the element whose tag byte
-   was just consumed. *)
-let skip_element_after_tag r n limit =
+(* Skip the name, attribute block and content length of the element
+   whose tag byte was just consumed, checking every name index against
+   the [n] names of the header: the content length. *)
+let skip_element_header r n limit =
   let idx = varint r limit in
   if idx >= n then failf "name index %d out of range" idx;
   let nattrs = varint r limit in
@@ -744,41 +582,13 @@ let skip_element_after_tag r n limit =
   done;
   let clen = u32 r limit in
   if clen > limit - r.pos then fail "subtree length out of bounds";
-  idx, clen
-
-let root_children s =
-  check_magic s;
-  let r = { s; pos = 4 } in
-  let locals, n = local_table r (String.length s) in
-  let limit = body_limit r in
-  if u8 r limit <> tok_element then fail "root token is not an element";
-  let _, clen = skip_element_after_tag r n limit in
-  let cend = r.pos + clen in
-  let acc = ref [] in
-  while r.pos < cend do
-    match u8 r cend with
-    | 0x01 ->
-      (* O(1) child skip: the content length jumps the whole subtree. *)
-      let idx, clen = skip_element_after_tag r n cend in
-      acc := locals.(idx) :: !acc;
-      r.pos <- r.pos + clen
-    | 0x02 | 0x03 -> skip_str r cend
-    | 0x04 ->
-      skip_str r cend;
-      skip_str r cend
-    | t -> failf "unknown token 0x%02x" t
-  done;
-  List.rev !acc
-
-(* ------------------------------------------------------------------ *)
-(* Validation                                                          *)
-(* ------------------------------------------------------------------ *)
+  clen
 
 let check s =
   match
     check_magic s;
     let r = { s; pos = 4 } in
-    let _, n = local_table r (String.length s) in
+    let n = read_header r (String.length s) ~keep:(fun _ -> false) (fun _ _ _ _ -> ()) in
     let limit = body_limit r in
     (* Walk every token once, tracking the stack of enclosing subtree
        end offsets so lengths are checked to nest exactly. *)
@@ -788,7 +598,7 @@ let check s =
       if !stack = [] then incr roots;
       (match u8 r limit with
       | 0x01 ->
-        let _, clen = skip_element_after_tag r n limit in
+        let clen = skip_element_header r n limit in
         let cend = r.pos + clen in
         let enclosing = match !stack with e :: _ -> e | [] -> limit in
         if cend > enclosing then fail "subtree length out of bounds";

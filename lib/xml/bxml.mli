@@ -21,24 +21,24 @@
                             varint len, data bytes
     v}
 
-    The design gives three cheap operations that never build a tree:
-    {!synopsis} reads only the header (the element-name set is computed
-    once, at encode time); {!iter_names} is a single linear SAX-style
-    pass over the tokens; and the fixed-width content length lets a
-    scanner skip a whole subtree in O(1) ({!root_children}).
+    The design gives two operations that never build a tree: {!synopsis}
+    reads only the header (the element-name set is computed once, at
+    encode time), and {!check} validates the whole payload in one linear
+    pass, the fixed-width content lengths letting it check that subtrees
+    nest exactly.
 
     The first magic byte is [0x00], which can never begin a textual XML
     document, so {!is_binary} distinguishes the two stored formats and
     {!decode_any} transparently accepts legacy text payloads.
 
-    Payloads are written with no tree in between: {!encode} walks a tree
-    into the streaming {!writer}, and a rule's [do enqueue] constructor
-    renders its precompiled {!Program}, or, when a hole yields nodes,
-    replays its template into the writer. The writer reuses a per-domain
-    scratch arena (token stream, name table, open-element stack), so in
-    steady state a payload costs the result string (sized exactly, one
-    allocation) plus whatever the caller allocates to produce its
-    text. *)
+    A tree has one byte form, written by {!encode}: names are numbered in
+    order of first use in pre-order, an element's attributes first, and
+    each token is written as the walk meets it. A rule's [do enqueue]
+    constructor whose holes all yield text renders its precompiled
+    {!Program}, which gives the same bytes with no tree; any other
+    payload is a tree first. {!encode} reuses a per-domain scratch arena
+    (token stream, name table), so in steady state a payload costs the
+    result string (sized exactly, one allocation). *)
 
 exception Decode_error of string
 
@@ -50,55 +50,7 @@ val is_binary : string -> bool
     version). Textual XML payloads always answer [false]. *)
 
 val encode : Tree.tree -> string
-(** Encode a tree: {!tree} into a fresh {!writer}, then {!finish}. *)
-
-(** {1 Streaming writer}
-
-    Tokens go straight into the arena in document order. Names are
-    numbered in order of first use, so writing a tree's tokens in
-    pre-order gives the bytes of {!encode}. An element's content length
-    is backpatched when it ends. *)
-
-type writer
-
-val writer : unit -> writer
-(** The domain's scratch arena, emptied; a fresh arena if the domain's
-    is in use by an unfinished payload. Every writer must end in
-    {!finish} or {!abandon}. *)
-
-val seed : writer -> Name.t array -> unit
-(** Number the given distinct names [0 .. n-1], before any token is
-    written: a template's static names, so its tokens carry precomputed
-    indices ({!start_element_id}, {!attribute_id}). Names met later (in
-    {!extra_attribute} or {!tree}) are numbered after them. *)
-
-val start_element_id : writer -> int -> attrs:int -> unit
-(** Open an element named by its {!seed}ed index, whose next [attrs]
-    calls are its attributes; its content follows them. *)
-
-val attribute_id : writer -> int -> string -> unit
-(** An attribute named by its {!seed}ed index. *)
-
-val extra_attribute : writer -> Name.t -> string -> unit
-(** An attribute of the innermost open element beyond the [attrs] it
-    declared, possibly after some of its children: spliced into the
-    attribute block and counted there. *)
-
-val text : writer -> string -> unit
-(** One text token; adjacent calls give adjacent text tokens (callers
-    that want merged text concatenate first). *)
-
-val tree : writer -> Tree.tree -> unit
-(** The tokens of a whole subtree. *)
-
-val end_element : writer -> unit
-
-val finish : writer -> string
-(** The payload: magic, name header, token stream. Releases the arena. *)
-
-val abandon : writer -> unit
-(** Release the arena without producing a payload (the producer
-    failed). *)
+(** The tree's payload. *)
 
 (** {1 Byte programs}
 
@@ -107,8 +59,9 @@ val abandon : writer -> unit
     and per element the static tokens, with indexed gaps where a value
     goes. {!Program.render} sizes the payload exactly from the gap values
     and writes it with one allocation, blits and content-length patches.
-    The bytes are those the {!writer} gives for the same calls with the
-    values in place. *)
+    The bytes are those {!encode} gives for the element with the values
+    in place, when the builder's calls follow that element in pre-order
+    and the name array numbers its names in order of first use. *)
 module Program : sig
   type t
   type builder
@@ -116,9 +69,9 @@ module Program : sig
   val builder : unit -> builder
 
   val start_element : builder -> int -> attrs:int -> unit
-  (** As {!start_element_id}: an element named by its index in the name
-      array given to {!build}, whose next [attrs] calls are its
-      attributes. *)
+  (** An element named by its index in the name array given to
+      {!build}, whose next [attrs] calls are its attributes; its content
+      follows them. *)
 
   val attribute : builder -> int -> string -> unit
   (** A static attribute. *)
@@ -175,20 +128,6 @@ val synopsis : string -> string list
 
     @raise Decode_error if [s] is not a binary payload or the header is
     corrupt. *)
-
-val iter_names : string -> (string -> unit) -> unit
-(** [iter_names s f] calls [f] with the local name of every element
-    start token, in document order, in one linear pass over the tokens.
-    Duplicates are repeated; no tree is built.
-
-    @raise Decode_error on corrupt input. *)
-
-val root_children : string -> string list
-(** Local names of the root element's child elements, in order, using
-    the content-length field to skip each child's subtree in O(1) —
-    the skip-scan the format exists for.
-
-    @raise Decode_error on corrupt input or a non-element root. *)
 
 val check : string -> (unit, string) result
 (** Full structural validation in one streaming pass: magic/version,

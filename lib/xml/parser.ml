@@ -92,40 +92,57 @@ let split_prefix raw =
       String.sub raw (i + 1) (String.length raw - i - 1) )
   | None -> ("", raw)
 
-(* UTF-8 encode a code point for numeric character references. *)
-let utf8_encode buf cp =
-  if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-  else if cp < 0x800 then begin
-    Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-  end
-  else if cp < 0x10000 then begin
-    Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-  end
-  else begin
-    Buffer.add_char buf (Char.chr (0xF0 lor (cp lsr 18)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-    Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-  end
+(* The code point a numeric character reference names: [body] is what
+   stands between [&#] and [;], decimal digits or [x] and hex digits. A
+   sign, an empty or non-digit body, or a code point outside XML's [Char]
+   production is an error. The value stops growing past the largest code
+   point, so no body overflows. *)
+let char_code body =
+  let n = String.length body in
+  let hex = n > 0 && body.[0] = 'x' in
+  let base = if hex then 16 else 10 in
+  let first = if hex then 1 else 0 in
+  let bad () =
+    let digits = String.sub body first (n - first) in
+    raise (Parse_error { line = 0; col = 0; msg = "bad character reference: " ^ digits })
+  in
+  if first >= n then bad ();
+  let cp = ref 0 in
+  for i = first to n - 1 do
+    let d =
+      match body.[i] with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | ('a' .. 'f' as c) when hex -> Char.code c - Char.code 'a' + 10
+      | ('A' .. 'F' as c) when hex -> Char.code c - Char.code 'A' + 10
+      | _ -> bad ()
+    in
+    cp := min ((!cp * base) + d) 0x110000
+  done;
+  let cp = !cp in
+  if
+    cp = 0x9 || cp = 0xA || cp = 0xD
+    || (cp >= 0x20 && cp <= 0xD7FF)
+    || (cp >= 0xE000 && cp <= 0xFFFD)
+    || (cp >= 0x10000 && cp <= 0x10FFFF)
+  then cp
+  else bad ()
+
+let char_ref body =
+  let buf = Buffer.create 4 in
+  Buffer.add_utf_8_uchar buf (Uchar.of_int (char_code body));
+  Buffer.contents buf
 
 let read_entity st buf =
   expect st '&';
   if peek st = '#' then begin
     advance st;
-    let hex = peek st = 'x' in
-    if hex then advance st;
     let start = st.pos in
     while peek st <> ';' && not (at_end st) do advance st done;
-    let digits = String.sub st.src start (st.pos - start) in
+    let body = String.sub st.src start (st.pos - start) in
     expect st ';';
-    let cp =
-      try int_of_string (if hex then "0x" ^ digits else digits)
-      with _ -> error st ("bad character reference: " ^ digits)
-    in
-    utf8_encode buf cp
+    match char_code body with
+    | cp -> Buffer.add_utf_8_uchar buf (Uchar.of_int cp)
+    | exception Parse_error { msg; _ } -> error st msg
   end
   else begin
     let name = read_raw_name st in

@@ -24,6 +24,15 @@ val parse_many : ?preserve_space:bool -> string -> Tree.tree list
 
     @raise Parse_error on malformed input. *)
 
+val char_ref : string -> string
+(** [char_ref body] is the UTF-8 encoding of the character that the
+    numeric reference [&#body;] names: [body] is decimal digits, or [x]
+    and hex digits.
+
+    @raise Parse_error (at line 0, column 0: the caller knows where the
+    reference stood) on any other body, or when the code point is not
+    one XML's [Char] production allows. *)
+
 val parse_result : ?preserve_space:bool -> string -> (Tree.tree, string) result
 (** Exception-free variant of {!parse}; the error string includes the
     position. *)

@@ -74,9 +74,9 @@ type expr =
   | Template of template
       (** a direct element constructor lowered to a bXML template
           ({!lower_templates}), with its byte program compiled: as a
-          [do enqueue] payload its holes fill the program's gaps and the
-          payload is written with no tree; anywhere else it is its
-          source *)
+          [do enqueue] payload its holes fill the program's gaps, and
+          when they all yield text the payload is written with no tree;
+          anywhere else it is its source *)
   | Computed_elem of expr * expr  (** element {name} {content} *)
   | Computed_attr of expr * expr  (** attribute {name} {value} *)
   | Computed_text of expr  (** text {content} *)
@@ -112,8 +112,9 @@ and content_piece = C_text of string | C_expr of expr
    bytes with a gap per dynamic attribute value and per text run that
    has a hole. Filling it evaluates the holes in constructor order into
    [t_items] item slots and the gap values; when every hole yields text,
-   the program renders the payload, and otherwise [t_root] replays it
-   through the streaming writer. *)
+   the program renders the payload, and otherwise the tree built from
+   [t_root] and those values is encoded. Either way the bytes are those
+   [Bxml.encode] gives for the tree the constructor builds. *)
 and template = {
   t_source : direct_element;
   t_names : Demaq_xml.Name.t array;
@@ -125,7 +126,6 @@ and template = {
 and t_element = {
   te_name : int;  (* index into [t_names] *)
   te_attrs : (int * t_attr) list;
-  te_nattrs : int;
   te_content : t_piece list;
 }
 
@@ -187,7 +187,7 @@ let lower_template source =
     in
     let te_content = content d.dcontent in
     P.end_element b;
-    { te_name; te_attrs; te_nattrs = List.length te_attrs; te_content }
+    { te_name; te_attrs; te_content }
   (* Adjacent text and holes form one run; a nested constructor ends it. *)
   and content = function
     | [] -> []

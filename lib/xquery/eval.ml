@@ -165,63 +165,85 @@ let run_text items parts =
   | [ s ] -> s
   | rev -> String.concat "" (List.rev rev)
 
-let flush_text w = function
-  | [] -> ()
-  | [ s ] -> Bxml.text w s
-  | run -> Bxml.text w (String.concat "" (List.rev run))
+(* ---- constructor content ---- *)
 
-(* [run] is the adjacent text not yet written, reversed: a non-text token
-   or the end of the run writes it as one text token. *)
-let rec write_items w run after_atom = function
-  | [] -> run
-  | Atom a :: rest ->
-    let run = if after_atom then " " :: run else run in
-    write_items w (string_of_atomic a :: run) true rest
+(* Content items, prepended to reversed (attributes, children) lists. Per
+   XQuery, node items are copied (attribute nodes become attributes of the
+   constructed element); consecutive atomic items are joined with single
+   spaces into one text node. *)
+let rec content_rev items (attrs, kids) =
+  match items with
+  | [] -> (attrs, kids)
   | Node n :: rest when is_attribute_node n ->
-    Bxml.extra_attribute w (attribute_name n) (Tree.string_value n);
-    write_items w run false rest
-  | Node n :: rest -> (
-    match tree_of_node n with
-    | Tree.Text s -> write_items w (s :: run) false rest
-    | t ->
-      flush_text w run;
-      Bxml.tree w t;
-      write_items w [] false rest)
+    content_rev rest
+      ({ Tree.attr_name = attribute_name n; attr_value = Tree.string_value n } :: attrs, kids)
+  | Node n :: rest -> content_rev rest (attrs, tree_of_node n :: kids)
+  | Atom a :: rest ->
+    let buf = Buffer.create 16 in
+    Buffer.add_string buf (string_of_atomic a);
+    let rec atoms = function
+      | Atom b :: rest ->
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf (string_of_atomic b);
+        atoms rest
+      | rest -> rest
+    in
+    let rest = atoms rest in
+    content_rev rest (attrs, Tree.Text (Buffer.contents buf) :: kids)
 
-(* The template through the streaming writer, its holes already filled:
-   the path for a hole that yields element, attribute or comment nodes,
-   whose names and tokens only the writer encodes. *)
-let write_template t gaps items =
-  let rec element w te =
-    Bxml.start_element_id w te.te_name ~attrs:te.te_nattrs;
-    List.iter
-      (fun (id, a) ->
-        Bxml.attribute_id w id (match a with Ta_static s -> s | Ta_gap (g, _) -> gaps.(g)))
-      te.te_attrs;
-    List.iter
-      (function
-        | T_text s -> Bxml.text w s
-        | T_element child -> element w child
-        | T_run (_, parts) ->
-          flush_text w
-            (List.fold_left
-               (fun run p ->
-                 match p with
-                 | P_text s -> s :: run
-                 | P_hole (k, _) -> write_items w run false items.(k))
-               [] parts))
-      te.te_content;
-    Bxml.end_element w
+let content_items items =
+  let attrs, kids = content_rev items ([], []) in
+  (List.rev attrs, List.rev kids)
+
+(* The element a direct constructor builds from its name, its own
+   attributes and its content as reversed (computed attributes,
+   children): the computed attributes follow its own, and adjacent text
+   nodes merge into one. *)
+let constructed name attrs (extra_rev, kids_rev) =
+  let rec merge acc = function
+    | Tree.Text b :: rest -> (
+      match acc with
+      | Tree.Text a :: acc -> merge (Tree.Text (b ^ a) :: acc) rest
+      | _ -> merge (Tree.Text b :: acc) rest)
+    | x :: rest -> merge (x :: acc) rest
+    | [] -> acc
   in
-  let w = Bxml.writer () in
-  match
-    Bxml.seed w t.t_names;
-    element w t.t_root
-  with
-  | () -> Bxml.finish w
-  | exception e ->
-    Bxml.abandon w;
-    raise e
+  Tree.Element
+    {
+      name;
+      attrs = (match extra_rev with [] -> attrs | _ -> attrs @ List.rev extra_rev);
+      children = merge [] kids_rev;
+    }
+
+(* The element a template denotes, its gaps and item slots filled: what
+   [construct] builds from the same values. *)
+let template_tree t gaps items =
+  let rec element te =
+    let attrs =
+      List.map
+        (fun (id, a) ->
+          {
+            Tree.attr_name = t.t_names.(id);
+            attr_value = (match a with Ta_static s -> s | Ta_gap (g, _) -> gaps.(g));
+          })
+        te.te_attrs
+    in
+    constructed t.t_names.(te.te_name) attrs
+      (List.fold_left
+         (fun (extra, kids) piece ->
+           match piece with
+           | T_text s -> (extra, Tree.Text s :: kids)
+           | T_element child -> (extra, element child :: kids)
+           | T_run (_, parts) ->
+             List.fold_left
+               (fun acc part ->
+                 match part with
+                 | P_text s -> (fst acc, Tree.Text s :: snd acc)
+                 | P_hole (k, _) -> content_rev items.(k) acc)
+               (extra, kids) parts)
+         ([], []) te.te_content)
+  in
+  element t.t_root
 
 let rec eval env expr : Value.t =
   match expr with
@@ -522,75 +544,30 @@ and construct env d : Tree.tree =
         { Tree.attr_name = Name.make (local_name name); attr_value = attr_value env pieces })
       d.dattrs
   in
-  let extra_rev, kids_rev =
-    List.fold_left
-      (fun acc piece ->
-        match piece with
-        | C_text s -> (fst acc, Tree.Text s :: snd acc)
-        | C_expr e -> content_rev (eval env e) acc)
-      ([], []) d.dcontent
-  in
-  (* Un-reverse the children, merging adjacent text nodes as
-     constructors must. *)
-  let rec merge acc = function
-    | Tree.Text b :: rest -> (
-      match acc with
-      | Tree.Text a :: acc -> merge (Tree.Text (b ^ a) :: acc) rest
-      | _ -> merge (Tree.Text b :: acc) rest)
-    | x :: rest -> merge (x :: acc) rest
-    | [] -> acc
-  in
-  Tree.Element
-    {
-      name = d.dname;
-      attrs = (match extra_rev with [] -> attrs | _ -> attrs @ List.rev extra_rev);
-      children = merge [] kids_rev;
-    }
+  constructed d.dname attrs
+    (List.fold_left
+       (fun acc piece ->
+         match piece with
+         | C_text s -> (fst acc, Tree.Text s :: snd acc)
+         | C_expr e -> content_rev (eval env e) acc)
+       ([], []) d.dcontent)
 
-(* Content items, prepended to reversed (attributes, children) lists. Per
-   XQuery, node items are copied (attribute nodes become attributes of the
-   constructed element); consecutive atomic items are joined with single
-   spaces into one text node. *)
-and content_rev items (attrs, kids) =
-  match items with
-  | [] -> (attrs, kids)
-  | Node n :: rest when is_attribute_node n ->
-    content_rev rest
-      ({ Tree.attr_name = attribute_name n; attr_value = Tree.string_value n } :: attrs, kids)
-  | Node n :: rest -> content_rev rest (attrs, tree_of_node n :: kids)
-  | Atom a :: rest ->
-    let buf = Buffer.create 16 in
-    Buffer.add_string buf (string_of_atomic a);
-    let rec atoms = function
-      | Atom b :: rest ->
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf (string_of_atomic b);
-        atoms rest
-      | rest -> rest
-    in
-    let rest = atoms rest in
-    content_rev rest (attrs, Tree.Text (Buffer.contents buf) :: kids)
+(* ---- template payloads ---- *)
 
-and content_items items =
-  let attrs, kids = content_rev items ([], []) in
-  (List.rev attrs, List.rev kids)
-
-(* ---- template payloads: bXML written with no tree ---- *)
-
-(* The payload a lowered constructor denotes, with the same evaluation
-   order, attribute and text rules as [construct], so the bytes decode to
-   the tree [construct] builds (and equal [Bxml.encode] of it when every
-   hole yields atoms or nothing). The holes are evaluated first, in
-   constructor order; if each yields text, the template's byte program
-   writes the payload from the gap values, and otherwise the streaming
-   writer replays the template with the items the holes yielded. *)
+(* The payload a lowered constructor denotes: the bytes of [Bxml.encode]
+   of the tree [construct] builds, with the same evaluation order. The
+   holes are evaluated once, first, in constructor order; if each yields
+   text, the template's byte program writes the payload from the gap
+   values with no tree, and otherwise the element is built from the
+   template, the gap values and the items the holes yielded, and
+   encoded. *)
 and fill env t =
   let gaps =
     match Bxml.Program.gaps t.t_program with 0 -> [||] | n -> Array.make n ""
   in
   let items = if t.t_items = 0 then [||] else Array.make t.t_items [] in
   if fill_element env gaps items true t.t_root then Bxml.Program.render t.t_program gaps
-  else write_template t gaps items
+  else Bxml.encode (template_tree t gaps items)
 
 (* [textual]: every hole so far yields only atoms and text, so the gaps of
    text runs are filled too. *)

@@ -823,7 +823,7 @@ and read_entity_char st =
   (* at '&' *)
   let semi =
     match String.index_from_opt st.src st.pos ';' with
-    | Some s when s - st.pos <= 8 -> s
+    | Some s when s - st.pos <= 16 -> s
     | _ -> fail st "bad entity reference"
   in
   let ent = String.sub st.src (st.pos + 1) (semi - st.pos - 1) in
@@ -835,16 +835,10 @@ and read_entity_char st =
   | "quot" -> "\""
   | "apos" -> "'"
   | _ ->
-    if String.length ent > 1 && ent.[0] = '#' then begin
-      let code =
-        try
-          if ent.[1] = 'x' then
-            int_of_string ("0x" ^ String.sub ent 2 (String.length ent - 2))
-          else int_of_string (String.sub ent 1 (String.length ent - 1))
-        with _ -> fail st "bad character reference &%s;" ent
-      in
-      if code < 128 then String.make 1 (Char.chr code)
-      else fail st "non-ASCII character reference &%s; not supported here" ent
+    if String.length ent > 0 && ent.[0] = '#' then begin
+      match Demaq_xml.Parser.char_ref (String.sub ent 1 (String.length ent - 1)) with
+      | s -> s
+      | exception Demaq_xml.Parser.Parse_error { msg; _ } -> fail st "%s" msg
     end
     else fail st "unknown entity &%s;" ent
 

@@ -84,19 +84,6 @@ let test_synopsis () =
     [ "customer"; "item"; "items"; "order"; "orderID"; "price" ]
     names
 
-let test_root_children () =
-  let bin = Bxml.encode (Parser.parse order_doc) in
-  check (Alcotest.list string_) "top-level children"
-    [ "orderID"; "customer"; "items" ]
-    (Bxml.root_children bin)
-
-let test_iter_names () =
-  let bin = Bxml.encode (Parser.parse order_doc) in
-  let seen = ref 0 in
-  Bxml.iter_names bin (fun _ -> incr seen);
-  (* order, orderID, customer, items, 2x item, 2x price *)
-  check int_ "every element start visited" 8 !seen
-
 (* ---- parse_many (batch ingress bodies) ---- *)
 
 let test_parse_many () =
@@ -197,8 +184,6 @@ let suite =
     ("round-trip corners", `Quick, test_roundtrip_corners);
     ("corrupt payloads rejected", `Quick, test_corrupt_rejected);
     ("header synopsis", `Quick, test_synopsis);
-    ("root children scan", `Quick, test_root_children);
-    ("iter_names visits every element", `Quick, test_iter_names);
     ("parse_many batch bodies", `Quick, test_parse_many);
     ("admission counters after restart", `Quick, test_admission_counters);
     QCheck_alcotest.to_alcotest prop_bxml_roundtrip;

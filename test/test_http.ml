@@ -276,6 +276,12 @@ let test_ingress_enqueue () =
       (* malformed XML *)
       let status, _ = Http.post ~port "/enqueue/orders" "<order" in
       check int_ "400 bad xml" 400 (Http.status_code status);
+      (* character references outside XML's Char production *)
+      List.iter
+        (fun body ->
+          let status, _ = Http.post ~port "/enqueue/orders" body in
+          check int_ (body ^ ": 400") 400 (Http.status_code status))
+        [ "<order><orderID>&#-5;</orderID></order>"; "<order><orderID>&#0;</orderID></order>" ];
       (* unknown queue *)
       let status, _ = Http.post ~port "/enqueue/nothere" "<x/>" in
       check int_ "404 unknown queue" 404 (Http.status_code status);

@@ -613,6 +613,43 @@ let test_provenance_across_crash_restart () =
     (contains (S.flow_ascii srv2 flow) "pending");
   Store.close st2
 
+(* An aborted transaction leaves no flow node for what it enqueued, and
+   the error its abort routes hangs off the failed message, blaming the
+   rule whose update failed. *)
+let test_aborted_flow_holds_root_and_error () =
+  let srv =
+    S.deploy
+      {|
+      create queue in kind basic mode persistent
+      create queue out kind basic mode persistent
+      create queue errs kind basic mode persistent
+      create rule first for in errorqueue errs
+        if (//ping) then do enqueue <a/> into out
+      create rule second for in errorqueue errs
+        if (//ping) then do enqueue <b/> into out
+    |}
+  in
+  let f = Fault.create () in
+  Fault.fail_on_apply f 2;
+  S.set_fault srv (Some f);
+  let rid = (inject_ok srv "in" "<ping/>").Demaq.Message.rid in
+  ignore (S.run srv);
+  check int_ "fault fired" 1 (Fault.injected f);
+  let flow =
+    match S.flow_id_of_rid srv rid with
+    | Some f -> f
+    | None -> Alcotest.fail "no flow for the injected root"
+  in
+  match List.sort (fun a b -> compare a.Flow.n_rid b.Flow.n_rid) (S.flow_nodes srv flow) with
+  | [ root; error ] ->
+    check int_ "root" rid root.Flow.n_rid;
+    check string_ "error queue" "errs" error.Flow.n_queue;
+    check int_ "error's parent" rid error.Flow.n_parent;
+    check string_ "error's cause" "second" error.Flow.n_cause
+  | nodes ->
+    Alcotest.failf "expected the root and its error, got:\n%s"
+      (Flow.render_ascii flow nodes)
+
 (* ---- scrape endpoint ---- *)
 
 let test_http_endpoint () =
@@ -783,4 +820,6 @@ let suite =
       test_flow_ring_wrap;
     Alcotest.test_case "flow observe allocates nothing" `Quick
       test_flow_observe_allocates_nothing;
+    Alcotest.test_case "aborted flow holds the root and its error" `Quick
+      test_aborted_flow_holds_root_and_error;
   ]

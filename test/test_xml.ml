@@ -536,6 +536,34 @@ let pinned_parses =
     ("<a>&#xZZ;</a>",
      Failed (1, 10, "bad character reference: ZZ"),
      Failed (1, 10, "bad character reference: ZZ"));
+    (* character references: XML's [Char] production, digits only *)
+    ("<a>&#-5;</a>",
+     Failed (1, 9, "bad character reference: -5"),
+     Failed (1, 9, "bad character reference: -5"));
+    ("<a>&#0;</a>",
+     Failed (1, 8, "bad character reference: 0"),
+     Failed (1, 8, "bad character reference: 0"));
+    ("<a>&#x110000;</a>",
+     Failed (1, 14, "bad character reference: 110000"),
+     Failed (1, 14, "bad character reference: 110000"));
+    ("<a b='&#xD800;'/>",
+     Failed (1, 15, "bad character reference: D800"),
+     Failed (1, 15, "bad character reference: D800"));
+    ("<a>&#xFFFE;</a>",
+     Failed (1, 12, "bad character reference: FFFE"),
+     Failed (1, 12, "bad character reference: FFFE"));
+    ("<a>&#+65;</a>",
+     Failed (1, 10, "bad character reference: +65"),
+     Failed (1, 10, "bad character reference: +65"));
+    ("<a>&#x;</a>",
+     Failed (1, 8, "bad character reference: "),
+     Failed (1, 8, "bad character reference: "));
+    ("<a>&#99999999999999999999999;</a>",
+     Failed (1, 30, "bad character reference: 99999999999999999999999"),
+     Failed (1, 30, "bad character reference: 99999999999999999999999"));
+    ("<a>&#9;&#x1F600;&#0065;</a>",
+     Parsed "<a>\t\240\159\152\128A</a>",
+     Parsed "<a>\t\240\159\152\128A</a>");
     ("<a b=\"&lt;x\" c=\"\n&bogus;\"/>",
      Failed (2, 8, "unknown entity: &bogus;"),
      Failed (2, 8, "unknown entity: &bogus;"));

@@ -309,6 +309,20 @@ let syntax_errors =
       "1 ! 2";
     ]
 
+(* A constructor's character references decode as the XML parser's do:
+   the payload is the bytes of the parsed document. *)
+let test_constructor_char_refs () =
+  let src = "<a x=\"&#233;&#x41;\">&#233;&#x1F600;&#10;t</a>" in
+  let parsed = Xml_parser.parse src in
+  (match eval src with
+   | [ Value.Node n ] ->
+     check bool_ "tree of the parsed document" true (Tree.node_tree n = Some parsed)
+   | _ -> Alcotest.fail "expected one node");
+  match eval_updates ("do enqueue " ^ src ^ " into q") with
+  | [ Update.Enqueue { payload; _ } ] ->
+    check string_ "payload bytes" (Demaq.Xml.Bxml.encode parsed) payload
+  | _ -> Alcotest.fail "expected one enqueue"
+
 (* ---- comments and whitespace ---- *)
 
 let comments =
@@ -580,4 +594,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_distinct_values_reference;
       quick "distinct-values linear in its input" test_distinct_values_linear;
       quick "Eval.run fuses descendant steps" test_run_fuses_descendant_steps;
+      quick "constructor character references" test_constructor_char_refs;
     ]
+  @ List.map
+      (fun src -> ("syntax error: " ^ src, `Quick, expect_syntax_error src))
+      [ "<a>&#0;</a>"; "<a>&#-5;</a>"; "<a x='&#x110000;'/>" ]
