@@ -51,8 +51,11 @@ let make_writer () =
     ncount = 0;
   }
 
-(* [encode] is a tree walk that calls out to nothing, so one arena per
-   domain is never in use twice. *)
+(* One arena per domain is never in use twice, for two reasons: [encode]
+   is a tree walk that calls out to nothing, and no code in [lib/] or
+   [bin/] runs systhreads, which could switch inside [encode] at an
+   allocation and share their domain's arena (the rule in the [Http]
+   header, which the [http] test suite's [test_no_systhreads] checks). *)
 let scratch_key = Domain.DLS.new_key make_writer
 
 let reset e =

@@ -823,8 +823,8 @@ and read_entity_char st =
   (* at '&' *)
   let semi =
     match String.index_from_opt st.src st.pos ';' with
-    | Some s when s - st.pos <= 16 -> s
-    | _ -> fail st "bad entity reference"
+    | Some s -> s
+    | None -> fail st "bad entity reference"
   in
   let ent = String.sub st.src (st.pos + 1) (semi - st.pos - 1) in
   st.pos <- semi + 1;

@@ -184,7 +184,9 @@ let prop_template_differential =
       let src = source e in
       let tree, inner = constructed_with_updates src in
       let bytes, inner' = streamed_with_updates src in
-      String.equal bytes (Bxml.encode tree) && Bxml.decode bytes = tree && inner = inner')
+      Bxml.validate bytes
+      && String.equal bytes (Bxml.encode tree)
+      && Bxml.decode bytes = tree && inner = inner')
 
 let test_template_matches_encode () =
   (* the order-fanout shape: hoisted variables, nested static elements *)
