@@ -382,7 +382,7 @@ let candidate t (sm : Store.message) =
     let memberships = Message.memberships_of_extra sm.extra in
     if in_no_current_slice t memberships then Some (sm.rid, memberships) else None
 
-(* Tombstone a batch of deletable messages in one transaction, evicting
+(* Delete a batch of deletable messages in one transaction, evicting
    their cache entries and index postings. Returns the reclaimed rids. *)
 let delete_batch t doomed =
   if doomed = [] then []
@@ -410,7 +410,7 @@ let gc t = List.length (gc_collect t)
    walking the rid range from a cursor. The budget bounds both the walk and
    the expensive part — reading each candidate's memberships and checking
    them for currency — so a maintenance tick costs O(budget) (plus
-   the tombstones and dropped rids it steps over), not O(store). A short
+   the collected rids it steps over), not O(store). A short
    window (the walk reached the end of the range) ends the sweep and wraps
    the cursor to the lowest rid still present, never to 0: compaction
    drops long runs of low rids, and rescanning them on every wrap would

@@ -17,7 +17,6 @@ type message = {
   extra : string;
   enqueued_at : int;
   mutable processed : bool;
-  mutable deleted : bool;
 }
 
 type config = {
@@ -45,11 +44,12 @@ type t = {
   slice_lifetimes : (string * string, int) Hashtbl.t;
   mutable next_rid : int;
   mutable low_rid : int;
-      (* no rid below it is in [messages]: lowered by inserts, raised past
-         the dropped rids when tombstones are dropped *)
-  mutable live : int;  (* entries of [messages] not deleted *)
-  mutable tombstones : int;  (* entries of [messages] deleted *)
-  mutable spilled : int;  (* entries of [messages] stored out of line *)
+      (* no rid below it is in [messages]: lowered by inserts, raised to
+         the lowest rid present by a checkpoint that follows deletes *)
+  mutable tombstones : int;  (* deletes since the last checkpoint *)
+  shrunk : (string, unit) Hashtbl.t;  (* the queues they left: vectors to filter *)
+  mutable unfreed : Heap_file.rid list;  (* their spilled bodies' heap records *)
+  mutable spilled : int;  (* heap records held, [unfreed] included *)
   mutable inline_bytes : int;  (* bytes of the inline bodies in [messages] *)
   mutable next_txn : int;
   mutable checkpoints : int;
@@ -74,15 +74,15 @@ and compaction_stage = Before_commit | After_commit
 (* the empty slot of [messages] *)
 let no_message =
   { rid = -1; queue = ""; stored = Inline ""; extra = ""; enqueued_at = 0;
-    processed = false; deleted = false }
+    processed = false }
+
+let heap t =
+  match t.heap with
+  | Some heap -> heap
+  | None -> invalid_arg "Message_store: spilled payload without a heap file"
 
 let payload t m =
-  match m.stored with
-  | Inline s -> s
-  | Spilled (rid, _) -> (
-    match t.heap with
-    | Some heap -> Heap_file.read heap rid
-    | None -> invalid_arg "Message_store.payload: spilled payload without a heap file")
+  match m.stored with Inline s -> s | Spilled (rid, _) -> Heap_file.read (heap t) rid
 
 let payload_length m =
   match m.stored with Inline s -> String.length s | Spilled (_, len) -> len
@@ -93,12 +93,13 @@ let should_spill t s =
   | Some threshold, Some _ -> String.length s > threshold
   | _ -> false
 
-let store_payload t s =
-  if should_spill t s then
-    match t.heap with
-    | Some heap -> Spilled (Heap_file.insert heap s, String.length s)
-    | None -> Inline s
-  else Inline s
+let spill t s =
+  t.spilled <- t.spilled + 1;
+  Spilled (Heap_file.insert (heap t) s, String.length s)
+
+let free_spilled t hrid =
+  t.spilled <- t.spilled - 1;
+  Heap_file.free (heap t) hrid
 
 let queue_vec t queue =
   match Hashtbl.find_opt t.queues queue with
@@ -111,33 +112,36 @@ let queue_vec t queue =
 (* ---- applying operations to the in-memory state ---- *)
 
 (* The gauges [stats] reports are counters kept here, at every point an
-   entry enters or leaves [messages] or changes state, so reading them
-   never walks the table. [sign] is +1 when [m]'s body joins the table's
-   account and -1 when it leaves. *)
-let account_body t m sign =
-  match m.stored with
-  | Inline s -> t.inline_bytes <- t.inline_bytes + (sign * String.length s)
-  | Spilled _ -> t.spilled <- t.spilled + sign
+   entry enters or leaves [messages] and wherever a heap record is
+   inserted or freed ([spill], [free_spilled]), so reading them never
+   walks the table. *)
+let inline_length m = match m.stored with Inline s -> String.length s | Spilled _ -> 0
 
-let set_deleted t m deleted =
-  if m.deleted <> deleted then begin
-    m.deleted <- deleted;
-    let d = if deleted then 1 else -1 in
-    t.tombstones <- t.tombstones + d;
-    t.live <- t.live - d
-  end
+let add_entry t m =
+  if m.rid < t.low_rid || Rid_table.length t.messages = 0 then t.low_rid <- m.rid;
+  Rid_table.set t.messages m.rid m;
+  t.inline_bytes <- t.inline_bytes + inline_length m
 
 let remove_entry t m =
   Rid_table.remove t.messages m.rid;
-  account_body t m (-1);
-  if m.deleted then t.tombstones <- t.tombstones - 1 else t.live <- t.live - 1
+  t.inline_bytes <- t.inline_bytes - inline_length m
+
+(* A deleted message leaves [messages] at once, so no old page keeps a
+   collected record, payload or extra for the minor collector to promote.
+   Its rid stays in its queue vector (reads skip it), and a spilled body
+   its heap record (the snapshot on disk may name it), until the next
+   checkpoint. *)
+let remove_deleted t m =
+  remove_entry t m;
+  t.tombstones <- t.tombstones + 1;
+  Hashtbl.replace t.shrunk m.queue ()
+
+let release_body t m =
+  match m.stored with Spilled (hrid, _) -> t.unfreed <- hrid :: t.unfreed | Inline _ -> ()
 
 let apply_insert t ~rid ~queue ~stored ~extra ~enqueued_at =
-  let m = { rid; queue; stored; extra; enqueued_at; processed = false; deleted = false } in
-  if rid < t.low_rid || Rid_table.length t.messages = 0 then t.low_rid <- rid;
-  Rid_table.set t.messages rid m;
-  account_body t m 1;
-  t.live <- t.live + 1;
+  let m = { rid; queue; stored; extra; enqueued_at; processed = false } in
+  add_entry t m;
   Vec.push (queue_vec t queue) rid;
   if rid >= t.next_rid then t.next_rid <- rid + 1;
   m
@@ -177,7 +181,9 @@ let apply_op t (op : Wal.op) =
     Hashtbl.replace t.slice_lifetimes (slicing, key) lifetime
   | Wal.Delete { rid; _ } -> (
     match Rid_table.find_opt t.messages rid with
-    | Some m -> set_deleted t m true
+    | Some m ->
+      remove_deleted t m;
+      release_body t m
     | None -> ())
 
 (* ---- snapshots ----
@@ -201,9 +207,6 @@ module W = Codec.Writer
 let encode_snapshot t =
   let w = W.create 4096 in
   W.int w t.next_rid;
-  let live =
-    Rid_table.fold (fun _ m acc -> if m.deleted then acc else m :: acc) t.messages []
-  in
   W.list w
     (fun w m ->
       W.int w m.rid;
@@ -212,12 +215,8 @@ let encode_snapshot t =
          move out of line *)
       (match m.stored with
        | Inline s when should_spill t s ->
-         (match t.heap with
-          | Some heap ->
-            account_body t m (-1);
-            m.stored <- Spilled (Heap_file.insert heap s, String.length s);
-            account_body t m 1
-          | None -> ())
+         t.inline_bytes <- t.inline_bytes - String.length s;
+         m.stored <- spill t s
        | _ -> ());
       (match m.stored with
        | Inline s ->
@@ -231,7 +230,7 @@ let encode_snapshot t =
       W.string w m.extra;
       W.int w m.enqueued_at;
       W.bool w m.processed)
-    (List.rev live);
+    (List.rev (Rid_table.fold (fun _ m acc -> m :: acc) t.messages []));
   let lifetimes =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.slice_lifetimes []
   in
@@ -275,7 +274,8 @@ let load_snapshot t contents ~pos ~len =
             f "snapshot: skipping #%d (queue %s): corrupt binary payload" rid queue)
       | _ ->
         let m = apply_insert t ~rid ~queue ~stored ~extra ~enqueued_at in
-        m.processed <- processed)
+        m.processed <- processed;
+        (match stored with Spilled _ -> t.spilled <- t.spilled + 1 | Inline _ -> ()))
     messages;
   let lifetimes =
     Codec.get_list r (fun r ->
@@ -357,12 +357,14 @@ let write_slot dir seq body =
 (* ---- open / recovery ---- *)
 
 (* Reclaim heap records no live message references (left behind when a
-   crash separated the WAL from the heap file). *)
+   crash separated the WAL from the heap file). A replayed delete's body
+   is not an orphan: the checkpoint frees it with the others. *)
 let sweep_heap_orphans t =
   match t.heap with
   | None -> ()
   | Some heap ->
     let referenced = Hashtbl.create 64 in
+    List.iter (fun hrid -> Hashtbl.replace referenced hrid ()) t.unfreed;
     Rid_table.iter
       (fun _ m ->
         match m.stored with
@@ -392,8 +394,9 @@ let open_store config =
       slice_lifetimes = Hashtbl.create 64;
       next_rid = 1;
       low_rid = 1;
-      live = 0;
       tombstones = 0;
+      shrunk = Hashtbl.create 8;
+      unfreed = [];
       spilled = 0;
       inline_bytes = 0;
       next_txn = 1;
@@ -461,15 +464,13 @@ let insert ?(on_undo = ignore) txn ~queue ~payload ~extra ~enqueued_at ~durable 
   check_active txn;
   let t = txn.store in
   let rid = t.next_rid in
-  let stored = store_payload t payload in
+  let stored = if should_spill t payload then spill t payload else Inline payload in
   let m = apply_insert t ~rid ~queue ~stored ~extra ~enqueued_at in
   if durable then
     txn.ops <- Wal.Insert { rid; queue; payload; extra; enqueued_at } :: txn.ops;
   txn.undo <-
     (fun () ->
-      (match stored, t.heap with
-       | Spilled (hrid, _), Some heap -> Heap_file.free heap hrid
-       | _ -> ());
+      (match stored with Spilled (hrid, _) -> free_spilled t hrid | Inline _ -> ());
       remove_entry t m;
       Vec.filter_in_place (fun r -> r <> rid) (queue_vec t queue);
       on_undo rid)
@@ -507,13 +508,12 @@ let delete txn rid =
   match Rid_table.find_opt t.messages rid with
   | None -> ()
   | Some m ->
-    if not m.deleted then begin
-      set_deleted t m true;
-      if t.config.log_deletions then
-        (* emulate update-in-place logging: the before-image rides along *)
-        txn.ops <- Wal.Delete { rid; image = payload t m } :: txn.ops;
-      txn.undo <- (fun () -> set_deleted t m false) :: txn.undo
-    end
+    if t.config.log_deletions then
+      (* emulate update-in-place logging: the before-image rides along *)
+      txn.ops <- Wal.Delete { rid; image = payload t m } :: txn.ops;
+    remove_deleted t m;
+    txn.undo <- (fun () -> add_entry t m; t.tombstones <- t.tombstones - 1) :: txn.undo;
+    txn.on_commit <- (fun () -> release_body t m) :: txn.on_commit
 
 let commit txn =
   check_active txn;
@@ -558,10 +558,7 @@ let abort txn =
 
 (* ---- reads ---- *)
 
-let get t rid =
-  match Rid_table.find_opt t.messages rid with
-  | Some m as found when not m.deleted -> found
-  | _ -> None
+let get t rid = Rid_table.find_opt t.messages rid
 
 let queue_rids t queue =
   match Hashtbl.find_opt t.queues queue with
@@ -584,9 +581,9 @@ let queue_length t queue = fold_queue t queue (fun n _ -> n + 1) 0
 
 let low_rid t = t.low_rid
 let next_rid t = t.next_rid
+let pages t = Rid_table.pages t.messages
 
-let fold_messages t f init =
-  Rid_table.fold (fun _ m acc -> if m.deleted then acc else f acc m) t.messages init
+let fold_messages t f init = Rid_table.fold (fun _ m acc -> f acc m) t.messages init
 
 let all_messages t = List.rev (fold_messages t (fun acc m -> m :: acc) [])
 
@@ -598,29 +595,20 @@ let unprocessed t =
 
 (* ---- maintenance ---- *)
 
-(* One pass over the table and one filter per affected queue vector, so a
-   compaction costs O(store), not O(tombstones x queue length). *)
+(* What the deletes since the last checkpoint left behind: their heap
+   records, and their rids in the vectors of the queues they left (a
+   dropped rid is one no longer in the table). O(deletes + those queues'
+   lengths), never a walk of the table. *)
 let drop_tombstones t =
-  if t.tombstones > 0 then begin
-    let doomed =
-      Rid_table.fold (fun _ m acc -> if m.deleted then m :: acc else acc) t.messages []
-    in
-    let queues = Hashtbl.create 8 in
-    List.iter
-      (fun m ->
-        (match m.stored, t.heap with
-         | Spilled (hrid, _), Some heap -> Heap_file.free heap hrid
-         | _ -> ());
-        remove_entry t m;
-        Hashtbl.replace queues m.queue ())
-      doomed;
-    (* a dropped rid is one no longer in the table *)
-    Hashtbl.iter
-      (fun queue () ->
-        Vec.filter_in_place (fun r -> Rid_table.mem t.messages r) (queue_vec t queue))
-      queues;
-    t.low_rid <- Option.value ~default:t.next_rid (Rid_table.lowest t.messages)
-  end
+  List.iter (free_spilled t) t.unfreed;
+  t.unfreed <- [];
+  Hashtbl.iter
+    (fun queue () -> Vec.filter_in_place (Rid_table.mem t.messages) (queue_vec t queue))
+    t.shrunk;
+  Hashtbl.clear t.shrunk;
+  if t.tombstones > 0 then
+    t.low_rid <- Option.value ~default:t.next_rid (Rid_table.lowest t.messages);
+  t.tombstones <- 0
 
 let checkpoint t =
   (match t.config.dir with
@@ -704,7 +692,7 @@ type stats = {
 
 let stats t =
   {
-    live_messages = t.live;
+    live_messages = Rid_table.length t.messages;
     tombstones = t.tombstones;
     wal_bytes = wal_count Wal.bytes_written t;
     wal_records = wal_count Wal.records_written t;
@@ -762,13 +750,15 @@ let instrument t reg =
   M.counter_fn reg "demaq_store_checkpoints_total" ~help:"Checkpoints written"
     (fun () -> float_of_int t.checkpoints);
   M.gauge_fn reg "demaq_store_live_messages" ~help:"Live messages in the store"
-    (fun () -> float_of_int t.live);
-  M.gauge_fn reg "demaq_store_tombstones" ~help:"Messages awaiting checkpoint drop"
+    (fun () -> float_of_int (Rid_table.length t.messages));
+  M.gauge_fn reg "demaq_store_tombstones"
+    ~help:"Messages deleted since the last checkpoint"
     (fun () -> float_of_int t.tombstones);
   M.gauge_fn reg "demaq_store_spilled_payloads"
     ~help:"Bodies stored out of line in the heap file"
     (fun () -> float_of_int t.spilled);
-  M.gauge_fn reg "demaq_store_inline_bytes" ~help:"Memory held by inline bodies"
+  M.gauge_fn reg "demaq_store_inline_bytes"
+    ~help:"Memory held by the inline bodies of live messages"
     (fun () -> float_of_int t.inline_bytes);
   M.gauge_fn reg "demaq_wal_unsynced_commits"
     ~help:"Commits appended but not yet covered by a barrier"

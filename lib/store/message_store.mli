@@ -37,7 +37,6 @@ type message = private {
   extra : string;  (** opaque: properties + slice memberships *)
   enqueued_at : int;  (** virtual-clock tick *)
   mutable processed : bool;
-  mutable deleted : bool;  (** tombstone until the next checkpoint *)
 }
 
 val payload_length : message -> int
@@ -92,8 +91,9 @@ val slice_reset : txn -> slicing:string -> key:string -> unit
 (** Begins a new lifetime for the slice (§2.3.2). *)
 
 val delete : txn -> int -> unit
-(** Tombstones a message (used by the retention GC). Logged only when the
-    store was configured with [log_deletions = true]. *)
+(** Removes a message from the table (the retention GC's delete); an abort
+    puts it back. Its queue-vector entry and a spilled body's heap record
+    stay until the next checkpoint. Logged only if [log_deletions]. *)
 
 val on_commit : txn -> (unit -> unit) -> unit
 (** [on_commit txn f] runs [f] right after [txn] commits, in registration
@@ -140,7 +140,7 @@ val wal_group_syncs : t -> int
 (** {1 Reads} *)
 
 val get : t -> int -> message option
-(** Live (non-deleted) message by rid. *)
+(** Live message by rid. *)
 
 val queue_rids : t -> string -> int list
 (** Rids of live messages in a queue, in arrival order. *)
@@ -155,12 +155,15 @@ val all_messages : t -> message list
     no sort. *)
 
 val low_rid : t -> int
-(** No message (live or tombstoned) has a rid below this. It is the lowest
-    rid present after any tombstone drop, so a scan of the rid range
-    from [low_rid] up to [next_rid] skips what compaction has dropped. *)
+(** No message has a rid below this. A checkpoint that follows deletes
+    raises it to the lowest rid present, so a scan of the rid range from
+    [low_rid] up to [next_rid] skips what was collected before it. *)
 
 val next_rid : t -> int
 (** One past the highest rid ever allocated. *)
+
+val pages : t -> int
+(** {!Rid_table.pages} of the message table. *)
 
 val slice_lifetime : t -> slicing:string -> key:string -> int
 (** Current lifetime counter of the slice; 0 if never reset. *)
@@ -170,8 +173,8 @@ val unprocessed : t -> message list
 (** {1 Maintenance} *)
 
 val checkpoint : t -> unit
-(** Writes a snapshot, drops tombstoned messages, truncates the log. The
-    snapshot gets the next sequence number [seq] and overwrites slot
+(** Writes a snapshot, drops what deletes left behind, truncates the log.
+    The snapshot gets the next sequence number [seq] and overwrites slot
     [seq land 1] in place from offset 0, leaving the other slot (the
     previous snapshot) untouched; its fsync is the commit point, and only
     after it is the log truncated in place ({!Wal.reset}). {!open_store}
@@ -179,7 +182,7 @@ val checkpoint : t -> unit
     single-file [snapshot.bin] as sequence 0, which the first committed
     slot removes) and replays the log on top. When nothing reached the
     log or the heap file since the last checkpoint the snapshot write and
-    its fsync are skipped (tombstones are still dropped). *)
+    its fsync are skipped (deletes' leftovers are still dropped). *)
 
 val compact : t -> int
 (** Log compaction: harden the pending group-commit batch, fold the state
@@ -207,14 +210,14 @@ val set_compaction_fault : t -> (compaction_stage -> unit) option -> unit
 
 type stats = {
   live_messages : int;
-  tombstones : int;  (** deleted messages not yet dropped by a checkpoint *)
+  tombstones : int;  (** deletes since the last checkpoint *)
   wal_bytes : int;
   wal_records : int;
   wal_syncs : int;
   wal_group_syncs : int;  (** barriers that actually synced *)
   checkpoints : int;
-  spilled_payloads : int;
-  inline_bytes : int;  (** memory held by inline bodies *)
+  spilled_payloads : int;  (** heap records, a deleted body's included *)
+  inline_bytes : int;  (** memory held by the inline bodies of live messages *)
 }
 
 val stats : t -> stats

@@ -1,8 +1,8 @@
 (** A minimal growable array (OCaml 5.1 predates [Dynarray]).
 
     Append-dominated usage: message queues only ever append rids;
-    {!filter_in_place} serves transaction undo and tombstone compaction,
-    {!sort} recovery. *)
+    {!filter_in_place} serves transaction undo and the checkpoint's drop
+    of deleted rids, {!sort} recovery. *)
 
 type 'a t
 

@@ -22,6 +22,21 @@ let is_name_char c =
 
 let is_digit c = c >= '0' && c <= '9'
 
+(* The text that [&ent;] stands for: a predefined entity or a character
+   reference, in a string literal or a constructor alike. *)
+let entity_text st ent =
+  match ent with
+  | "lt" -> "<"
+  | "gt" -> ">"
+  | "amp" -> "&"
+  | "quot" -> "\""
+  | "apos" -> "'"
+  | _ when String.length ent > 0 && ent.[0] = '#' -> (
+    match Demaq_xml.Parser.char_ref (String.sub ent 1 (String.length ent - 1)) with
+    | s -> s
+    | exception Demaq_xml.Parser.Parse_error { msg; _ } -> fail st "%s" msg)
+  | _ -> fail st "unknown entity &%s;" ent
+
 (* Skip whitespace and (possibly nested) XQuery comments. *)
 let rec skip_ws st =
   if not (at_end st) then
@@ -134,19 +149,13 @@ let scan st =
           end
           else incr i
         else if st.src.[!i] = '&' then begin
+          (* [&#x10FFFF;] is the longest reference without leading zeros *)
           let semi =
             match String.index_from_opt st.src !i ';' with
-            | Some s when s - !i <= 8 -> s
+            | Some s when s - !i <= 9 -> s
             | _ -> fail st "bad entity reference in string literal"
           in
-          let ent = String.sub st.src (!i + 1) (semi - !i - 1) in
-          (match ent with
-           | "lt" -> Buffer.add_char buf '<'
-           | "gt" -> Buffer.add_char buf '>'
-           | "amp" -> Buffer.add_char buf '&'
-           | "quot" -> Buffer.add_char buf '"'
-           | "apos" -> Buffer.add_char buf '\''
-           | _ -> fail st "unknown entity &%s;" ent);
+          Buffer.add_string buf (entity_text st (String.sub st.src (!i + 1) (semi - !i - 1)));
           i := semi + 1;
           go ()
         end
@@ -828,19 +837,7 @@ and read_entity_char st =
   in
   let ent = String.sub st.src (st.pos + 1) (semi - st.pos - 1) in
   st.pos <- semi + 1;
-  match ent with
-  | "lt" -> "<"
-  | "gt" -> ">"
-  | "amp" -> "&"
-  | "quot" -> "\""
-  | "apos" -> "'"
-  | _ ->
-    if String.length ent > 0 && ent.[0] = '#' then begin
-      match Demaq_xml.Parser.char_ref (String.sub ent 1 (String.length ent - 1)) with
-      | s -> s
-      | exception Demaq_xml.Parser.Parse_error { msg; _ } -> fail st "%s" msg
-    end
-    else fail st "unknown entity &%s;" ent
+  entity_text st ent
 
 and read_attr_pieces st =
   let quote = cur st in

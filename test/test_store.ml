@@ -562,7 +562,7 @@ let gen_ops =
          ]))
 
 let prop_store_model =
-  QCheck.Test.make ~name:"store matches list model" ~count:100
+  QCheck.Test.make ~name:"store matches list model" ~count:100 ~long_factor:60
     (QCheck.make gen_ops)
     (fun ops ->
       let st = mem_store () in
@@ -1006,7 +1006,7 @@ let print_counted_op = function
   | Compact_store -> "compact"
 
 let prop_stats_counters =
-  QCheck.Test.make ~name:"store stats counters equal a walk" ~count:40
+  QCheck.Test.make ~name:"store stats counters equal a walk" ~count:40 ~long_factor:100
     (QCheck.make
        ~print:(fun ops -> String.concat "; " (List.map print_counted_op ops))
        QCheck.Gen.(list_size (int_range 1 30) gen_counted_op))
@@ -1055,7 +1055,7 @@ let prop_stats_counters =
         && s.Store.live_messages = Store.fold_messages st (fun n _ -> n + 1) 0
         && s.Store.tombstones = walk (fun (_, d) -> if d then 1 else 0)
         && s.Store.spilled_payloads = walk (fun (n, _) -> if n > spill_at then 1 else 0)
-        && s.Store.inline_bytes = walk (fun (n, _) -> if n > spill_at then 0 else n)
+        && s.Store.inline_bytes = walk (fun (n, d) -> if d || n > spill_at then 0 else n)
       in
       let ok = List.for_all (fun op -> apply op; agrees ()) ops in
       Store.close st;
@@ -1102,3 +1102,162 @@ let rid_table_suite =
   ]
 
 let suite = suite @ rid_table_suite
+
+(* ---- a collected message leaves the table when its delete commits ---- *)
+
+(* [n] small inline messages with an extra each, inserted one transaction
+   at a time, then deleted one transaction at a time *)
+let insert_then_delete st n =
+  let first = Store.next_rid st in
+  for i = 1 to n do
+    let txn = Store.begin_txn st in
+    ignore
+      (Store.insert txn ~queue:"q" ~payload:(Printf.sprintf "<m n='%d'/>" i)
+         ~extra:(string_of_int i) ~enqueued_at:1 ~durable:true);
+    Store.commit txn
+  done;
+  for rid = first to first + n - 1 do
+    let txn = Store.begin_txn st in
+    Store.delete txn rid;
+    Store.commit txn
+  done
+
+(* A warm-up round grows the queue's rid vector and the table's
+   directory; the measured round then adds nothing the store keeps. *)
+let collected_store () =
+  let st = mem_store () in
+  insert_then_delete st 200;
+  Store.checkpoint st;
+  st
+
+let test_collected_not_promoted () =
+  let st = collected_store () in
+  Gc.minor ();
+  let _, before, _ = Gc.counters () in
+  insert_then_delete st 200;
+  Gc.minor ();
+  let _, after, _ = Gc.counters () in
+  (* a record, payload and extra kept until the checkpoint are about
+     13 words a message, 2,600 for the round *)
+  let promoted = int_of_float (after -. before) in
+  check bool_ (Printf.sprintf "%d words promoted, under 300" promoted) true (promoted < 300);
+  check int_ "nothing live" 0 (Store.stats st).Store.live_messages
+
+let test_collected_no_pages () =
+  let st = collected_store () in
+  insert_then_delete st 200;
+  check int_ "no page holds a collected message" 0 (Store.pages st);
+  check int_ "their deletes await the checkpoint" 200 (Store.stats st).Store.tombstones;
+  check int_ "their bodies left the inline account" 0 (Store.stats st).Store.inline_bytes
+
+let test_collected_spilled_body () =
+  (* a deleted spilled body leaves the table with its message, but its
+     heap record stays until the checkpoint frees it: the snapshot on
+     disk may still name it. An aborted delete keeps its body. *)
+  let dir = fresh_dir () in
+  let st =
+    Store.open_store (Store.durable_config ~sync:Wal.Sync_never ~spill_threshold:256 dir)
+  in
+  let insert_big n =
+    let txn = Store.begin_txn st in
+    let r =
+      Store.insert txn ~queue:"q" ~payload:(big_payload 4000 n) ~extra:"" ~enqueued_at:1
+        ~durable:true
+    in
+    Store.commit txn;
+    r
+  in
+  let delete rid commit =
+    let txn = Store.begin_txn st in
+    Store.delete txn rid;
+    if commit then Store.commit txn else Store.abort txn
+  in
+  let r1 = insert_big 1 in
+  let m1 = Option.get (Store.get st r1) in
+  delete r1 true;
+  check int_ "the message left the table" 0 (Store.pages st);
+  check int_ "its heap record stays" 1 (Store.stats st).Store.spilled_payloads;
+  check string_ "and still reads" (big_payload 4000 1) (Store.payload st m1);
+  let r2 = insert_big 2 in
+  delete r2 false;
+  check int_ "two heap records" 2 (Store.stats st).Store.spilled_payloads;
+  Store.checkpoint st;
+  check int_ "the checkpoint frees the deleted body only" 1
+    (Store.stats st).Store.spilled_payloads;
+  check (Alcotest.list int_) "the aborted delete's message" [ r2 ] (Store.queue_rids st "q");
+  check string_ "and its body" (big_payload 4000 2)
+    (Store.payload st (Option.get (Store.get st r2)));
+  Store.close st
+
+(* the files of [dir] as a crash leaves them: what reached the files *)
+let crash_copy dir =
+  let copy = fresh_dir () in
+  Array.iter
+    (fun f ->
+      let image = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+      Out_channel.with_open_bin (Filename.concat copy f) (fun oc ->
+          Out_channel.output_string oc image))
+    (Sys.readdir dir);
+  copy
+
+let test_crash_after_collect () =
+  (* a committed delete, then a crash before the checkpoint. Unlogged
+     (the default), the crash undoes the delete: the message reopens with
+     its body, from the snapshot's heap record or the log. Logged, it
+     stays deleted, and the next checkpoint frees the spilled body. *)
+  List.iter
+    (fun log_deletions ->
+      let tag = if log_deletions then "logged" else "unlogged" in
+      let dir = fresh_dir () in
+      let cfg =
+        Store.durable_config ~sync:Wal.Sync_always ~log_deletions ~spill_threshold:256 dir
+      in
+      let st = Store.open_store cfg in
+      let txn = Store.begin_txn st in
+      let spilled =
+        Store.insert txn ~queue:"q" ~payload:(big_payload 4000 3) ~extra:"" ~enqueued_at:1
+          ~durable:true
+      in
+      Store.commit txn;
+      Store.checkpoint st;
+      let txn = Store.begin_txn st in
+      let inline = insert_msg txn "q" "<m/>" in
+      Store.commit txn;
+      let txn = Store.begin_txn st in
+      Store.delete txn spilled;
+      Store.delete txn inline;
+      Store.commit txn;
+      let crashed = crash_copy dir in
+      Store.close st;
+      let st = Store.open_store { cfg with Store.dir = Some crashed } in
+      let expect live =
+        check (Alcotest.list int_) (tag ^ ": messages") live (Store.queue_rids st "q");
+        List.iter
+          (fun rid ->
+            check string_ (tag ^ ": body")
+              (if rid = spilled then big_payload 4000 3 else "<m/>")
+              (Store.payload st (Option.get (Store.get st rid))))
+          live
+      in
+      let live = if log_deletions then [] else [ spilled; inline ] in
+      expect live;
+      check int_ (tag ^ ": replayed deletes") (if log_deletions then 2 else 0)
+        (Store.stats st).Store.tombstones;
+      check int_ (tag ^ ": heap record kept") 1 (Store.stats st).Store.spilled_payloads;
+      ignore (Store.compact st);
+      expect live;
+      check int_ (tag ^ ": heap records after the checkpoint")
+        (if log_deletions then 0 else 1)
+        (Store.stats st).Store.spilled_payloads;
+      Store.close st)
+    [ false; true ]
+
+let collect_suite =
+  [
+    ("collected messages are not promoted", `Quick, test_collected_not_promoted);
+    ("collected messages hold no table page", `Quick, test_collected_no_pages);
+    ("collected spilled body freed at the checkpoint", `Quick, test_collected_spilled_body);
+    ("crash after a committed delete reopens as before", `Quick, test_crash_after_collect);
+  ]
+
+let suite = suite @ collect_suite

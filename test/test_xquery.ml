@@ -599,4 +599,10 @@ let suite =
     ]
   @ List.map
       (fun src -> ("syntax error: " ^ src, `Quick, expect_syntax_error src))
-      [ "<a>&#0;</a>"; "<a>&#-5;</a>"; "<a x='&#x110000;'/>" ]
+      [ "<a>&#0;</a>"; "<a>&#-5;</a>"; "<a x='&#x110000;'/>"; {|"&#0;"|}; {|"&#xD800;"|} ]
+  @ table
+      [
+        ("string character reference", expect {|"x&#65;"|} "xA");
+        ("string character references, largest code point",
+         expect {|concat("&#x10FFFF;", '&#1114111;')|} "\u{10FFFF}\u{10FFFF}");
+      ]
